@@ -75,11 +75,20 @@ def _merged(cfg: dict, key: str, flag_value, default):
     return default
 
 
+def _seed_value(seed) -> int:
+    """A master seed as an int; ConfigurationError unless a non-negative integer."""
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _require_seed(seed) -> int:
     if seed is None:
         raise ConfigurationError("a --seed (or config `seed`) is required for "
                                  "stochastic commands")
-    return int(seed)
+    return _seed_value(seed)
 
 
 def _out_dir(out) -> Path:
@@ -370,7 +379,7 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
             episodes=int(_merged(cfg, "steps_per_update", steps_per_update, 20)),
             paths_per_episode=1,
             theta0=float(_merged(cfg, "theta0", theta0, 1.0)),
-            master_seed=int(_merged(cfg, "seed", seed, 0) or 0),
+            master_seed=_seed_value(_merged(cfg, "seed", seed, 0) or 0),
         )
         report = {"cells": {}, "sharpe_table": {}}
         for loss_kind in losses:

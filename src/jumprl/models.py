@@ -187,7 +187,11 @@ def dvalue_dx(model, theta: float, t, x):
 
 
 def path_values(model, theta: float, path: PathSample) -> np.ndarray:
-    """model.value along a path's grid; length n_steps + 1."""
+    """model.value along a path's grid; length n_steps + 1.
+
+    A failing evaluation re-raises the original exception, type and fields
+    intact, with the first failing grid point added to its message.
+    """
     try:
         return np.asarray(model.value(theta, path.grid.times, path.observed), dtype=float)
     except SingularParameterError:
@@ -197,5 +201,6 @@ def path_values(model, theta: float, path: PathSample) -> np.ndarray:
             try:
                 model.value(theta, t, x)
             except Exception:
-                raise type(exc)(f"{exc} (at path index {i}, t={t:.6g})") from exc
+                exc.args = (f"{exc} (at path index {i}, t={t:.6g})",)
+                break
         raise

@@ -124,7 +124,11 @@ def read_price_csv(path, bars_per_day: int) -> PriceSeries:
     """Load `timestamp,price` CSV (ISO-8601 or epoch-second timestamps)."""
     stamps = []
     values = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise IngestionError(f"cannot read price file {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip().lower()
         if header.replace(" ", "") != "timestamp,price":
             raise IngestionError(f"expected header 'timestamp,price', got {header!r}")

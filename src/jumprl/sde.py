@@ -138,7 +138,7 @@ def sample_single_jump_time(rng: np.random.Generator) -> float:
 
 def _snap_index(times: np.ndarray, jump_time: float) -> int:
     """Index of the first grid point >= jump_time."""
-    return int(np.searchsorted(times, jump_time, side="left"))
+    return int(times.searchsorted(jump_time))
 
 
 def _jump_schedule(spec: JumpDiffusionSpec, grid: TimeGrid,
@@ -276,17 +276,20 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     n = grid.n_steps
     z = np.empty((n_paths, n))
     schedules = []
+    rng = None  # one generator per batch, re-pointed to each row's stream
     for i in range(n_paths):
-        rng = path_rng(master_seed, episode, path_offset + i)
-        z[i] = rng.standard_normal(n)
+        rng = path_rng(master_seed, episode, path_offset + i, reuse=rng)
+        rng.standard_normal(out=z[i])
         schedules.append(_jump_schedule(spec, grid, rng))
 
     jp, js, jpre, jsz = [], [], [], []
     if spec.has_constant_coefficients:
-        inc = float(spec.drift) * grid.dt + float(spec.diffusion) * math.sqrt(grid.dt) * z
+        # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
+        z *= float(spec.diffusion) * math.sqrt(grid.dt)
+        z += float(spec.drift) * grid.dt
         cont = np.empty((n_paths, n + 1))
         cont[:, 0] = spec.x0
-        np.cumsum(inc, axis=1, out=cont[:, 1:])
+        np.cumsum(z, axis=1, out=cont[:, 1:])
         cont[:, 1:] += spec.x0
         observed = cont.copy()
         for i, schedule in enumerate(schedules):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -95,6 +96,20 @@ class TestTrain:
         # the flag wins over the file value
         assert doc["theta_final"] == pytest.approx(0.75, abs=1e-9)
 
+    def test_negative_seed_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", "--episodes", "1", "--seed", "-1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be a non-negative integer, got -1" in result.output
+
+    @pytest.mark.parametrize("line", ["seed = 1.7", "seed = -3", "seed = abc", "seed = true"])
+    def test_malformed_config_seed_exits_2(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"episodes = 1\n{line}\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be a non-negative integer" in result.output
+
 
 class TestCompare:
     def test_empty_families_empty_report(self, runner, tmp_path):
@@ -164,3 +179,64 @@ class TestBacktest:
     def test_missing_data_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["backtest", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_unreadable_data_file_exits_2(self, runner, tmp_path):
+        missing = tmp_path / "missing.csv"
+        result = runner.invoke(main, ["backtest", "--data", str(missing),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert str(missing) in result.output
+
+    @pytest.mark.parametrize("args, cfg_line", [(["--seed", "-1"], ""),
+                                                ([], "seed = 1.7\n")])
+    def test_malformed_seed_exits_2(self, runner, tmp_path, fixture_csv, args, cfg_line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\n{cfg_line}")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg), *args,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be a non-negative integer" in result.output
+
+
+def output_digest(directory) -> str:
+    """sha256 over the names and bytes of every file a command wrote."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestReportBytes:
+    """Report bytes are pinned while the random streams stay as they are.
+
+    The digests were recorded with numpy 2.4 on x86-64. A change that alters
+    the sampled numbers on purpose must re-record them and say why.
+    """
+
+    RUNS = {
+        "simulate": ["simulate", "--paths", "3", "--n-steps", "400", "--law", "poisson",
+                     "--poisson-rate", "20", "--seed", "21"],
+        "train": ["train", "--family", "quadratic", "--loss", "mstde", "--episodes", "30",
+                  "--paths", "8", "--alpha", "0.001", "--dt", "0.02", "--seed", str(2**40)],
+        "compare": ["compare", "--families", "linear", "--episodes", "5", "--paths", "2",
+                    "--alpha", "0.001", "--dt", "0.1", "--oracle-scan", "--scan-paths",
+                    "300", "--scan-steps", "100", "--seed", "4"],
+        "backtest": ["backtest", "--bars-per-day", "10", "--train-days", "8",
+                     "--mode", "both", "--loss", "both", "--steps-per-update", "3"],
+    }
+    DIGESTS = {
+        "simulate": "6d9e8fb6c2b25d4f80d440b6bad498d98910888a18e78fb9e5341289dedbb6a1",
+        "train": "0a1278da8a00ce1b35d56e9b8f2ee76ea292b8d3b1a3954f22fa4d0dbc826cc7",
+        "compare": "732060f30eb4890a583ecd5047392ec779c05dbf2bccfb4b62abb7211d7dea8b",
+        "backtest": "c370c10a0debcc76e7a918adc454277b6a798e0fe4b4cb4291e01ea27412f55d",
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_reports_byte_identical(self, runner, tmp_path, fixture_csv, command):
+        args = list(self.RUNS[command])
+        if command == "backtest":
+            args += ["--data", str(fixture_csv)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert output_digest(out) == self.DIGESTS[command]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumprl.errors import SingularParameterError
+from jumprl.errors import SimulationOverflowError, SingularParameterError
 from jumprl.models import (CustomValue, ExponentialValue, LinearValue,
                            MeanVarianceValue, QuadraticValue, family_by_name,
                            path_values, target_anchor)
@@ -111,6 +111,20 @@ class TestPathValues:
         path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(path_values(QuadraticValue(), 1.0, path),
                                    [0.0, 1.5, 0.0])
+
+
+    def test_error_keeps_type_fields_and_location(self):
+        def value_fn(theta, t, x):
+            if np.any(np.asarray(x) > 5.0):
+                raise SimulationOverflowError("state out of range", step_index=17)
+            return theta + np.asarray(x)
+
+        path = synthetic_path([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 9.0, 2.0, 0.0])
+        with pytest.raises(SimulationOverflowError) as info:
+            path_values(CustomValue(value_fn=value_fn), 0.0, path)
+        assert info.value.step_index == 17
+        assert "state out of range" in str(info.value)
+        assert "at path index 2, t=0.5" in str(info.value)
 
 
 class TestCustomAndRegistry:

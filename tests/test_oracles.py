@@ -7,8 +7,9 @@ from jumprl.errors import NonConvexError, QuadratureError
 from jumprl.models import ExponentialValue, LinearValue, QuadraticValue
 from jumprl.oracles import (QuadraticObjective, argmin_quadratic,
                             closed_form_objective, golden_section_min, integrate,
-                            mc_argmin, mc_limit_objective, mc_objective_samples,
-                            mc_oracle_objective, reference_minimizers)
+                            mc_argmin, mc_limit_objective, mc_objective_grid,
+                            mc_objective_samples, mc_oracle_objective,
+                            reference_minimizers)
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec
 
 
@@ -180,6 +181,30 @@ class TestMcObjectives:
         big = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100,
                                    100, seed=9, chunk=100)
         np.testing.assert_array_equal(small, big)
+
+
+class TestThreadDeterminism:
+    """Results do not depend on JUMPRL_THREADS when chunks run in parallel."""
+
+    def test_samples_same_with_two_threads(self, monkeypatch, study_spec, grid_100):
+        def run():
+            return mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40,
+                                        seed=13, include_jump_term=True, chunk=7)
+
+        monkeypatch.delenv("JUMPRL_THREADS", raising=False)
+        sequential = run()
+        monkeypatch.setenv("JUMPRL_THREADS", "2")
+        np.testing.assert_array_equal(run(), sequential)
+
+    def test_grid_same_with_two_threads(self, monkeypatch, study_spec, grid_100):
+        def run():
+            return mc_objective_grid(LinearValue(), [-1.5, 0.0, 0.5], study_spec, grid_100,
+                                     40, seed=13, state="continuous", chunk=9)
+
+        monkeypatch.delenv("JUMPRL_THREADS", raising=False)
+        sequential = run()
+        monkeypatch.setenv("JUMPRL_THREADS", "2")
+        np.testing.assert_array_equal(run(), sequential)
 
 
 class TestExponentialScanAgreement:

@@ -1,0 +1,92 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from jumprl.errors import ConfigurationError
+from jumprl.rng import path_rng, philox_key, stream, thread_cap
+
+WORDS = st.integers(min_value=0, max_value=2**70)
+SEEDS = st.integers(min_value=0, max_value=2**200)
+
+
+def reference_generator(master_seed, *key):
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def first_draws(gen):
+    return (gen.standard_normal(9), gen.random(5), gen.integers(0, 2**31, 3, dtype=np.uint32))
+
+
+class TestPhiloxKey:
+    @settings(max_examples=200, deadline=None)
+    @given(master=SEEDS, key=st.lists(WORDS, min_size=1, max_size=4))
+    @example(master=2**32, key=[0, 0])
+    @example(master=2**128, key=[2**32, 2**32 + 1])
+    @example(master=2**128 - 1, key=[2**64, 3])
+    @example(master=0, key=[0])
+    def test_equals_seed_sequence_state(self, master, key):
+        state = np.random.SeedSequence(master, spawn_key=key).generate_state(2, np.uint64)
+        assert philox_key(master, *key) == tuple(int(w) for w in state)
+
+    @pytest.mark.parametrize("words", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_word_raises_like_seed_sequence(self, words):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(words[0], spawn_key=words[1:])
+        with pytest.raises(ValueError, match="non-negative"):
+            path_rng(*words, reuse=stream(0))
+
+    def test_concurrent_derivation_matches_reference(self):
+        # more workers than keys per episode, and more episodes than the pool
+        # cache holds, so threads evict and refill entries under one another
+        keys = [(5, episode, path) for episode in range(150) for path in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda k: philox_key(*k), keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        want = [tuple(int(w) for w in np.random.SeedSequence(m, spawn_key=(e, p))
+                      .generate_state(2, np.uint64)) for m, e, p in keys]
+        assert got == want
+
+
+class TestPathRng:
+    @settings(max_examples=100, deadline=None)
+    @given(master=SEEDS, episode=WORDS, path=WORDS)
+    @example(master=2**32, episode=0, path=1)
+    @example(master=2**128, episode=2**32, path=2**32 + 7)
+    @example(master=2**130 + 5, episode=2**40, path=0)
+    def test_repointed_generator_matches_reference(self, master, episode, path):
+        used = stream(3, 1, 4)
+        used.standard_normal(7)
+        used.integers(0, 10, dtype=np.uint32)  # leaves a buffered 32-bit half
+        got = path_rng(master, episode, path, reuse=used)
+        assert got is used
+        for a, b in zip(first_draws(got), first_draws(reference_generator(master, episode, path))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_without_reuse_is_fresh_stream(self):
+        for a, b in zip(first_draws(path_rng(11, 2, 5)), first_draws(stream(11, 2, 5))):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestThreadCap:
+    def test_unset_is_sequential(self, monkeypatch):
+        monkeypatch.delenv("JUMPRL_THREADS", raising=False)
+        assert thread_cap() == 1
+
+    def test_reads_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("JUMPRL_THREADS", "2")
+        assert thread_cap() == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "", "1.5", "0", "-2"])
+    def test_malformed_value_names_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("JUMPRL_THREADS", raw)
+        with pytest.raises(ConfigurationError, match="JUMPRL_THREADS") as info:
+            thread_cap()
+        assert repr(raw) in str(info.value)

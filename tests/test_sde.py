@@ -171,6 +171,28 @@ class TestBatch:
         np.testing.assert_array_equal(whole.observed,
                                       np.vstack([left.observed, right.observed]))
 
+    @pytest.mark.parametrize("spec", [
+        JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
+                          jump_law=SingleUniformJump(), x0=0.2),
+        JumpDiffusionSpec(drift=lambda t, x: -x, diffusion=lambda t, x: 0.5 + t,
+                          jump_size=lambda t, x: 0.25, jump_law=SingleUniformJump(), x0=0.5),
+        JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
+                          jump_law=PoissonRate(rate=8.0), x0=1.0),
+    ], ids=["constant", "callable", "poisson"])
+    def test_rows_match_seeded_paths_at_offset(self, spec):
+        grid = build_grid(1.0, 200)
+        offset = 2**33 + 5
+        batch = simulate_batch(spec, grid, 2**40 + 3, 7, 6, path_offset=offset)
+        events = list(zip(batch.jump_path, batch.jump_step, batch.jump_pre, batch.jump_size))
+        for p in range(6):
+            single = simulate_seeded(spec, grid, 2**40 + 3, 7, offset + p)
+            np.testing.assert_array_equal(batch.observed[p], single.observed)
+            np.testing.assert_array_equal(batch.continuous[p], single.continuous_part)
+            assert [(k, pre, size) for row, k, pre, size in events if row == p] == [
+                (int(grid.times.searchsorted(e.time)), e.pre_state, e.size)
+                for e in single.jump_events]
+        assert batch.jump_step.size > 0
+
     def test_pre_jump_backs_out_landing(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 67, 0, 5)
         for path, step, pre in zip(batch.jump_path, batch.jump_step, batch.jump_pre):
