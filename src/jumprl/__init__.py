@@ -12,19 +12,16 @@ from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
 from .estimators import (TrainConfig, TrainResult, jump_robustness_ratio,
                          msbve_grad, msbve_loss, mstde_grad, mstde_loss, train)
 from .models import (CustomValue, ExponentialValue, LinearValue, MeanVarianceValue,
-                     QuadraticValue, dvalue_dtheta, dvalue_dx, family_by_name,
-                     path_values, value)
+                     QuadraticValue, family_by_name, path_values)
 from .oracles import (MinimizerTable, QuadraticObjective, argmin_quadratic,
                       closed_form_objective, integrate, mc_argmin,
                       mc_limit_objective, mc_oracle_objective, reference_minimizers)
 from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sigma2,
                         build_price_series, jump_threshold, read_price_csv,
                         rolling_backtest, sharpe, simulate_wealth,
-                        synthetic_gbm_jump_series, threshold_series, w_of,
-                        write_price_csv)
+                        synthetic_gbm_jump_series, threshold_series, write_price_csv)
 from .sde import (JumpDiffusionSpec, NoJumps, PathSample, PoissonRate,
                   SingleUniformJump, TimeGrid, build_grid, doubling_jump_spec,
-                  path_to_csv, sample_single_jump_time, simulate_batch,
-                  simulate_path, simulate_seeded)
+                  path_to_csv, sample_single_jump_time, simulate_batch, simulate_seeded)
 
 __version__ = "0.1.0"

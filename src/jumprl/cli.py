@@ -38,10 +38,6 @@ TRAIN_PRESETS = {
                               episodes=100000, paths=32, theta0=0.5),
 }
 
-BACKTEST_PRESETS = {
-    "paper-backtest": dict(train_days=126, bars_per_day=79, z=1.01, x0=1.0, rf=0.0),
-}
-
 
 def load_config_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment; values are JSON scalars
@@ -73,6 +69,17 @@ def _merged(cfg: dict, key: str, flag_value, default):
     if key in cfg:
         return cfg[key]
     return default
+
+
+def _with_preset(cfg: dict, flag_value, presets: dict) -> dict:
+    """Config-file keys laid over the preset named by the flag or by config
+    `preset`; cfg unchanged when no preset is named."""
+    name = _merged(cfg, "preset", flag_value, None)
+    if name is None:
+        return cfg
+    if name not in presets:
+        raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(presets)}")
+    return {**presets[name], **cfg}
 
 
 def _seed_value(seed) -> int:
@@ -152,14 +159,9 @@ def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
                  drift, sigma, law, poisson_rate):
     """Export simulated paths as CSV plus a manifest."""
     def body():
-        cfg = load_config_file(config_path) if config_path else {}
-        preset_name = _merged(cfg, "preset", preset, None)
-        base = dict(SIM_PRESETS["paper-sim"])
-        if preset_name is not None:
-            if preset_name not in SIM_PRESETS:
-                raise ConfigurationError(
-                    f"unknown preset {preset_name!r}; available: {sorted(SIM_PRESETS)}")
-            base = dict(SIM_PRESETS[preset_name])
+        cfg = _with_preset(load_config_file(config_path) if config_path else {},
+                           preset, SIM_PRESETS)
+        base = SIM_PRESETS["paper-sim"]
         params = dict(
             x0=float(_merged(cfg, "x0", x0, base["x0"])),
             drift=float(_merged(cfg, "drift", drift, base["drift"])),
@@ -245,14 +247,8 @@ def cmd_train(config_path, seed, out, preset, family, loss, episodes, paths,
               alpha, theta0, dt, record_every):
     """Run one SGD estimation and report the fitted parameter."""
     def body():
-        cfg = load_config_file(config_path) if config_path else {}
-        preset_name = _merged(cfg, "preset", preset, None)
-        if preset_name is not None:
-            if preset_name not in TRAIN_PRESETS:
-                raise ConfigurationError(
-                    f"unknown preset {preset_name!r}; available: {sorted(TRAIN_PRESETS)}")
-            base = TRAIN_PRESETS[preset_name]
-            cfg = {**base, **cfg}
+        cfg = _with_preset(load_config_file(config_path) if config_path else {},
+                           preset, TRAIN_PRESETS)
         family_name, model, spec, grid, train_config = _train_once(
             cfg, family, loss, episodes, paths, alpha, theta0, dt, record_every, seed)
         directory = _out_dir(_merged(cfg, "out", out, "out"))

@@ -32,8 +32,7 @@ def mstde_loss(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise InsufficientDataError(f"mstde needs >= 2 values, got {v.size}")
-    d = np.diff(v)
-    return float(np.dot(d, d))
+    return float(losses_by_row("mstde", v[None, :])[0])
 
 
 def msbve_loss(values) -> float:
@@ -41,8 +40,7 @@ def msbve_loss(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise InsufficientDataError(f"msbve needs >= 3 values, got {v.size}")
-    d = np.abs(np.diff(v))
-    return float(np.dot(d[1:], d[:-1]))
+    return float(losses_by_row("msbve", v[None, :])[0])
 
 
 def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:

@@ -174,18 +174,6 @@ def family_by_name(name: str, *, z: float | None = None, x0: float | None = None
     raise ValueError(f"unknown value family {name!r}; expected one of {BUILTIN_FAMILIES}")
 
 
-def value(model, theta: float, t, x):
-    return model.value(theta, t, x)
-
-
-def dvalue_dtheta(model, theta: float, t, x):
-    return model.dvalue_dtheta(theta, t, x)
-
-
-def dvalue_dx(model, theta: float, t, x):
-    return model.dvalue_dx(theta, t, x)
-
-
 def path_values(model, theta: float, path: PathSample) -> np.ndarray:
     """model.value along a path's grid; length n_steps + 1.
 

@@ -231,8 +231,25 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
     return out
 
 
-def _chunk_ranges(n_paths: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths: int,
+                seed: int, state: str, include_jump_term: bool, chunk: int,
+                reduce: Callable[[np.ndarray], np.ndarray]) -> list:
+    """reduce(per-theta, per-path values) of each chunk of paths, in path order.
+
+    Path i always uses stream (seed, 0, i); chunks run on up to thread_cap()
+    workers.
+    """
+    def run(lo: int) -> np.ndarray:
+        hi = min(lo + chunk, n_paths)
+        batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo)
+        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term, spec))
+
+    starts = range(0, n_paths, chunk)
+    workers = thread_cap()
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, starts))
+    return [run(lo) for lo in starts]
 
 
 def mc_objective_samples(model, theta: float, spec: JumpDiffusionSpec, grid: TimeGrid,
@@ -244,17 +261,8 @@ def mc_objective_samples(model, theta: float, spec: JumpDiffusionSpec, grid: Tim
     Path i always uses stream (seed, 0, i), so the result is independent of
     chunking and of the JUMPRL_THREADS worker count.
     """
-    def run(lo: int, hi: int) -> np.ndarray:
-        batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo)
-        return _evaluate_samples(model, [theta], batch, state, include_jump_term, spec)[0]
-
-    ranges = _chunk_ranges(n_paths, chunk)
-    workers = thread_cap()
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: run(*r), ranges))
-    else:
-        parts = [run(lo, hi) for lo, hi in ranges]
+    parts = _chunk_pass(model, [theta], spec, grid, n_paths, seed, state,
+                        include_jump_term, chunk, lambda values: values[0])
     return np.concatenate(parts)
 
 
@@ -278,20 +286,8 @@ def mc_objective_grid(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid,
                       n_paths: int, seed: int, *, state: str = "pre_jump",
                       include_jump_term: bool = False, chunk: int = 2048) -> np.ndarray:
     """Objective estimates over a theta grid, sharing one path ensemble."""
-    thetas = list(thetas)
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo)
-        return np.sum(_evaluate_samples(model, thetas, batch, state,
-                                        include_jump_term, spec), axis=1)
-
-    ranges = _chunk_ranges(n_paths, chunk)
-    workers = thread_cap()
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: run(*r), ranges))
-    else:
-        parts = [run(lo, hi) for lo, hi in ranges]
+    parts = _chunk_pass(model, list(thetas), spec, grid, n_paths, seed, state,
+                        include_jump_term, chunk, lambda values: np.sum(values, axis=1))
     return np.sum(parts, axis=0) / n_paths
 
 

@@ -37,7 +37,7 @@ class PriceSeries:
     """Strictly ascending intraday prices with a nominal bar count per day."""
 
     timestamps: np.ndarray  # datetime64[s], strictly ascending
-    prices: np.ndarray      # positive floats, same length
+    prices: np.ndarray      # positive finite floats, same length
     bars_per_day: int
 
     def __post_init__(self):
@@ -47,8 +47,8 @@ class PriceSeries:
             raise IngestionError("price series needs at least 2 rows")
         if not (np.diff(self.timestamps.astype("int64")) > 0).all():
             raise IngestionError("timestamps must be strictly ascending without duplicates")
-        if not (self.prices > 0).all():
-            raise IngestionError("prices must be positive")
+        if not (np.isfinite(self.prices).all() and (self.prices > 0).all()):
+            raise IngestionError("prices must be positive and finite")
         if self.bars_per_day < 1:
             raise IngestionError("bars_per_day must be >= 1")
         self.timestamps.setflags(write=False)
@@ -186,11 +186,6 @@ def threshold_series(series: PriceSeries, tau: float) -> PriceSeries:
     np.cumsum(kept, out=out[1:])
     out[1:] += series.prices[0]
     return PriceSeries(series.timestamps.copy(), out, series.bars_per_day)
-
-
-def w_of(theta: float, z: float, x0: float, horizon: float) -> float:
-    """Target anchor w(theta) of the mean-variance policy."""
-    return target_anchor(theta, z, x0, horizon)
 
 
 def sharpe(returns, periods_per_year: float) -> float:

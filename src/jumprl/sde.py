@@ -164,25 +164,6 @@ def _jump_schedule(spec: JumpDiffusionSpec, grid: TimeGrid,
     raise ConfigurationError(f"unknown jump law {law!r}")
 
 
-def _simulate_constant(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
-                       schedule: list[tuple[int, float]]):
-    b = float(spec.drift)
-    s = float(spec.diffusion)
-    inc = b * grid.dt + s * math.sqrt(grid.dt) * z
-    cont = np.empty(grid.n_steps + 1)
-    cont[0] = spec.x0
-    np.cumsum(inc, out=cont[1:])
-    cont[1:] += spec.x0
-    observed = cont.copy()
-    events = []
-    for k, t_evt in schedule:
-        pre = float(observed[k])
-        size = float(spec.jump_size(t_evt, pre))
-        observed[k:] += size
-        events.append(JumpEvent(t_evt, pre, size))
-    return observed, cont, events
-
-
 def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
                      schedule: list[tuple[int, float]]):
     jumps_at = {}
@@ -219,30 +200,6 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
     return observed, cont, events
 
 
-def simulate_path(spec: JumpDiffusionSpec, grid: TimeGrid,
-                  rng: np.random.Generator, seed_tag: str = "") -> PathSample:
-    """Simulate one path. Deterministic given (spec, grid, generator state)."""
-    z = rng.standard_normal(grid.n_steps)
-    schedule = _jump_schedule(spec, grid, rng)
-    if spec.has_constant_coefficients:
-        observed, cont, events = _simulate_constant(spec, grid, z, schedule)
-        bad = np.flatnonzero(~np.isfinite(observed))
-        if bad.size:
-            raise SimulationOverflowError(
-                f"state became non-finite at step {bad[0]}", step_index=int(bad[0]))
-    else:
-        observed, cont, events = _simulate_looped(spec, grid, z, schedule)
-    return PathSample(grid=grid, observed=observed, continuous_part=cont,
-                      jump_events=tuple(events), seed_tag=seed_tag)
-
-
-def simulate_seeded(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
-                    episode: int = 0, path: int = 0) -> PathSample:
-    """Simulate the path of stream (master_seed, episode, path)."""
-    return simulate_path(spec, grid, path_rng(master_seed, episode, path),
-                         seed_tag=f"{master_seed}/{episode}/{path}")
-
-
 @dataclass(frozen=True)
 class PathBatch:
     """Dense arrays for a batch of paths sharing one spec and grid.
@@ -257,6 +214,7 @@ class PathBatch:
     pre_jump: np.ndarray    # (paths, n+1)
     jump_path: np.ndarray   # (events,) path row of each jump
     jump_step: np.ndarray   # (events,) grid index of each jump
+    jump_time: np.ndarray   # (events,) drawn jump time, before snapping to the grid
     jump_pre: np.ndarray    # (events,) pre-jump state
     jump_size: np.ndarray   # (events,) jump size
 
@@ -269,9 +227,8 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                    episode: int, n_paths: int, path_offset: int = 0) -> PathBatch:
     """Simulate n_paths paths with per-path streams (master_seed, episode, offset+i).
 
-    Row i reproduces simulate_seeded(spec, grid, master_seed, episode,
-    path_offset + i) bit for bit, so results do not depend on batch or chunk
-    boundaries.
+    Each row depends only on its own stream, so results do not depend on
+    batch or chunk boundaries.
     """
     n = grid.n_steps
     z = np.empty((n_paths, n))
@@ -282,7 +239,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         rng.standard_normal(out=z[i])
         schedules.append(_jump_schedule(spec, grid, rng))
 
-    jp, js, jpre, jsz = [], [], [], []
+    jp, js, jt, jpre, jsz = [], [], [], [], []
     if spec.has_constant_coefficients:
         # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
         z *= float(spec.diffusion) * math.sqrt(grid.dt)
@@ -297,7 +254,8 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                 pre = float(observed[i, k])
                 size = float(spec.jump_size(t_evt, pre))
                 observed[i, k:] += size
-                jp.append(i); js.append(k); jpre.append(pre); jsz.append(size)
+                jp.append(i); js.append(k); jt.append(t_evt)
+                jpre.append(pre); jsz.append(size)
         if not np.isfinite(observed).all():
             bad = np.argwhere(~np.isfinite(observed))[0]
             raise SimulationOverflowError(
@@ -312,6 +270,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
             cont[i] = cont_i
             for event in events:
                 jp.append(i); js.append(_snap_index(grid.times, event.time))
+                jt.append(event.time)
                 jpre.append(event.pre_state); jsz.append(event.size)
 
     pre_jump = observed.copy()
@@ -323,7 +282,19 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     np.subtract.at(pre_jump, (jump_path, jump_step), jump_size)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
                      jump_path=jump_path, jump_step=jump_step,
+                     jump_time=np.asarray(jt, dtype=float),
                      jump_pre=jump_pre, jump_size=jump_size)
+
+
+def simulate_seeded(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
+                    episode: int = 0, path: int = 0) -> PathSample:
+    """Simulate the path of stream (master_seed, episode, path)."""
+    batch = simulate_batch(spec, grid, master_seed, episode, 1, path_offset=path)
+    events = zip(batch.jump_time.tolist(), batch.jump_pre.tolist(), batch.jump_size.tolist())
+    return PathSample(grid=grid, observed=batch.observed[0],
+                      continuous_part=batch.continuous[0],
+                      jump_events=tuple(JumpEvent(*event) for event in events),
+                      seed_tag=f"{master_seed}/{episode}/{path}")
 
 
 def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:

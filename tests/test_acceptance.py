@@ -18,10 +18,10 @@ import pytest
 from jumprl.estimators import (TrainConfig, jump_robustness_ratio, msbve_grad,
                                msbve_loss, mstde_grad, mstde_loss, train)
 from jumprl.models import (ExponentialValue, LinearValue, MeanVarianceValue,
-                           QuadraticValue, path_values)
+                           QuadraticValue, path_values, target_anchor)
 from jumprl.oracles import closed_form_objective, mc_argmin, reference_minimizers
 from jumprl.portfolio import (BacktestConfig, bipower_sigma2, rolling_backtest,
-                              synthetic_gbm_jump_series, threshold_series, w_of)
+                              synthetic_gbm_jump_series, threshold_series)
 from jumprl.rng import stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch, simulate_seeded)
@@ -324,7 +324,7 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         theta = float(rng.uniform(0.2, 3.0))
         z = float(rng.uniform(1.001, 1.1))
-        anchor = w_of(theta, z, 1.0, 1.0)
+        anchor = target_anchor(theta, z, 1.0, 1.0)
         day = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, 12)))[None, :]
         wealth = _wealth_matrix(theta, 0.5, day, z, 1.0, 0.0, 1.0 / 11, 1.0,
                                 start_wealth=anchor)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from jumprl import cli
 from jumprl.cli import main
 from jumprl.portfolio import synthetic_gbm_jump_series, write_price_csv
 
@@ -102,6 +103,12 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert "seed must be a non-negative integer, got -1" in result.output
 
+    def test_unknown_preset_exits_2_and_lists(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", "--preset", "nope", "--seed", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "paper-linear" in result.output
+
     @pytest.mark.parametrize("line", ["seed = 1.7", "seed = -3", "seed = abc", "seed = true"])
     def test_malformed_config_seed_exits_2(self, runner, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -109,6 +116,41 @@ class TestTrain:
         result = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "seed must be a non-negative integer" in result.output
+
+
+# command: (preset table, a cheap preset, flag, config key, reader of the report)
+PRESET_CASES = {
+    "simulate": ("SIM_PRESETS",
+                 dict(x0=0.3, horizon=2.0, n_steps=50, drift=0.5, sigma=0.8, law="none"),
+                 "--n-steps", "n_steps",
+                 lambda out: read_json(out / "manifest.json")["grid"]["n_steps"]),
+    "train": ("TRAIN_PRESETS",
+              dict(family="linear", dt=0.1, alpha=0.001, episodes=3, paths=2, theta0=0.25),
+              "--episodes", "episodes",
+              lambda out: read_json(out / "train_result.json")["config"]["episodes"]),
+}
+
+
+@pytest.mark.parametrize("winner", ["flag", "config", "preset"])
+@pytest.mark.parametrize("command", sorted(PRESET_CASES))
+def test_preset_precedence(runner, tmp_path, monkeypatch, command, winner):
+    """Flag beats config file beats preset beats default (1000 steps, 20000 episodes)."""
+    table, preset, flag, key, read = PRESET_CASES[command]
+    monkeypatch.setitem(getattr(cli, table), "tiny", preset)
+    out = tmp_path / "out"
+    args = [command, "--seed", "1", "--out", str(out)]
+    if winner == "preset":
+        args += ["--preset", "tiny"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset = tiny\n{key} = {preset[key] + 1}\n")
+        args += ["--config", str(cfg)]
+    if winner == "flag":
+        args += [flag, str(preset[key] + 2)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    expected = {"flag": preset[key] + 2, "config": preset[key] + 1, "preset": preset[key]}
+    assert read(out) == expected[winner]
 
 
 class TestCompare:
@@ -186,6 +228,17 @@ class TestBacktest:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert str(missing) in result.output
+
+    def test_infinite_price_exits_2(self, runner, tmp_path, fixture_csv):
+        lines = fixture_csv.read_text().splitlines()
+        stamp = lines[5].split(",")[0]
+        lines[5] = f"{stamp},inf"
+        data = tmp_path / "inf.csv"
+        data.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                      "10", "--train-days", "8", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "prices must be positive and finite" in result.output
 
     @pytest.mark.parametrize("args, cfg_line", [(["--seed", "-1"], ""),
                                                 ([], "seed = 1.7\n")])

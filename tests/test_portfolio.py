@@ -8,10 +8,11 @@ from jumprl.errors import (ConfigurationError, DegenerateSeriesError,
                            IngestionError, InsufficientDataError,
                            SingularParameterError)
 from jumprl.estimators import TrainConfig
+from jumprl.models import target_anchor
 from jumprl.portfolio import (BacktestConfig, PriceSeries, bipower_sigma2,
                               build_price_series, jump_threshold, read_price_csv,
                               rolling_backtest, sharpe, simulate_wealth,
-                              synthetic_gbm_jump_series, threshold_series, w_of,
+                              synthetic_gbm_jump_series, threshold_series,
                               write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
@@ -125,17 +126,17 @@ class TestThresholdSeries:
 class TestAnchor:
     def test_closed_form_at_log2(self):
         theta = math.sqrt(math.log(2.0))
-        assert w_of(theta, 2.0, 1.0, 1.0) == pytest.approx(3.0)
+        assert target_anchor(theta, 2.0, 1.0, 1.0) == pytest.approx(3.0)
 
     def test_limit(self):
-        assert w_of(10.0, 2.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-8)
+        assert target_anchor(10.0, 2.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-8)
 
     def test_equal_target_identity(self):
-        assert w_of(0.8, 1.5, 1.5, 1.0) == pytest.approx(1.5)
+        assert target_anchor(0.8, 1.5, 1.5, 1.0) == pytest.approx(1.5)
 
     def test_singular_near_zero(self):
         with pytest.raises(SingularParameterError):
-            w_of(1e-9, 2.0, 1.0, 1.0)
+            target_anchor(1e-9, 2.0, 1.0, 1.0)
 
 
 class TestSimulateWealth:
@@ -156,7 +157,7 @@ class TestSimulateWealth:
         # wealth equal to the anchor zeroes the exposure, exactly and forever
         from jumprl.portfolio import _wealth_matrix
         theta = math.sqrt(math.log(2.0))
-        anchor = w_of(theta, 2.0, 1.0, 1.0)
+        anchor = target_anchor(theta, 2.0, 1.0, 1.0)
         prices = 100.0 * np.exp(np.cumsum(stream(3).normal(0, 0.001, 60)))[None, :]
         wealth = _wealth_matrix(theta, 0.5, prices, z=2.0, x0=1.0, r_f_daily=0.0,
                                 dt=1 / 59, horizon=1.0, start_wealth=anchor)
@@ -203,6 +204,11 @@ class TestIngestion:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(IngestionError):
             tiny_series([1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_prices(self, bad):
+        with pytest.raises(IngestionError, match="finite"):
+            tiny_series([100.0, bad, 101.0])
 
     def test_drops_short_days_with_warning(self):
         full = synthetic_gbm_jump_series(3, bars_per_day=10, seed=2)

@@ -1,14 +1,14 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from jumprl.errors import ConfigurationError, SimulationOverflowError
-from jumprl.rng import path_rng
+from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                         build_grid, doubling_jump_spec, path_to_csv,
-                        sample_single_jump_time, simulate_batch, simulate_path,
-                        simulate_seeded)
+                        sample_single_jump_time, simulate_batch, simulate_seeded)
 
 
 class TestBuildGrid:
@@ -89,11 +89,15 @@ class TestSimulatePath:
         assert a.jump_events == b.jump_events
 
     def test_overflow_reports_step(self, grid_100):
-        spec = JumpDiffusionSpec(drift=lambda t, x: x * 1e8, diffusion=lambda t, x: 0.0,
-                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e300)
-        with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
-            simulate_seeded(spec, grid_100, 0)
-        assert err.value.step_index >= 1
+        for spec in [
+            JumpDiffusionSpec(drift=lambda t, x: x * 1e8, diffusion=lambda t, x: 0.0,
+                              jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e300),
+            JumpDiffusionSpec(drift=1e308, diffusion=0.0,
+                              jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e308),
+        ]:
+            with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
+                simulate_seeded(spec, grid_100, 0)
+            assert err.value.step_index >= 1
 
     def test_callable_coefficients_match_constants(self, grid_100):
         const = JumpDiffusionSpec(drift=0.3, diffusion=0.7,
@@ -105,6 +109,28 @@ class TestSimulatePath:
         a = simulate_seeded(const, grid_100, 21)
         b = simulate_seeded(called, grid_100, 21)
         np.testing.assert_allclose(a.observed, b.observed, rtol=1e-12)
+
+    @pytest.mark.parametrize("drift,sigma", [(0.0, 1.0), (0.3, 0.7), (-2.5, 1e-3)])
+    def test_constant_recursion_matches_reference(self, drift, sigma):
+        # reference: x0 + cumsum(b dt + sigma sqrt(dt) z) on stream (seed, e, p), then
+        # the jump drawn from the same generator at its exact, off-grid time
+        grid = build_grid(2.0, 137)
+        spec = JumpDiffusionSpec(drift=drift, diffusion=sigma, jump_size=lambda t, x: t - x,
+                                 jump_law=SingleUniformJump(), x0=0.4)
+        for episode, p in [(0, 0), (3, 5), (7, 2**33 + 1)]:
+            rng = stream(19, episode, p)
+            z = rng.standard_normal(grid.n_steps)
+            increments = drift * grid.dt + sigma * math.sqrt(grid.dt) * z
+            continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
+            jump_time = sample_single_jump_time(rng) * grid.horizon
+            k = int(np.searchsorted(grid.times, jump_time))
+            path = simulate_seeded(spec, grid, 19, episode, p)
+            np.testing.assert_array_equal(path.continuous_part, continuous)
+            assert path.jump_events == ((jump_time, continuous[k], jump_time - continuous[k]),)
+            assert jump_time != grid.times[k]
+            observed = continuous.copy()
+            observed[k:] += jump_time - continuous[k]
+            np.testing.assert_array_equal(path.observed, observed)
 
 
 class TestPathInvariants:
