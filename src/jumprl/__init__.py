@@ -7,14 +7,13 @@ portfolio backtest on intraday prices.
 
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError, JumprlError,
-                     NonConvexError, QuadratureError, SimulationOverflowError,
-                     SingularParameterError)
+                     NonConvexError, SimulationOverflowError, SingularParameterError)
 from .estimators import (TrainConfig, TrainResult, jump_robustness_ratio,
                          msbve_grad, msbve_loss, mstde_grad, mstde_loss, train)
 from .models import (CustomValue, ExponentialValue, LinearValue, MeanVarianceValue,
                      QuadraticValue, family_by_name, path_values)
 from .oracles import (MinimizerTable, QuadraticObjective, argmin_quadratic,
-                      closed_form_objective, integrate, mc_argmin,
+                      closed_form_objective, mc_argmin,
                       mc_limit_objective, mc_oracle_objective, reference_minimizers)
 from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sigma2,
                         build_price_series, jump_threshold, read_price_csv,

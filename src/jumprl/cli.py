@@ -9,6 +9,7 @@ precedence. Exit codes: 0 success, 2 configuration or ingestion error,
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import click
 
 from . import oracles
 from .errors import (ConfigurationError, DivergenceError, IngestionError,
-                     JumprlError, SimulationOverflowError)
+                     SimulationOverflowError)
 from .estimators import TrainConfig, train
 from .models import family_by_name
 from .portfolio import BacktestConfig, read_price_csv, rolling_backtest
@@ -197,12 +198,9 @@ def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
 
 
 def _nearest_reference(family: str, theta_final: float):
-    try:
-        table = oracles.reference_minimizers()
-    except JumprlError:
-        return None
     cells = [(abs(theta_final - v), fam, method, v)
-             for (fam, method), v in table.entries.items() if fam == family]
+             for (fam, method), v in oracles.reference_minimizers().entries.items()
+             if fam == family]
     if not cells:
         return None
     gap, fam, method, ref = min(cells)
@@ -217,6 +215,8 @@ def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
     horizon = 1.0
     model = family_by_name(family_name, z=z, x0=x0_wealth, horizon=horizon)
     step = float(_merged(cfg, "dt", dt, 0.01))
+    if not 0 < step < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {step}")
     grid = build_grid(horizon, round(horizon / step))
     spec = doubling_jump_spec(float(_merged(cfg, "x0", None, 0.1)))
     train_config = TrainConfig(
@@ -375,7 +375,7 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
             episodes=int(_merged(cfg, "steps_per_update", steps_per_update, 20)),
             paths_per_episode=1,
             theta0=float(_merged(cfg, "theta0", theta0, 1.0)),
-            master_seed=_seed_value(_merged(cfg, "seed", seed, 0) or 0),
+            master_seed=_seed_value(_merged(cfg, "seed", seed, 0)),
         )
         report = {"cells": {}, "sharpe_table": {}}
         for loss_kind in losses:

@@ -29,10 +29,6 @@ class NonConvexError(JumprlError):
     """Quadratic objective has no interior minimizer (leading coefficient <= 0)."""
 
 
-class QuadratureError(JumprlError):
-    """Adaptive quadrature failed to reach tolerance within the depth cap."""
-
-
 class DegenerateSeriesError(JumprlError):
     """Return series has zero variance; Sharpe ratio undefined."""
 

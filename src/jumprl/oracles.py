@@ -3,7 +3,8 @@
 Three routes that never touch the SGD estimators:
 
   * exact rational quadratics in theta for the linear and quadratic families,
-  * adaptive Simpson quadrature for the exponential-family integrands,
+  * exact closed forms for the exponential family, as short sums of the moments
+    I_p(c) = int_0^1 (1 - u)^p e^{c u} du with p <= 3,
   * Monte-Carlo estimation of the limit functionals on simulated paths, with a
     coarse theta scan refined by golden section.
 
@@ -19,12 +20,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvexError, QuadratureError
+from .errors import ConfigurationError, NonConvexError
 from .rng import thread_cap
 from .sde import JumpDiffusionSpec, TimeGrid, simulate_batch
 
@@ -55,45 +55,6 @@ def argmin_quadratic(obj: QuadraticObjective) -> float:
     return -obj.b / (2.0 * obj.a)
 
 
-def integrate(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-9, max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance `tol`.
-
-    Raises QuadratureError if the depth cap is hit before the local error
-    estimate meets the tolerance.
-    """
-    if lo == hi:
-        return 0.0
-    if lo > hi:
-        raise QuadratureError(f"need lo <= hi, got [{lo}, {hi}]")
-    if not tol > 0:
-        raise QuadratureError(f"tol must be > 0, got {tol}")
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= eps:
-            return left + right + err
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"no convergence on [{a:.6g}, {b:.6g}] after depth {max_depth}")
-        return (recurse(a, m, fa, flm, fm, left, eps / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, eps / 2.0, depth + 1))
-
-    fa, fb, fm = f(lo), f(hi), f(0.5 * (lo + hi))
-    whole = simpson(fa, fm, fb, hi - lo)
-    return recurse(lo, hi, fa, fm, fb, whole, tol, 0)
-
-
 # Exponential-family integrands. The state starts at 0.1, doubles at the jump
 # time u ~ U(0, 1), and is a Brownian motion otherwise, giving lognormal moments
 #   E e^{k X_t} = e^{0.1 k + k^2 t / 2}          before the jump (t < u),
@@ -103,49 +64,46 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
 # Y = X_{u-} ~ N(0.1, u):
 #   E e^{k Y} = e^{0.1 k + k^2 u / 2},
 #   E[Y e^{k Y}] = (0.1 + k u) e^{0.1 k + k^2 u / 2}.
+# Every coefficient is then a sum of moments I_p(c) = int_0^1 (1-u)^p e^{cu} du.
+# In the continuous term's double integral over u and t, swapping the order
+# turns the pre-jump piece into a (1 - t) weight and the post-jump piece into
+# an (e^{c t} - 1) / c weight.
 
-def _exp_continuous_coefficients(tol: float = 1e-10) -> tuple[float, float]:
-    """Quadratic and linear coefficients of the jump-free variation term."""
-    def inner_a(u):
-        pre = integrate(lambda t: (1 - t) ** 2 * math.exp(2 * t + 0.2), 0.0, u, tol)
-        post = integrate(lambda t: (1 - t) ** 2 * math.exp(6 * u + 2 * t + 0.4), u, 1.0, tol)
-        return pre + post
+def _decay_moment(p: int, c: float) -> float:
+    """Exact integral of (1 - u)^p e^{c u} over [0, 1], c != 0.
 
-    def inner_b(u):
-        pre = integrate(lambda t: 2 * (1 - t) * math.exp(0.5 * t + 0.1), 0.0, u, tol)
-        post = integrate(lambda t: 2 * (1 - t) * math.exp(0.5 * (3 * u + t) + 0.2), u, 1.0, tol)
-        return pre + post
-
-    a = integrate(inner_a, 0.0, 1.0, tol * 10)
-    b = integrate(inner_b, 0.0, 1.0, tol * 10)
-    return a, b
-
-
-def _exp_jump_coefficients(tol: float = 1e-10) -> tuple[float, float, float]:
-    """Coefficients added by the squared value jump at the doubling time."""
-    a = integrate(lambda u: (1 - u) ** 2 * (math.exp(8 * u + 0.4)
-                                            - 2 * math.exp(4.5 * u + 0.3)
-                                            + math.exp(2 * u + 0.2)), 0.0, 1.0, tol)
-    b = integrate(lambda u: 2 * (1 - u) * ((2 * u + 0.1) * math.exp(2 * u + 0.2)
-                                           - (u + 0.1) * math.exp(0.5 * u + 0.1)),
-                  0.0, 1.0, tol)
-    c = integrate(lambda u: u + 0.01, 0.0, 1.0, tol)
-    return a, b, c
+    Integrating by parts gives I_0 = (e^c - 1) / c and
+    I_p = (p I_{p-1} - 1) / c for p >= 1.
+    """
+    value = math.expm1(c) / c
+    for q in range(1, p + 1):
+        value = (q * value - 1.0) / c
+    return value
 
 
-def _exp_oracle_coefficients(tol: float = 1e-10) -> tuple[float, float]:
-    """Coefficients of the latent-continuous-state objective."""
-    a = integrate(lambda t: (1 - t) ** 2 * math.exp(2 * t + 0.2), 0.0, 1.0, tol)
-    b = 2.0 * integrate(lambda t: (1 - t) * math.exp(0.5 * t + 0.1), 0.0, 1.0, tol)
-    return a, b
+def _exponential_coefficients(method: str) -> tuple[float, float, float]:
+    """(a, b, c) of the exponential-family limit objective for one method."""
+    e, m = math.exp, _decay_moment
+    if method == "oracle":
+        # the latent continuous state never jumps: only the pre-jump moments apply
+        return e(0.2) * m(2, 2.0), 2.0 * e(0.1) * m(1, 0.5), 1.0
+    a = e(0.2) * m(3, 2.0) + e(0.4) / 6.0 * (m(2, 8.0) - m(2, 2.0))
+    b = 2.0 * e(0.1) * m(2, 0.5) + 2.0 / 1.5 * e(0.2) * (m(1, 2.0) - m(1, 0.5))
+    if method == "msbve":
+        return a, b, 1.0
+    # squared value jump E[(J(u, 2Y) - J(u, Y))^2]; its constant E[(W_u + 0.1)^2]
+    # is 0.51 over u ~ U(0, 1)
+    a += e(0.4) * m(2, 8.0) - 2.0 * e(0.3) * m(2, 4.5) + e(0.2) * m(2, 2.0)
+    b += 2.0 * (e(0.2) * (2.1 * m(1, 2.0) - 2.0 * m(2, 2.0))
+                - e(0.1) * (1.1 * m(1, 0.5) - m(2, 0.5)))
+    return a, b, 1.51
 
 
-@lru_cache(maxsize=None)
 def closed_form_objective(family: str, method: str) -> QuadraticObjective:
     """Limit objective as a quadratic in theta, per family and method.
 
     Linear and quadratic cells are exact rationals; exponential cells are
-    computed by quadrature.
+    exact sums of the moments I_p(c).
     """
     key = (family, method)
     exact = {
@@ -160,17 +118,7 @@ def closed_form_objective(family: str, method: str) -> QuadraticObjective:
         return QuadraticObjective(*exact[key])
     if family != "exponential" or method not in METHODS:
         raise KeyError(f"no closed-form objective for {key}")
-    try:
-        ac, bc = _exp_continuous_coefficients()
-        if method == "msbve":
-            return QuadraticObjective(ac, bc, 1.0)
-        if method == "oracle":
-            ao, bo = _exp_oracle_coefficients()
-            return QuadraticObjective(ao, bo, 1.0)
-        aj, bj, cj = _exp_jump_coefficients()
-        return QuadraticObjective(ac + aj, bc + bj, 1.0 + cj)
-    except QuadratureError as exc:
-        raise QuadratureError(f"exponential cell {key} unavailable: {exc}") from exc
+    return QuadraticObjective(*_exponential_coefficients(method))
 
 
 @dataclass(frozen=True)
@@ -191,18 +139,9 @@ class MinimizerTable:
 
 def reference_minimizers() -> MinimizerTable:
     """All nine (family, method) reference minimizers."""
-    entries = {}
-    missing = []
-    for family in FAMILIES:
-        for method in METHODS:
-            try:
-                entries[(family, method)] = argmin_quadratic(
-                    closed_form_objective(family, method))
-            except QuadratureError:
-                missing.append((family, method))
-    if missing:
-        raise QuadratureError(f"reference table incomplete; failed cells: {missing}")
-    return MinimizerTable(entries=entries)
+    return MinimizerTable(entries={
+        (family, method): argmin_quadratic(closed_form_objective(family, method))
+        for family in FAMILIES for method in METHODS})
 
 
 def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
@@ -239,6 +178,10 @@ def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths:
     Path i always uses stream (seed, 0, i); chunks run on up to thread_cap()
     workers.
     """
+    if n_paths < 1 or chunk < 1:
+        raise ConfigurationError(f"need n_paths >= 1 and chunk >= 1, got "
+                                 f"n_paths={n_paths}, chunk={chunk}")
+
     def run(lo: int) -> np.ndarray:
         hi = min(lo + chunk, n_paths)
         batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo)

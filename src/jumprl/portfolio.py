@@ -397,7 +397,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
     try:
         ratio = sharpe(return_out, config.annualization)
         degenerate = False
-    except DegenerateSeriesError:
+    except (DegenerateSeriesError, InsufficientDataError):  # one test day has no spread
         ratio = None
         degenerate = True
     return BacktestResult(test_days=days_out, terminal_wealth=wealth_out,

@@ -14,6 +14,43 @@ def synthetic_path(times, observed) -> PathSample:
                       continuous_part=observed.copy(), jump_events=())
 
 
+def exponential_quadratic_by_gauss_legendre(method, nodes=200):
+    """(a, b) of an exponential-family limit objective by a Gauss-Legendre rule
+    over its defining integrands, independently of the library's closed forms.
+
+    J = theta (1 - t) e^x + x on dX = dW + X dN, X_0 = 0.1, one jump at
+    u ~ U(0, 1) that doubles the state. Before the jump
+    E e^{k X_t} = e^{0.1k + k^2 t/2}; after it E e^{k X_t} = e^{0.2k + k^2 (3u + t)/2}.
+    The continuous term is a double integral over u and t, split at t = u into
+    a pre-jump and a post-jump piece. The jump term E[(J(u, 2Y) - J(u, Y))^2]
+    needs E e^{kY} = e^{0.1k + k^2 u/2} and E[Y e^{kY}] = (0.1 + k u) e^{0.1k + k^2 u/2}
+    for Y = X_{u-} ~ N(0.1, u).
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s, ws = (x + 1.0) / 2.0, w / 2.0  # the rule on [0, 1]
+    e = np.exp
+    if method == "oracle":
+        return (ws @ ((1 - s) ** 2 * e(2 * s + 0.2)),
+                2.0 * (ws @ ((1 - s) * e(0.5 * s + 0.1))))
+
+    u = s[:, None]
+    t_pre, t_post = u * s, u + (1 - u) * s
+
+    def split(pre, post):
+        inner = (pre(t_pre) * ws).sum(axis=1) * s + (post(t_post) * ws).sum(axis=1) * (1 - s)
+        return ws @ inner
+
+    a = split(lambda t: (1 - t) ** 2 * e(2 * t + 0.2),
+              lambda t: (1 - t) ** 2 * e(6 * u + 2 * t + 0.4))
+    b = split(lambda t: 2 * (1 - t) * e(0.5 * t + 0.1),
+              lambda t: 2 * (1 - t) * e(0.5 * (3 * u + t) + 0.2))
+    if method == "msbve":
+        return a, b
+    a += ws @ ((1 - s) ** 2 * (e(8 * s + 0.4) - 2 * e(4.5 * s + 0.3) + e(2 * s + 0.2)))
+    b += ws @ (2 * (1 - s) * ((2 * s + 0.1) * e(2 * s + 0.2) - (s + 0.1) * e(0.5 * s + 0.1)))
+    return a, b
+
+
 @pytest.fixture(scope="session")
 def study_spec():
     """The simulation-study process: dX = dW + X dN, one uniform jump, x0 = 0.1."""

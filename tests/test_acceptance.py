@@ -25,7 +25,7 @@ from jumprl.portfolio import (BacktestConfig, bipower_sigma2, rolling_backtest,
 from jumprl.rng import stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch, simulate_seeded)
-from conftest import synthetic_path
+from conftest import exponential_quadratic_by_gauss_legendre, synthetic_path
 
 DESK_GRID = build_grid(1.0, 100)
 STUDY_SPEC = doubling_jump_spec()
@@ -78,60 +78,17 @@ def test_criterion_2_quadratic_convergence():
     assert ordered
 
 
-def _decay_moment(p, c):
-    """Exact integral of (1 - u)^p e^{c u} over [0, 1], c != 0.
-
-    Integrating by parts gives I_0 = (e^c - 1) / c and
-    I_p = (p I_{p-1} - 1) / c for p >= 1.
-    """
-    value = math.expm1(c) / c
-    for q in range(1, p + 1):
-        value = (q * value - 1.0) / c
-    return value
-
-
-def _decay_affine_moment(alpha, beta, c):
-    """Exact integral of (1 - u)(alpha u + beta) e^{c u} over [0, 1].
-
-    alpha u + beta = (alpha + beta) - alpha (1 - u) reduces it to I_1 and I_2.
-    """
-    return (alpha + beta) * _decay_moment(1, c) - alpha * _decay_moment(2, c)
-
-
-def _exponential_mstde_quadratic():
-    """(a, b) of the exponential-family mstde limit, by exact antiderivatives.
-
-    J = theta (1 - t) e^x + x on dX = dW + X dN, X_0 = 0.1, one jump at
-    u ~ U(0, 1) that doubles the state. With Y = X_{u-} ~ N(0.1, u):
-    E e^{kY} = e^{0.1k + k^2 u/2} and E[Y e^{kY}] = (0.1 + k u) e^{0.1k + k^2 u/2};
-    after the jump E e^{k X_t} = e^{0.2k + k^2 (3u + t)/2}.
-
-    The continuous part is a double integral over u and t; swapping the order
-    turns the pre-jump piece into a (1 - t) weight and the post-jump piece into
-    a (e^{c t} - 1)/c weight. The jump part is E[(J(u, 2Y) - J(u, Y))^2].
-    """
-    e = math.exp
-    cont_a = (e(0.2) * _decay_moment(3, 2.0)
-              + e(0.4) / 6.0 * (_decay_moment(2, 8.0) - _decay_moment(2, 2.0)))
-    cont_b = (2.0 * e(0.1) * _decay_moment(2, 0.5)
-              + 2.0 * e(0.2) / 1.5 * (_decay_moment(1, 2.0) - _decay_moment(1, 0.5)))
-    jump_a = (e(0.4) * _decay_moment(2, 8.0) - 2.0 * e(0.3) * _decay_moment(2, 4.5)
-              + e(0.2) * _decay_moment(2, 2.0))
-    jump_b = 2.0 * (e(0.2) * _decay_affine_moment(2.0, 0.1, 2.0)
-                    - e(0.1) * _decay_affine_moment(1.0, 0.1, 0.5))
-    return cont_a + jump_a, cont_b + jump_b
-
-
 def test_criterion_3_exponential_convergence():
     """Exponential family: both training bands and the reference coefficients.
 
     The paper prints 7.607/2.965 for the mstde quadratic and centres the mstde
     band on its argmin -0.195; neither follows from the defining integrands
     (README, "Printed values that do not reproduce"). The expected mstde
-    coefficients and band centre are derived in this module instead, by exact
-    antiderivatives, independently of the program's quadrature.
+    coefficients and band centre are derived here instead, by a Gauss-Legendre
+    rule over the defining integrands, independently of the program's closed
+    forms.
     """
-    exp_a, exp_b = _exponential_mstde_quadratic()
+    exp_a, exp_b = exponential_quadratic_by_gauss_legendre("mstde")
     mstde_centre = -exp_b / (2.0 * exp_a)
     msbve, _ = desk_train(ExponentialValue(), "msbve", grad_clip=25.0)
     mstde, _ = desk_train(ExponentialValue(), "mstde", grad_clip=25.0)
@@ -153,8 +110,8 @@ def test_criterion_3_exponential_convergence():
     assert abs(cont.a - 3.190) < 5e-4
     assert abs(cont.b - 1.657) < 5e-4
     assert abs(jump.a - exp_a) < 5e-4 and abs(jump.b - exp_b) < 5e-4, (
-        f"mstde coefficients {jump.a:.5f}/{jump.b:.5f} differ from the exact "
-        f"antiderivatives {exp_a:.5f}/{exp_b:.5f}; the paper's 7.607/2.965 do "
+        f"mstde coefficients {jump.a:.5f}/{jump.b:.5f} differ from the "
+        f"Gauss-Legendre values {exp_a:.5f}/{exp_b:.5f}; the paper's 7.607/2.965 do "
         "not reproduce, see the README section \"Printed values that do not "
         "reproduce\"")
 

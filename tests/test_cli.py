@@ -109,6 +109,13 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert "paper-linear" in result.output
 
+    @pytest.mark.parametrize("dt", ["0", "nan"])
+    def test_bad_dt_exits_2(self, runner, tmp_path, dt):
+        result = runner.invoke(main, ["train", "--episodes", "1", "--dt", dt,
+                                      "--seed", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"dt must be positive and finite, got {float(dt)}" in result.output
+
     @pytest.mark.parametrize("line", ["seed = 1.7", "seed = -3", "seed = abc", "seed = true"])
     def test_malformed_config_seed_exits_2(self, runner, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -188,6 +195,16 @@ class TestCompare:
         assert doc["families"]["linear"]["oracle_scan"] == pytest.approx(-1.5, abs=0.15)
 
 
+    def test_zero_scan_paths_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["compare", "--families", "linear",
+                                      "--episodes", "1", "--paths", "2", "--dt", "0.1",
+                                      "--oracle-scan", "--scan-paths", "0",
+                                      "--scan-steps", "10",
+                                      "--seed", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "n_paths >= 1" in result.output
+
+
 @pytest.fixture(scope="module")
 def fixture_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "prices.csv"
@@ -241,7 +258,9 @@ class TestBacktest:
         assert "prices must be positive and finite" in result.output
 
     @pytest.mark.parametrize("args, cfg_line", [(["--seed", "-1"], ""),
-                                                ([], "seed = 1.7\n")])
+                                                ([], "seed = 1.7\n"),
+                                                ([], "seed = false\n"),
+                                                ([], "seed =\n")])
     def test_malformed_seed_exits_2(self, runner, tmp_path, fixture_csv, args, cfg_line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\n{cfg_line}")
@@ -280,7 +299,7 @@ class TestReportBytes:
     DIGESTS = {
         "simulate": "6d9e8fb6c2b25d4f80d440b6bad498d98910888a18e78fb9e5341289dedbb6a1",
         "train": "0a1278da8a00ce1b35d56e9b8f2ee76ea292b8d3b1a3954f22fa4d0dbc826cc7",
-        "compare": "732060f30eb4890a583ecd5047392ec779c05dbf2bccfb4b62abb7211d7dea8b",
+        "compare": "69e03df91b063672e88f74f9114d9c5f7cd1d62de38e6aaae1fde3feb59428e4",
         "backtest": "c370c10a0debcc76e7a918adc454277b6a798e0fe4b4cb4291e01ea27412f55d",
     }
 

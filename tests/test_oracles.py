@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from jumprl.errors import NonConvexError, QuadratureError
+from jumprl.errors import ConfigurationError, NonConvexError
 from jumprl.models import ExponentialValue, LinearValue, QuadraticValue
-from jumprl.oracles import (QuadraticObjective, argmin_quadratic,
-                            closed_form_objective, golden_section_min, integrate,
-                            mc_argmin, mc_limit_objective, mc_objective_grid,
+from jumprl.oracles import (QuadraticObjective, _decay_moment, argmin_quadratic,
+                            closed_form_objective, golden_section_min, mc_argmin,
+                            mc_limit_objective, mc_objective_grid,
                             mc_objective_samples, mc_oracle_objective,
                             reference_minimizers)
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec
+from conftest import exponential_quadratic_by_gauss_legendre
 
 
 class TestArgminQuadratic:
@@ -31,34 +33,22 @@ class TestArgminQuadratic:
             argmin_quadratic(QuadraticObjective(-2.0, 1.0, 0.0))
 
 
-class TestIntegrate:
-    def test_constant(self):
-        assert integrate(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity(self):
-        assert integrate(lambda t: t, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_polynomials_exact(self):
-        # Simpson with Richardson correction is exact through degree 5 up to fp error
-        for degree in range(6):
-            got = integrate(lambda t, d=degree: t ** d, 0.0, 1.0, tol=1e-12)
-            assert got == pytest.approx(1.0 / (degree + 1), abs=1e-12)
-
-    def test_empty_interval(self):
-        assert integrate(lambda t: 1e9, 2.0, 2.0) == 0.0
-
-    def test_rejects_reversed_interval(self):
-        with pytest.raises(QuadratureError):
-            integrate(lambda t: 1.0, 1.0, 0.0)
-
-    def test_oscillatory_against_closed_form(self):
-        got = integrate(lambda t: math.sin(10 * t), 0.0, math.pi, tol=1e-10)
-        assert got == pytest.approx((1 - math.cos(10 * math.pi)) / 10, abs=1e-9)
+class TestDecayMoment:
+    @pytest.mark.parametrize("c", [0.5, 2.0, 4.5, 8.0])
+    @pytest.mark.parametrize("p", range(4))
+    def test_recurrence_against_gauss_legendre(self, p, c):
+        # the recurrence subtracts 1 and divides by c at each step; at the
+        # smallest c it must not lose digits to cancellation
+        x, w = np.polynomial.legendre.leggauss(64)
+        u = (x + 1.0) / 2.0
+        expected = float(w / 2.0 @ ((1.0 - u) ** p * np.exp(c * u)))
+        assert _decay_moment(p, c) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestClosedFormObjectives:
     def test_exponential_oracle_ratio(self):
-        # -0.901 printed; independently cross-checked by a second quadrature
+        # -0.901 printed; test_exponential_cells_match_gauss_legendre checks
+        # the coefficients against an independent rule
         obj = closed_form_objective("exponential", "oracle")
         assert argmin_quadratic(obj) == pytest.approx(-0.901233, abs=5e-5)
 
@@ -69,15 +59,22 @@ class TestClosedFormObjectives:
         assert argmin_quadratic(obj) == pytest.approx(-0.260, abs=1e-3)
 
     def test_exponential_jump_objective_honest_values(self):
-        # Quadrature of the published jump-term integrands. The printed
+        # Closed form of the published jump-term integrands. The printed
         # constants 7.607 / 2.965 / 1.505 do not follow from those integrands;
-        # the values below were verified by two independent quadratures of
+        # the values below agree with a Gauss-Legendre rule over
         # E[(theta (1-u)(e^{2W+0.2} - e^{W+0.1}) + W + 0.1)^2].
         obj = closed_form_objective("exponential", "mstde")
         assert obj.a == pytest.approx(16.64442, abs=2e-4)
         assert obj.b == pytest.approx(3.76043, abs=2e-4)
         assert obj.c == pytest.approx(1.51, abs=1e-9)
         assert argmin_quadratic(obj) == pytest.approx(-0.112964, abs=1e-4)
+
+    @pytest.mark.parametrize("method", ["mstde", "msbve", "oracle"])
+    def test_exponential_cells_match_gauss_legendre(self, method):
+        obj = closed_form_objective("exponential", method)
+        a, b = exponential_quadratic_by_gauss_legendre(method)
+        assert obj.a == pytest.approx(a, rel=1e-12, abs=0.0)
+        assert obj.b == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_jump_constant_matches_linear_family_value(self):
         # the same expectation E[(W_u + 0.1)^2] integrates to 0.51 in both
@@ -128,9 +125,11 @@ class TestReferenceMinimizers:
 
     def test_rational_cells_recoverable_from_polynomial_integrals(self):
         # the jump additions to the linear-family objective are polynomial
-        # moments of the uniform jump time; re-derive them by quadrature
-        a_jump = integrate(lambda u: (1 - u) ** 2 * (u + 0.01), 0.0, 1.0, tol=1e-12)
-        b_jump = integrate(lambda u: 2 * (1 - u) * (u + 0.01), 0.0, 1.0, tol=1e-12)
+        # moments of the uniform jump time; re-derive them by exact integration
+        one_minus_u = Polynomial([1.0, -1.0])
+        jump_var = Polynomial([0.01, 1.0])
+        a_jump = (one_minus_u ** 2 * jump_var).integ(lbnd=0.0)(1.0)
+        b_jump = (2 * one_minus_u * jump_var).integ(lbnd=0.0)(1.0)
         assert 1 / 3 + a_jump == pytest.approx(21 / 50, abs=1e-12)
         assert 1.0 + b_jump == pytest.approx(403 / 300, abs=1e-12)
 
@@ -174,6 +173,12 @@ class TestMcObjectives:
         a = mc_limit_objective(LinearValue(), -0.7, study_spec, grid_100, 64, seed=6)
         b = mc_oracle_objective(LinearValue(), -0.7, study_spec, grid_100, 64, seed=6)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("n_paths, chunk", [(0, 2048), (-1, 2048), (10, 0)])
+    def test_rejects_empty_ensemble_or_chunk(self, study_spec, grid_100, n_paths, chunk):
+        with pytest.raises(ConfigurationError, match="n_paths >= 1 and chunk >= 1"):
+            mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, n_paths,
+                                 seed=9, chunk=chunk)
 
     def test_chunk_independence(self, study_spec, grid_100):
         small = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100,

@@ -277,6 +277,14 @@ class TestRollingBacktest:
         assert result.degenerate
         assert result.sharpe_annualized is None
 
+    def test_one_test_day_flagged_degenerate(self):
+        series = synthetic_gbm_jump_series(12, bars_per_day=10, seed=7)
+        config = BacktestConfig(learning=learning(), train_days=11, steps_per_day=10)
+        result = rolling_backtest(series, config, "msbve")
+        assert len(result.daily_return) == 1
+        assert result.degenerate
+        assert result.sharpe_annualized is None
+
     def test_flat_prices_reject_zero_sigma_window(self):
         bars = 10
         series = self._repeated_day_series(6, bars, np.full(bars + 1, 100.0))
