@@ -72,6 +72,17 @@ def _merged(cfg: dict, key: str, flag_value, default):
     return default
 
 
+def _number(cfg: dict, key: str, flag_value, default, kind=float):
+    """_merged value converted by kind (float or int); ConfigurationError
+    naming the key and the value when it does not convert."""
+    value = _merged(cfg, key, flag_value, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {noun}, got {value!r}") from exc
+
+
 def _with_preset(cfg: dict, flag_value, presets: dict) -> dict:
     """Config-file keys laid over the preset named by the flag or by config
     `preset`; cfg unchanged when no preset is named."""
@@ -164,15 +175,15 @@ def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
                            preset, SIM_PRESETS)
         base = SIM_PRESETS["paper-sim"]
         params = dict(
-            x0=float(_merged(cfg, "x0", x0, base["x0"])),
-            drift=float(_merged(cfg, "drift", drift, base["drift"])),
-            sigma=float(_merged(cfg, "sigma", sigma, base["sigma"])),
+            x0=_number(cfg, "x0", x0, base["x0"]),
+            drift=_number(cfg, "drift", drift, base["drift"]),
+            sigma=_number(cfg, "sigma", sigma, base["sigma"]),
             law=_merged(cfg, "law", law, base["law"]),
-            poisson_rate=float(_merged(cfg, "poisson_rate", poisson_rate, 1.0)),
+            poisson_rate=_number(cfg, "poisson_rate", poisson_rate, 1.0),
         )
-        grid = build_grid(float(_merged(cfg, "horizon", horizon, base["horizon"])),
-                          int(_merged(cfg, "n_steps", n_steps, base["n_steps"])))
-        count = int(_merged(cfg, "paths", n_paths, 1))
+        grid = build_grid(_number(cfg, "horizon", horizon, base["horizon"]),
+                          _number(cfg, "n_steps", n_steps, base["n_steps"], kind=int))
+        count = _number(cfg, "paths", n_paths, 1, kind=int)
         master = _require_seed(_merged(cfg, "seed", seed, None))
         directory = _out_dir(_merged(cfg, "out", out, "out"))
 
@@ -210,23 +221,23 @@ def _nearest_reference(family: str, theta_final: float):
 def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
                 record_every, seed):
     family_name = _merged(cfg, "family", family, "linear")
-    z = float(_merged(cfg, "z", None, 1.01))
-    x0_wealth = float(_merged(cfg, "wealth_x0", None, 1.0))
+    z = _number(cfg, "z", None, 1.01)
+    x0_wealth = _number(cfg, "wealth_x0", None, 1.0)
     horizon = 1.0
     model = family_by_name(family_name, z=z, x0=x0_wealth, horizon=horizon)
-    step = float(_merged(cfg, "dt", dt, 0.01))
+    step = _number(cfg, "dt", dt, 0.01)
     if not 0 < step < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {step}")
     grid = build_grid(horizon, round(horizon / step))
-    spec = doubling_jump_spec(float(_merged(cfg, "x0", None, 0.1)))
+    spec = doubling_jump_spec(_number(cfg, "x0", None, 0.1))
     train_config = TrainConfig(
         loss_kind=_merged(cfg, "loss", loss, "msbve"),
-        learning_rate=float(_merged(cfg, "alpha", alpha, 0.0005)),
-        episodes=int(_merged(cfg, "episodes", episodes, 20000)),
-        paths_per_episode=int(_merged(cfg, "paths", paths, 32)),
-        theta0=float(_merged(cfg, "theta0", theta0, 0.5)),
+        learning_rate=_number(cfg, "alpha", alpha, 0.0005),
+        episodes=_number(cfg, "episodes", episodes, 20000, kind=int),
+        paths_per_episode=_number(cfg, "paths", paths, 32, kind=int),
+        theta0=_number(cfg, "theta0", theta0, 0.5),
         master_seed=_require_seed(_merged(cfg, "seed", seed, None)),
-        record_every=int(_merged(cfg, "record_every", record_every, 100)),
+        record_every=_number(cfg, "record_every", record_every, 100, kind=int),
     )
     return family_name, model, spec, grid, train_config
 
@@ -328,8 +339,9 @@ def cmd_compare(config_path, seed, out, families, episodes, paths, alpha, theta0
                         cell[loss_kind] = {"error": str(exc)}
                 cell["oracle_reference"] = table.get(family_name, "oracle")
                 if oracle_scan:
-                    grid = build_grid(1.0, int(_merged(cfg, "scan_steps", scan_steps, 1000)))
-                    n_scan = int(_merged(cfg, "scan_paths", scan_paths, 20000))
+                    grid = build_grid(
+                        1.0, _number(cfg, "scan_steps", scan_steps, 1000, kind=int))
+                    n_scan = _number(cfg, "scan_paths", scan_paths, 20000, kind=int)
                     model = family_by_name(family_name, z=1.01, x0=1.0, horizon=1.0)
                     cell["oracle_scan"] = oracles.mc_argmin(
                         model, "oracle", doubling_jump_spec(), grid, n_scan, master)
@@ -362,7 +374,7 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
         path = _merged(cfg, "data", data_path, None)
         if path is None:
             raise ConfigurationError("--data (or config `data`) is required")
-        bars = int(_merged(cfg, "bars_per_day", bars_per_day, 79))
+        bars = _number(cfg, "bars_per_day", bars_per_day, 79, kind=int)
         series = read_price_csv(path, bars)
         directory = _out_dir(_merged(cfg, "out", out, "out"))
         mode_req = _merged(cfg, "mode", mode, "raw")
@@ -371,10 +383,10 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
         losses = ["mstde", "msbve"] if loss_req == "both" else [loss_req]
         learning = TrainConfig(
             loss_kind="msbve",
-            learning_rate=float(_merged(cfg, "alpha", alpha, 50.0)),
-            episodes=int(_merged(cfg, "steps_per_update", steps_per_update, 20)),
+            learning_rate=_number(cfg, "alpha", alpha, 50.0),
+            episodes=_number(cfg, "steps_per_update", steps_per_update, 20, kind=int),
             paths_per_episode=1,
-            theta0=float(_merged(cfg, "theta0", theta0, 1.0)),
+            theta0=_number(cfg, "theta0", theta0, 1.0),
             master_seed=_seed_value(_merged(cfg, "seed", seed, 0)),
         )
         report = {"cells": {}, "sharpe_table": {}}
@@ -383,11 +395,11 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
             for mode_name in modes:
                 config = BacktestConfig(
                     learning=learning,
-                    train_days=int(_merged(cfg, "train_days", train_days, 126)),
+                    train_days=_number(cfg, "train_days", train_days, 126, kind=int),
                     steps_per_day=bars,
-                    target_wealth=float(_merged(cfg, "z", z, 1.01)),
-                    initial_wealth=float(_merged(cfg, "x0", None, 1.0)),
-                    risk_free_daily=float(_merged(cfg, "rf", rf, 0.0)),
+                    target_wealth=_number(cfg, "z", z, 1.01),
+                    initial_wealth=_number(cfg, "x0", None, 1.0),
+                    risk_free_daily=_number(cfg, "rf", rf, 0.0),
                     threshold_mode=mode_name,
                 )
                 result = rolling_backtest(series, config, loss_kind)

@@ -199,25 +199,34 @@ def sharpe(returns, periods_per_year: float) -> float:
     return float(np.mean(r)) / std * math.sqrt(periods_per_year)
 
 
-def _wealth_matrix(theta: float, sigma_hat: float, day_matrix: np.ndarray,
-                   z: float, x0: float, r_f_daily: float, dt: float,
-                   horizon: float, start_wealth: float | None = None) -> np.ndarray:
+def _excess_returns(day_matrix: np.ndarray, r_f_daily: float, dt: float) -> np.ndarray:
+    """Per-bar simple returns (days, m) less the risk-free rate over one bar."""
+    return day_matrix[:, 1:] / day_matrix[:, :-1] - 1.0 - r_f_daily * dt
+
+
+def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
+                   z: float, x0: float, horizon: float,
+                   start_wealth: float | None = None) -> np.ndarray:
     """Wealth paths (days, m+1) from replaying each day's excess returns.
 
-    start_wealth overrides the first wealth value; the policy anchor always
-    uses the configured x0.
+    The policy's bar step W_{i+1} = W_i - k (W_i - w) e_i, k = theta/sigma_hat,
+    is affine in W, so W_i - w = (W_0 - w) prod_{j<i} (1 - k e_j): one
+    cumulative product per row. start_wealth overrides W_0; the policy anchor
+    w always uses the configured x0.
     """
     if not sigma_hat > 0:
         raise ConfigurationError(f"sigma_hat must be > 0, got {sigma_hat}")
     w = target_anchor(theta, z, x0, horizon)
-    excess = day_matrix[:, 1:] / day_matrix[:, :-1] - 1.0 - r_f_daily * dt
     k = theta / sigma_hat
-    m = excess.shape[1]
-    wealth = np.empty((day_matrix.shape[0], m + 1))
-    wealth[:, 0] = x0 if start_wealth is None else start_wealth
-    for i in range(m):
-        exposure = -k * (wealth[:, i] - w)
-        wealth[:, i + 1] = wealth[:, i] + exposure * excess[:, i]
+    start = x0 if start_wealth is None else start_wealth
+    wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
+    wealth[:, 0] = start
+    growth = wealth[:, 1:]
+    np.multiply(excess, -k, out=growth)
+    growth += 1.0
+    np.cumprod(growth, axis=1, out=growth)
+    growth *= start - w
+    growth += w
     if not np.isfinite(wealth).all():
         raise DivergenceError("wealth path became non-finite", episode=0, last_theta=theta)
     return wealth
@@ -230,8 +239,8 @@ def simulate_wealth(theta: float, sigma_hat: float, day_prices, z: float, x0: fl
     prices = np.asarray(day_prices, dtype=float)
     if prices.ndim != 1 or prices.size < 2:
         raise InsufficientDataError("a trading day needs at least 2 prices")
-    wealth = _wealth_matrix(theta, sigma_hat, prices[None, :], z, x0,
-                            r_f_daily, dt, horizon)
+    excess = _excess_returns(prices[None, :], r_f_daily, dt)
+    wealth = _wealth_matrix(theta, sigma_hat, excess, z, x0, horizon)
     return float(wealth[0, -1])
 
 
@@ -307,7 +316,7 @@ def _day_matrix(day_arrays: list[np.ndarray]) -> np.ndarray:
 def _daily_bipower(matrix: np.ndarray, log_scale: bool) -> float:
     """Mean over days of per-day bipower variation of the chosen increments."""
     data = np.log(matrix) if log_scale else matrix
-    return float(np.mean([bipower_sigma2(np.diff(row)) for row in data]))
+    return float(np.mean([bipower_sigma2(row) for row in np.diff(data, axis=1)]))
 
 
 # On continuous data the bipower-product objective runs (2/pi) below the
@@ -322,10 +331,10 @@ def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: st
                times: np.ndarray, dt: float) -> float:
     """Gradient steps of the chosen loss on wealth paths replayed under theta."""
     lr = config.learning.learning_rate / LOSS_RATE_SCALE[loss_kind]
+    excess = _excess_returns(matrix, config.risk_free_daily, dt)
     for step in range(config.learning.episodes):
-        wealth = _wealth_matrix(theta, sigma_hat, matrix, config.target_wealth,
-                                config.initial_wealth, config.risk_free_daily,
-                                dt, config.horizon)
+        wealth = _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
+                                config.initial_wealth, config.horizon)
         J = np.asarray(model.value(theta, times, wealth), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, wealth), dtype=float)
         grad = float(np.mean(grads_by_row(loss_kind, J, dJ)))

@@ -277,14 +277,14 @@ def test_criterion_8_property_suites():
         twice = threshold_series(once, tau)
         np.testing.assert_array_equal(once.prices, twice.prices)
     # policy fixed point
-    from jumprl.portfolio import _wealth_matrix
+    from jumprl.portfolio import _excess_returns, _wealth_matrix
     for _ in range(1000):
         theta = float(rng.uniform(0.2, 3.0))
         z = float(rng.uniform(1.001, 1.1))
         anchor = target_anchor(theta, z, 1.0, 1.0)
         day = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, 12)))[None, :]
-        wealth = _wealth_matrix(theta, 0.5, day, z, 1.0, 0.0, 1.0 / 11, 1.0,
-                                start_wealth=anchor)
+        wealth = _wealth_matrix(theta, 0.5, _excess_returns(day, 0.0, 1.0 / 11), z, 1.0,
+                                1.0, start_wealth=anchor)
         assert np.all(wealth == anchor)
     # determinism: simulate
     small_grid = build_grid(1.0, 50)

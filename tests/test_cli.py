@@ -124,6 +124,18 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert "seed must be a non-negative integer" in result.output
 
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = abc", "alpha must be a number, got 'abc'"),
+        ("episodes = x", "episodes must be an integer, got 'x'")])
+    def test_malformed_config_number_exits_2(self, runner, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"episodes = 1\ndt = 0.1\n{line}\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
 
 # command: (preset table, a cheap preset, flag, config key, reader of the report)
 PRESET_CASES = {
@@ -269,6 +281,19 @@ class TestBacktest:
         assert result.exit_code == 2, result.output
         assert "seed must be a non-negative integer" in result.output
 
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = abc", "alpha must be a number, got 'abc'"),
+        ("train_days = x", "train_days must be an integer, got 'x'")])
+    def test_malformed_config_number_exits_2(self, runner, tmp_path, fixture_csv, line,
+                                             message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\n{line}\n")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
 
 def output_digest(directory) -> str:
     """sha256 over the names and bytes of every file a command wrote."""
@@ -300,7 +325,7 @@ class TestReportBytes:
         "simulate": "6d9e8fb6c2b25d4f80d440b6bad498d98910888a18e78fb9e5341289dedbb6a1",
         "train": "0a1278da8a00ce1b35d56e9b8f2ee76ea292b8d3b1a3954f22fa4d0dbc826cc7",
         "compare": "69e03df91b063672e88f74f9114d9c5f7cd1d62de38e6aaae1fde3feb59428e4",
-        "backtest": "c370c10a0debcc76e7a918adc454277b6a798e0fe4b4cb4291e01ea27412f55d",
+        "backtest": "c62ff3f2c188f690551f0d037599453bb66c750ddd09a1163c3dd9bdd2a51d34",
     }
 
     @pytest.mark.parametrize("command", sorted(RUNS))

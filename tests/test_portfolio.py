@@ -1,19 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumprl.errors import (ConfigurationError, DegenerateSeriesError,
+from jumprl.errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                            IngestionError, InsufficientDataError,
                            SingularParameterError)
-from jumprl.estimators import TrainConfig
-from jumprl.models import target_anchor
-from jumprl.portfolio import (BacktestConfig, PriceSeries, bipower_sigma2,
-                              build_price_series, jump_threshold, read_price_csv,
-                              rolling_backtest, sharpe, simulate_wealth,
-                              synthetic_gbm_jump_series, threshold_series,
-                              write_price_csv)
+from jumprl.estimators import TrainConfig, grads_by_row
+from jumprl.models import MeanVarianceValue, target_anchor
+from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, PriceSeries,
+                              _daily_bipower, _excess_returns, _fit_theta,
+                              _wealth_matrix, bipower_sigma2, build_price_series,
+                              jump_threshold, read_price_csv, rolling_backtest,
+                              sharpe, simulate_wealth, synthetic_gbm_jump_series,
+                              threshold_series, write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
 
@@ -27,6 +29,49 @@ def tiny_series(prices, bars_per_day=None, start=0):
 
 def learning(steps=5, alpha=50.0, theta0=1.0):
     return TrainConfig("msbve", alpha, steps, 1, theta0, master_seed=0)
+
+
+def random_window(rng, days, bars):
+    """Intraday price rows (days, bars + 1) at about 20% annual volatility."""
+    steps = rng.normal(0.0, 0.0126 / math.sqrt(bars), (days, bars + 1))
+    return 100.0 * np.exp(np.cumsum(steps, axis=1))
+
+
+def wealth_by_loop(theta, sigma_hat, day_matrix, z, x0, r_f_daily, dt, horizon,
+                   start_wealth=None):
+    """The policy's wealth recursion stepped bar by bar: the reference for the
+    closed form in `_wealth_matrix`."""
+    w = target_anchor(theta, z, x0, horizon)
+    excess = day_matrix[:, 1:] / day_matrix[:, :-1] - 1.0 - r_f_daily * dt
+    k = theta / sigma_hat
+    m = excess.shape[1]
+    wealth = np.empty((day_matrix.shape[0], m + 1))
+    wealth[:, 0] = x0 if start_wealth is None else start_wealth
+    for i in range(m):
+        exposure = -k * (wealth[:, i] - w)
+        wealth[:, i + 1] = wealth[:, i] + exposure * excess[:, i]
+    return wealth
+
+
+def wealth_exact(theta, sigma_hat, excess, z, x0, horizon):
+    """The same recursion in exact rational arithmetic on the same floats."""
+    w = Fraction(target_anchor(theta, z, x0, horizon))
+    k = Fraction(theta) / Fraction(sigma_hat)
+    out = np.empty((excess.shape[0], excess.shape[1] + 1))
+    for r, row in enumerate(excess):
+        wealth = Fraction(x0)
+        out[r, 0] = float(wealth)
+        for i, e in enumerate(row):
+            wealth -= k * (wealth - w) * Fraction(float(e))
+            out[r, i + 1] = float(wealth)
+    return out
+
+
+def assert_within_row_scale(got, ref, rtol):
+    """|got - ref| <= rtol * max|ref| per row. A path that passes near zero
+    wealth has entries no float route gets to rtol of themselves."""
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
 
 
 class TestBipower:
@@ -155,17 +200,120 @@ class TestSimulateWealth:
 
     def test_policy_fixed_point(self):
         # wealth equal to the anchor zeroes the exposure, exactly and forever
-        from jumprl.portfolio import _wealth_matrix
         theta = math.sqrt(math.log(2.0))
         anchor = target_anchor(theta, 2.0, 1.0, 1.0)
         prices = 100.0 * np.exp(np.cumsum(stream(3).normal(0, 0.001, 60)))[None, :]
-        wealth = _wealth_matrix(theta, 0.5, prices, z=2.0, x0=1.0, r_f_daily=0.0,
-                                dt=1 / 59, horizon=1.0, start_wealth=anchor)
+        wealth = _wealth_matrix(theta, 0.5, _excess_returns(prices, 0.0, 1 / 59),
+                                z=2.0, x0=1.0, horizon=1.0, start_wealth=anchor)
         np.testing.assert_array_equal(wealth, np.full_like(wealth, anchor))
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ConfigurationError):
             simulate_wealth(1.0, 0.0, np.array([1.0, 2.0]), z=1.01, x0=1.0)
+
+    def test_matches_reference_loop(self):
+        rng = stream(31)
+        for trial in range(60):
+            bars = int(rng.integers(1, 80))
+            prices = random_window(rng, 1, bars)
+            theta = float(rng.uniform(0.01, 3.0)) * (1 if trial % 2 else -1)
+            r_f = float(rng.uniform(-1e-3, 1e-3))
+            ref = wealth_by_loop(theta, 0.0126, prices, 1.01, 1.0, r_f, 1.0 / bars, 1.0)
+            terminal = simulate_wealth(theta, 0.0126, prices[0], 1.01, 1.0, r_f,
+                                       1.0 / bars, 1.0)
+            assert abs(terminal - ref[0, -1]) <= 1e-12 * np.abs(ref).max()
+
+
+class TestWealthMatrix:
+    def test_closed_form_matches_reference_loop(self):
+        rng = stream(29)
+        for trial in range(240):
+            days, bars = int(rng.integers(1, 40)), int(rng.integers(2, 80))
+            prices = random_window(rng, days, bars)
+            sigma_hat = math.sqrt(_daily_bipower(prices, log_scale=True))
+            theta = float(rng.uniform(0.01, 3.0)) * (1 if trial % 2 else -1)
+            r_f = float(rng.uniform(-1e-3, 1e-3))
+            z = float(rng.uniform(1.001, 1.1))
+            start = float(rng.uniform(0.9, 1.1)) if trial % 3 == 0 else None
+            ref = wealth_by_loop(theta, sigma_hat, prices, z, 1.0, r_f, 1.0 / bars,
+                                 1.0, start_wealth=start)
+            wealth = _wealth_matrix(theta, sigma_hat,
+                                    _excess_returns(prices, r_f, 1.0 / bars), z, 1.0,
+                                    1.0, start_wealth=start)
+            np.testing.assert_array_equal(wealth[:, 0], ref[:, 0])
+            assert_within_row_scale(wealth, ref, 1e-12)
+
+    def test_high_leverage_matches_exact_arithmetic(self):
+        # at |theta| in [3, 10] the bar-by-bar loop itself drifts from the exact
+        # recursion by up to ~1e-9 of the row scale on some windows, so the
+        # closed form is held to exact rational arithmetic here instead
+        rng = stream(37)
+        for trial in range(16):
+            prices = random_window(rng, 2, 79)
+            sigma_hat = math.sqrt(_daily_bipower(prices, log_scale=True))
+            theta = float(rng.uniform(3.0, 10.0)) * (1 if trial % 2 else -1)
+            excess = _excess_returns(prices, float(rng.uniform(-1e-3, 1e-3)), 1.0 / 79)
+            wealth = _wealth_matrix(theta, sigma_hat, excess, 1.01, 1.0, 1.0)
+            assert_within_row_scale(wealth, wealth_exact(theta, sigma_hat, excess,
+                                                         1.01, 1.0, 1.0), 1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_raises_divergence(self):
+        prices = random_window(stream(41), 3, 79)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            _wealth_matrix(10.0, 1e-9, _excess_returns(prices, 0.0, 1.0 / 79),
+                           1.01, 1.0, 1.0)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            simulate_wealth(-10.0, 1e-9, prices[0], 1.01, 1.0)
+
+
+class TestDailyBipower:
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_equals_per_row_differences(self, log_scale):
+        rng = stream(23)
+        for _ in range(60):
+            window = random_window(rng, int(rng.integers(1, 40)), int(rng.integers(2, 80)))
+            data = np.log(window) if log_scale else window
+            per_row = float(np.mean([bipower_sigma2(np.diff(row)) for row in data]))
+            assert _daily_bipower(window, log_scale) == per_row
+
+
+class TestFitTheta:
+    """|theta| is clamped to [theta_min, theta_max] with its sign kept, so a
+    step past zero leaves a negative market price of risk (README)."""
+
+    def test_sign_of_last_step_within_bounds(self):
+        model = MeanVarianceValue(z=1.01, x0=1.0, horizon=1.0)
+        times = np.linspace(0.0, 1.0, 21)[None, :]
+        negative = flipped = 0
+        for seed in range(4):
+            series = synthetic_gbm_jump_series(30, bars_per_day=20, seed=seed,
+                                               jump_prob_per_day=0.5)
+            window = np.stack([prices for _, prices in series.day_prices()])
+            sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
+            for loss in ("mstde", "msbve"):
+                for alpha, theta0 in ((1e4, 0.5), (1e5, 0.5), (1e4, -0.5), (1e5, 2.0)):
+                    configs = [BacktestConfig(
+                        learning=TrainConfig(loss, alpha, steps, 1, theta0, master_seed=0),
+                        train_days=30, steps_per_day=20) for steps in (2, 3)]
+                    before, theta = (_fit_theta(theta0, window, sigma_hat, loss, config,
+                                                model, times, 1.0 / 20)
+                                     for config in configs)
+                    wealth = _wealth_matrix(before, sigma_hat,
+                                            _excess_returns(window, 0.0, 1.0 / 20),
+                                            1.01, 1.0, 1.0)
+                    J = np.asarray(model.value(before, times, wealth), dtype=float)
+                    dJ = np.asarray(model.dvalue_dtheta(before, times, wealth), dtype=float)
+                    grad = float(np.mean(grads_by_row(loss, J, dJ)))
+                    step = before - alpha / LOSS_RATE_SCALE[loss] * grad
+                    config = configs[1]
+                    assert math.copysign(1.0, theta) == math.copysign(1.0, step)
+                    assert config.theta_min <= abs(theta) <= config.theta_max
+                    if config.theta_min <= abs(step) <= config.theta_max:
+                        assert theta == step
+                    negative += theta < 0
+                    flipped += (theta < 0) != (theta0 < 0)
+        assert negative and flipped
 
 
 class TestSharpe:
