@@ -2,8 +2,8 @@
 
 Subcommands: simulate, train, compare, backtest. Options can come from a
 `key = value` config file (see README) with command-line flags taking
-precedence. Exit codes: 0 success, 2 configuration or ingestion error,
-3 numerical divergence.
+precedence. Exit codes: 0 success, 2 configuration, ingestion or
+singular-parameter error, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from pathlib import Path
 import click
 
 from . import oracles
-from .errors import (ConfigurationError, DivergenceError, IngestionError,
-                     SimulationOverflowError)
+from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
+                     SingularParameterError)
 from .estimators import TrainConfig, train
 from .models import family_by_name
 from .portfolio import BacktestConfig, read_price_csv, rolling_backtest
 from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                  build_grid, doubling_jump_spec, path_to_csv, simulate_seeded)
+                  build_grid, doubling_jump_spec, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
 SIM_PRESETS = {
@@ -184,15 +184,17 @@ def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
         grid = build_grid(_number(cfg, "horizon", horizon, base["horizon"]),
                           _number(cfg, "n_steps", n_steps, base["n_steps"], kind=int))
         count = _number(cfg, "paths", n_paths, 1, kind=int)
+        if count < 0:
+            raise ConfigurationError(f"paths must be >= 0, got {count}")
         master = _require_seed(_merged(cfg, "seed", seed, None))
         directory = _out_dir(_merged(cfg, "out", out, "out"))
 
         spec = _build_spec(**params)
         files = []
-        for p in range(count):
-            sample = simulate_seeded(spec, grid, master, episode=0, path=p)
+        for p in range(count):  # one row at a time keeps memory flat in --paths
             name = f"path_{p:03d}.csv"
-            path_to_csv(sample, directory / name)
+            path_to_csv(simulate_batch(spec, grid, master, 0, 1, path_offset=p), 0,
+                        directory / name)
             files.append(name)
         manifest = {
             "command": "simulate",
@@ -224,7 +226,10 @@ def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
     z = _number(cfg, "z", None, 1.01)
     x0_wealth = _number(cfg, "wealth_x0", None, 1.0)
     horizon = 1.0
-    model = family_by_name(family_name, z=z, x0=x0_wealth, horizon=horizon)
+    try:
+        model = family_by_name(family_name, z=z, x0=x0_wealth, horizon=horizon)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     step = _number(cfg, "dt", dt, 0.01)
     if not 0 < step < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {step}")
@@ -419,7 +424,7 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
 def _run(body) -> None:
     try:
         body()
-    except (IngestionError, ConfigurationError) as exc:
+    except (ConfigurationError, SingularParameterError) as exc:  # ingestion errors included
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except (DivergenceError, SimulationOverflowError) as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes: configuration and ingestion problems
-exit with 2, numerical blow-ups (divergence, overflow) with 3.
+The CLI maps these onto exit codes: configuration, ingestion and
+singular-parameter problems exit with 2, numerical blow-ups (divergence,
+overflow) with 3.
 """
 
 

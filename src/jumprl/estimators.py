@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
-from .models import LinearValue
+from .models import LinearValue, path_values
 from .rng import stream
-from .sde import JumpDiffusionSpec, PathSample, TimeGrid, build_grid, simulate_batch
+from .sde import JumpDiffusionSpec, PathBatch, TimeGrid, build_grid, simulate_batch
 
 LOSS_KINDS = ("mstde", "msbve")
 
@@ -68,28 +68,20 @@ def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarr
     raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
-def _path_matrices(model, theta: float, path: PathSample):
-    t = path.grid.times[None, :]
-    x = path.observed[None, :]
-    J = np.asarray(model.value(theta, t, x), dtype=float)
-    dJ = np.asarray(model.dvalue_dtheta(theta, t, x), dtype=float)
-    return J, dJ
+def mstde_grad(model, theta: float, batch: PathBatch) -> np.ndarray:
+    """Exact gradient of each row's mstde_loss(values) with respect to theta."""
+    if batch.observed.shape[1] < 2:
+        raise InsufficientDataError("mstde gradient needs paths with >= 2 points")
+    dJ = model.dvalue_dtheta(theta, batch.grid.times, batch.observed)
+    return grads_by_row("mstde", path_values(model, theta, batch), np.asarray(dJ, dtype=float))
 
 
-def mstde_grad(model, theta: float, path: PathSample) -> float:
-    """Exact gradient of mstde_loss(path values) with respect to theta."""
-    if path.observed.size < 2:
-        raise InsufficientDataError("mstde gradient needs a path with >= 2 points")
-    J, dJ = _path_matrices(model, theta, path)
-    return float(grads_by_row("mstde", J, dJ)[0])
-
-
-def msbve_grad(model, theta: float, path: PathSample) -> float:
-    """Subgradient of msbve_loss(path values) with sgn(0) = 0."""
-    if path.observed.size < 3:
-        raise InsufficientDataError("msbve gradient needs a path with >= 3 points")
-    J, dJ = _path_matrices(model, theta, path)
-    return float(grads_by_row("msbve", J, dJ)[0])
+def msbve_grad(model, theta: float, batch: PathBatch) -> np.ndarray:
+    """Subgradient of each row's msbve_loss(values) with sgn(0) = 0."""
+    if batch.observed.shape[1] < 3:
+        raise InsufficientDataError("msbve gradient needs paths with >= 3 points")
+    dJ = model.dvalue_dtheta(theta, batch.grid.times, batch.observed)
+    return grads_by_row("msbve", path_values(model, theta, batch), np.asarray(dJ, dtype=float))
 
 
 @dataclass(frozen=True)

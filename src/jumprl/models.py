@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SingularParameterError
-from .sde import PathSample
+from .sde import PathBatch
 
 
 @dataclass(frozen=True)
@@ -174,20 +174,21 @@ def family_by_name(name: str, *, z: float | None = None, x0: float | None = None
     raise ValueError(f"unknown value family {name!r}; expected one of {BUILTIN_FAMILIES}")
 
 
-def path_values(model, theta: float, path: PathSample) -> np.ndarray:
-    """model.value along a path's grid; length n_steps + 1.
+def path_values(model, theta: float, batch: PathBatch) -> np.ndarray:
+    """model.value along each row of a batch; shape (paths, n_steps + 1).
 
     A failing evaluation re-raises the original exception, type and fields
     intact, with the first failing grid point added to its message.
     """
+    times = batch.grid.times
     try:
-        return np.asarray(model.value(theta, path.grid.times, path.observed), dtype=float)
+        return np.asarray(model.value(theta, times, batch.observed), dtype=float)
     except SingularParameterError:
         raise
     except Exception as exc:
-        for i, (t, x) in enumerate(zip(path.grid.times, path.observed)):
+        for i, t in enumerate(times):
             try:
-                model.value(theta, t, x)
+                model.value(theta, t, batch.observed[:, i])
             except Exception:
                 exc.args = (f"{exc} (at path index {i}, t={t:.6g})",)
                 break

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError)
-from .estimators import TrainConfig, grads_by_row
+from .estimators import LOSS_KINDS, TrainConfig, grads_by_row
 from .models import MeanVarianceValue, target_anchor
 from .rng import stream
 
@@ -357,6 +357,8 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
                      loss_kind: str) -> BacktestResult:
     """Walk the series one day at a time: fit theta on the trailing window,
     trade the next day, and summarize daily excess returns."""
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigurationError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     partition = series.day_partition
     if len(partition) < config.train_days + 1:
         raise IngestionError(

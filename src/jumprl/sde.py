@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -100,45 +100,12 @@ class JumpDiffusionSpec:
         return isinstance(self.drift, (int, float)) and isinstance(self.diffusion, (int, float))
 
 
-class JumpEvent(NamedTuple):
-    time: float
-    pre_state: float
-    size: float
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated trajectory with its latent continuous component and jump ledger."""
-
-    grid: TimeGrid
-    observed: np.ndarray         # (n+1,)
-    continuous_part: np.ndarray  # (n+1,), jump-free accumulation of the same increments
-    jump_events: tuple[JumpEvent, ...]
-    seed_tag: str = ""
-
-    def __post_init__(self):
-        self.observed.setflags(write=False)
-        self.continuous_part.setflags(write=False)
-
-    def jump_flags(self) -> np.ndarray:
-        """0/1 per grid point: 1 where at least one jump landed."""
-        flags = np.zeros(self.grid.n_steps + 1, dtype=int)
-        for event in self.jump_events:
-            flags[_snap_index(self.grid.times, event.time)] = 1
-        return flags
-
-
 def sample_single_jump_time(rng: np.random.Generator) -> float:
     """Uniform draw on the open interval (0, 1)."""
     u = float(rng.random())
     while u == 0.0:
         u = float(rng.random())
     return u
-
-
-def _snap_index(times: np.ndarray, jump_time: float) -> int:
-    """Index of the first grid point >= jump_time."""
-    return int(times.searchsorted(jump_time))
 
 
 def _jump_schedule(spec: JumpDiffusionSpec, grid: TimeGrid,
@@ -153,7 +120,7 @@ def _jump_schedule(spec: JumpDiffusionSpec, grid: TimeGrid,
         return []
     if isinstance(law, SingleUniformJump):
         u = sample_single_jump_time(rng) * grid.horizon
-        return [(_snap_index(grid.times, u), u)]
+        return [(int(grid.times.searchsorted(u)), u)]  # first grid point >= u
     if isinstance(law, PoissonRate):
         p = law.rate * grid.dt
         if p >= 0.1:
@@ -177,7 +144,7 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
     cont = np.empty(n + 1)
     observed[0] = cont[0] = spec.x0
     x = xc = spec.x0
-    events = []
+    events = []  # (step, time, pre-jump state, size)
     for i in range(n):
         t = grid.times[i]
         s = diff(t, x)
@@ -190,7 +157,7 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
             pre = x
             size = float(spec.jump_size(t_evt, pre))
             x += size
-            events.append(JumpEvent(t_evt, pre, size))
+            events.append((i + 1, t_evt, pre, size))
         if not math.isfinite(x):
             raise SimulationOverflowError(
                 f"state became non-finite at step {i + 1} (t={grid.times[i + 1]:.6g})",
@@ -206,6 +173,7 @@ class PathBatch:
 
     pre_jump holds the left limits: the observed states with the jump landing
     at each grid point backed out. Jump records are flattened across paths.
+    Every array is read-only.
     """
 
     grid: TimeGrid
@@ -217,6 +185,11 @@ class PathBatch:
     jump_time: np.ndarray   # (events,) drawn jump time, before snapping to the grid
     jump_pre: np.ndarray    # (events,) pre-jump state
     jump_size: np.ndarray   # (events,) jump size
+
+    def __post_init__(self):
+        for array in (self.observed, self.continuous, self.pre_jump, self.jump_path,
+                      self.jump_step, self.jump_time, self.jump_pre, self.jump_size):
+            array.setflags(write=False)
 
     @property
     def n_paths(self) -> int:
@@ -239,7 +212,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         rng.standard_normal(out=z[i])
         schedules.append(_jump_schedule(spec, grid, rng))
 
-    jp, js, jt, jpre, jsz = [], [], [], [], []
+    ledger = []  # (row, step, time, pre-jump state, size)
     if spec.has_constant_coefficients:
         # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
         z *= float(spec.diffusion) * math.sqrt(grid.dt)
@@ -254,8 +227,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                 pre = float(observed[i, k])
                 size = float(spec.jump_size(t_evt, pre))
                 observed[i, k:] += size
-                jp.append(i); js.append(k); jt.append(t_evt)
-                jpre.append(pre); jsz.append(size)
+                ledger.append((i, k, t_evt, pre, size))
         if not np.isfinite(observed).all():
             bad = np.argwhere(~np.isfinite(observed))[0]
             raise SimulationOverflowError(
@@ -265,36 +237,20 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         observed = np.empty((n_paths, n + 1))
         cont = np.empty((n_paths, n + 1))
         for i, schedule in enumerate(schedules):
-            obs_i, cont_i, events = _simulate_looped(spec, grid, z[i], schedule)
-            observed[i] = obs_i
-            cont[i] = cont_i
-            for event in events:
-                jp.append(i); js.append(_snap_index(grid.times, event.time))
-                jt.append(event.time)
-                jpre.append(event.pre_state); jsz.append(event.size)
+            observed[i], cont[i], events = _simulate_looped(spec, grid, z[i], schedule)
+            ledger.extend((i, *event) for event in events)
 
+    rows, steps, times, pres, sizes = zip(*ledger) if ledger else ((),) * 5
+    jump_path = np.asarray(rows, dtype=int)
+    jump_step = np.asarray(steps, dtype=int)
+    jump_size = np.asarray(sizes, dtype=float)
     pre_jump = observed.copy()
-    jump_path = np.asarray(jp, dtype=int)
-    jump_step = np.asarray(js, dtype=int)
-    jump_pre = np.asarray(jpre, dtype=float)
-    jump_size = np.asarray(jsz, dtype=float)
     # back out sizes at landing points only; earlier jumps stay folded in
     np.subtract.at(pre_jump, (jump_path, jump_step), jump_size)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
                      jump_path=jump_path, jump_step=jump_step,
-                     jump_time=np.asarray(jt, dtype=float),
-                     jump_pre=jump_pre, jump_size=jump_size)
-
-
-def simulate_seeded(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
-                    episode: int = 0, path: int = 0) -> PathSample:
-    """Simulate the path of stream (master_seed, episode, path)."""
-    batch = simulate_batch(spec, grid, master_seed, episode, 1, path_offset=path)
-    events = zip(batch.jump_time.tolist(), batch.jump_pre.tolist(), batch.jump_size.tolist())
-    return PathSample(grid=grid, observed=batch.observed[0],
-                      continuous_part=batch.continuous[0],
-                      jump_events=tuple(JumpEvent(*event) for event in events),
-                      seed_tag=f"{master_seed}/{episode}/{path}")
+                     jump_time=np.asarray(times, dtype=float),
+                     jump_pre=np.asarray(pres, dtype=float), jump_size=jump_size)
 
 
 def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:
@@ -308,11 +264,14 @@ def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:
                              jump_law=SingleUniformJump(), x0=x0)
 
 
-def path_to_csv(path: PathSample, destination) -> None:
-    """Write `t,observed,continuous,jump_flag` rows at 17 significant digits."""
-    flags = path.jump_flags()
+def path_to_csv(batch: PathBatch, row: int, destination) -> None:
+    """Write one row of a batch as `t,observed,continuous,jump_flag` lines at
+    17 significant digits; jump_flag is 1 where at least one jump landed."""
+    flags = np.zeros(batch.grid.n_steps + 1, dtype=int)
+    flags[batch.jump_step[batch.jump_path == row]] = 1
     lines = ["t,observed,continuous,jump_flag"]
-    for t, x, xc, f in zip(path.grid.times, path.observed, path.continuous_part, flags):
+    for t, x, xc, f in zip(batch.grid.times, batch.observed[row], batch.continuous[row],
+                           flags):
         lines.append(f"{t:.17g},{x:.17g},{xc:.17g},{f:d}")
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):

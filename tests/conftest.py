@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
 
-from jumprl.sde import PathSample, TimeGrid, build_grid, doubling_jump_spec
+from jumprl.sde import PathBatch, TimeGrid, build_grid, doubling_jump_spec
 
 
-def synthetic_path(times, observed) -> PathSample:
-    """PathSample with prescribed grid points and observations, no jumps."""
+def synthetic_path(times, observed) -> PathBatch:
+    """One-row PathBatch with prescribed grid points and observations, no jumps."""
     times = np.asarray(times, dtype=float)
-    observed = np.asarray(observed, dtype=float)
+    observed = np.asarray(observed, dtype=float)[None, :]
     grid = TimeGrid(horizon=float(times[-1]), n_steps=times.size - 1,
                     dt=float(times[1] - times[0]), times=times)
-    return PathSample(grid=grid, observed=observed,
-                      continuous_part=observed.copy(), jump_events=())
+    steps, values = np.empty(0, dtype=int), np.empty(0)
+    return PathBatch(grid=grid, observed=observed, continuous=observed.copy(),
+                     pre_jump=observed.copy(), jump_path=steps, jump_step=steps,
+                     jump_time=values, jump_pre=values, jump_size=values)
+
+
+def jump_ledger(batch) -> list:
+    """The batch's jumps as (row, step, time, pre-jump state, size) tuples."""
+    return list(zip(batch.jump_path.tolist(), batch.jump_step.tolist(),
+                    batch.jump_time.tolist(), batch.jump_pre.tolist(),
+                    batch.jump_size.tolist()))
 
 
 def exponential_quadratic_by_gauss_legendre(method, nodes=200):

@@ -24,8 +24,8 @@ from jumprl.portfolio import (BacktestConfig, bipower_sigma2, rolling_backtest,
                               synthetic_gbm_jump_series, threshold_series)
 from jumprl.rng import stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
-                        simulate_batch, simulate_seeded)
-from conftest import exponential_quadratic_by_gauss_legendre, synthetic_path
+                        simulate_batch)
+from conftest import exponential_quadratic_by_gauss_legendre, jump_ledger
 
 DESK_GRID = build_grid(1.0, 100)
 STUDY_SPEC = doubling_jump_spec()
@@ -217,17 +217,17 @@ def test_criterion_7_gradient_oracles():
     models = [LinearValue(), QuadraticValue(), ExponentialValue()]
     for idx in range(200):
         model = models[idx % 3]
-        path = simulate_seeded(STUDY_SPEC, DESK_GRID, 909, 0, idx)
+        path = simulate_batch(STUDY_SPEC, DESK_GRID, 909, 0, 1, path_offset=idx)
         theta = float(rng.uniform(-1.5, 1.5))
-        fd = (mstde_loss(path_values(model, theta + h, path))
-              - mstde_loss(path_values(model, theta - h, path))) / (2 * h)
-        err = abs(mstde_grad(model, theta, path) - fd) / (1 + abs(fd))
+        fd = (mstde_loss(path_values(model, theta + h, path)[0])
+              - mstde_loss(path_values(model, theta - h, path)[0])) / (2 * h)
+        err = abs(mstde_grad(model, theta, path)[0] - fd) / (1 + abs(fd))
         worst_loss = max(worst_loss, err)
-        J = path_values(model, theta, path)
+        J = path_values(model, theta, path)[0]
         if np.abs(np.diff(J)).min() > 1e-8:
-            fd2 = (msbve_loss(path_values(model, theta + h, path))
-                   - msbve_loss(path_values(model, theta - h, path))) / (2 * h)
-            err2 = abs(msbve_grad(model, theta, path) - fd2) / (1 + abs(fd2))
+            fd2 = (msbve_loss(path_values(model, theta + h, path)[0])
+                   - msbve_loss(path_values(model, theta - h, path)[0])) / (2 * h)
+            err2 = abs(msbve_grad(model, theta, path)[0] - fd2) / (1 + abs(fd2))
             worst_loss = max(worst_loss, err2)
     worst_model = 0.0
     families = models + [MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]
@@ -289,10 +289,10 @@ def test_criterion_8_property_suites():
     # determinism: simulate
     small_grid = build_grid(1.0, 50)
     for i in range(1000):
-        a = simulate_seeded(STUDY_SPEC, small_grid, 111, 0, i)
-        b = simulate_seeded(STUDY_SPEC, small_grid, 111, 0, i)
+        a = simulate_batch(STUDY_SPEC, small_grid, 111, 0, 1, path_offset=i)
+        b = simulate_batch(STUDY_SPEC, small_grid, 111, 0, 1, path_offset=i)
         assert np.array_equal(a.observed, b.observed)
-        assert a.jump_events == b.jump_events
+        assert jump_ledger(a) == jump_ledger(b)
     # determinism: train
     for i in range(1000):
         cfg = TrainConfig("msbve" if i % 2 else "mstde", 5e-4, 3, 2,

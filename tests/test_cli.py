@@ -40,6 +40,14 @@ class TestSimulate:
         assert (tmp_path / "manifest.json").exists()
         assert not list(tmp_path.glob("path_*.csv"))
 
+    def test_negative_paths_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--paths", "-1", "--seed", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "paths must be >= 0, got -1" in result.output
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_invalid_preset_exits_2_and_lists(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--preset", "nope", "--seed", "1",
                                       "--out", str(tmp_path)])
@@ -135,6 +143,24 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+
+
+    def test_unknown_config_family_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = foo\nepisodes = 1\ndt = 0.1\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "unknown value family 'foo'" in result.output
+
+    def test_singular_theta0_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", "--family", "mean_variance", "--theta0", "0",
+                                      "--episodes", "1", "--dt", "0.1", "--seed", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "below singularity floor" in result.output
 
 
 # command: (preset table, a cheap preset, flag, config key, reader of the report)
@@ -293,6 +319,17 @@ class TestBacktest:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+
+
+    def test_unknown_config_loss_exits_2(self, runner, tmp_path, fixture_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\ntrain_days = 8\n"
+                       "loss = foo\n")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "loss_kind must be one of ('mstde', 'msbve'), got 'foo'" in result.output
 
 
 def output_digest(directory) -> str:

@@ -8,7 +8,7 @@ from jumprl.estimators import (TrainConfig, jump_robustness_ratio, msbve_grad,
 from jumprl.models import (ExponentialValue, LinearValue, QuadraticValue,
                            path_values)
 from jumprl.rng import stream
-from jumprl.sde import simulate_seeded
+from jumprl.sde import simulate_batch
 from conftest import synthetic_path
 
 value_lists = st.lists(st.floats(min_value=-100, max_value=100,
@@ -70,20 +70,20 @@ class TestGradients:
         # constant values: all differences vanish and sgn(0) = 0 kills msbve
         path = synthetic_path(np.linspace(0, 1, 101), np.full(101, 0.1))
         for model in (LinearValue(), QuadraticValue(), ExponentialValue()):
-            assert mstde_grad(model, 0.0, path) == 0.0
-            assert msbve_grad(model, 0.0, path) == 0.0
+            assert mstde_grad(model, 0.0, path)[0] == 0.0
+            assert msbve_grad(model, 0.0, path)[0] == 0.0
         zero_path = synthetic_path(np.linspace(0, 1, 101), np.zeros(101))
-        assert mstde_grad(QuadraticValue(), 0.7, zero_path) == 0.0
-        assert msbve_grad(QuadraticValue(), 0.7, zero_path) == 0.0
+        assert mstde_grad(QuadraticValue(), 0.7, zero_path)[0] == 0.0
+        assert msbve_grad(QuadraticValue(), 0.7, zero_path)[0] == 0.0
 
     def test_mstde_hand_example(self):
         # J = [1, 2], diff = 1, d(diff)/dtheta = -1, grad = 2 * 1 * (-1)
         path = synthetic_path([0.0, 1.0], [1.0, 2.0])
-        assert mstde_grad(LinearValue(), 0.0, path) == pytest.approx(-2.0)
+        assert mstde_grad(LinearValue(), 0.0, path)[0] == pytest.approx(-2.0)
 
     def test_msbve_hand_example(self):
         path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        assert msbve_grad(LinearValue(), 0.0, path) == pytest.approx(1.0)
+        assert msbve_grad(LinearValue(), 0.0, path)[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("model", [LinearValue(), QuadraticValue(), ExponentialValue()],
                              ids=lambda m: m.name)
@@ -93,19 +93,19 @@ class TestGradients:
         checked = 0
         path_idx = 0
         while checked < 200:
-            path = simulate_seeded(study_spec, grid_100, 606, 0, path_idx)
+            path = simulate_batch(study_spec, grid_100, 606, 0, 1, path_offset=path_idx)
             path_idx += 1
             theta = float(rng.uniform(-1.5, 1.5))
-            J = path_values(model, theta, path)
+            J = path_values(model, theta, path)[0]
             diffs = np.abs(np.diff(J))
-            g = mstde_grad(model, theta, path)
-            fd = (mstde_loss(path_values(model, theta + h, path))
-                  - mstde_loss(path_values(model, theta - h, path))) / (2 * h)
+            g = mstde_grad(model, theta, path)[0]
+            fd = (mstde_loss(path_values(model, theta + h, path)[0])
+                  - mstde_loss(path_values(model, theta - h, path)[0])) / (2 * h)
             assert abs(g - fd) / (1 + abs(fd)) < 1e-6
             if diffs.min() > 1e-8:  # msbve is smooth only off the kinks
-                g2 = msbve_grad(model, theta, path)
-                fd2 = (msbve_loss(path_values(model, theta + h, path))
-                       - msbve_loss(path_values(model, theta - h, path))) / (2 * h)
+                g2 = msbve_grad(model, theta, path)[0]
+                fd2 = (msbve_loss(path_values(model, theta + h, path)[0])
+                       - msbve_loss(path_values(model, theta - h, path)[0])) / (2 * h)
                 assert abs(g2 - fd2) / (1 + abs(fd2)) < 1e-6
             checked += 1
 

@@ -100,17 +100,17 @@ class TestPathValues:
     def test_constant_path_theta_zero(self):
         path = synthetic_path(np.linspace(0, 1, 101), np.full(101, 0.1))
         values = path_values(LinearValue(), 0.0, path)
-        np.testing.assert_array_equal(values, np.full(101, 0.1))
+        np.testing.assert_array_equal(values, np.full((1, 101), 0.1))
 
     def test_linear_identity_on_grid(self):
         path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(path_values(LinearValue(), 0.0, path),
-                                      [0.0, 1.0, 0.0])
+                                      [[0.0, 1.0, 0.0]])
 
     def test_quadratic_example(self):
         path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(path_values(QuadraticValue(), 1.0, path),
-                                   [0.0, 1.5, 0.0])
+                                   [[0.0, 1.5, 0.0]])
 
 
     def test_error_keeps_type_fields_and_location(self):

@@ -7,8 +7,8 @@ import pytest
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                        build_grid, doubling_jump_spec, path_to_csv,
-                        sample_single_jump_time, simulate_batch, simulate_seeded)
+                        build_grid, path_to_csv, sample_single_jump_time, simulate_batch)
+from conftest import jump_ledger
 
 
 class TestBuildGrid:
@@ -56,21 +56,22 @@ class TestSingleJumpTime:
 
 class TestSimulatePath:
     def test_doubles_at_jump(self, study_spec, grid_1000):
-        path = simulate_seeded(study_spec, grid_1000, 7)
-        assert len(path.jump_events) == 1
-        event = path.jump_events[0]
-        k = int(np.searchsorted(grid_1000.times, event.time))
-        np.testing.assert_array_equal(path.observed[:k], path.continuous_part[:k])
-        np.testing.assert_allclose(path.observed[k:],
-                                   path.continuous_part[k:] + event.pre_state,
+        path = simulate_batch(study_spec, grid_1000, 7, 0, 1)
+        assert path.jump_step.size == 1
+        pre_state = path.jump_pre[0]
+        k = int(np.searchsorted(grid_1000.times, path.jump_time[0]))
+        assert path.jump_step[0] == k
+        np.testing.assert_array_equal(path.observed[0, :k], path.continuous[0, :k])
+        np.testing.assert_allclose(path.observed[0, k:],
+                                   path.continuous[0, k:] + pre_state,
                                    rtol=1e-12)
-        assert path.observed[k] == pytest.approx(2 * event.pre_state, rel=1e-12)
+        assert path.observed[0, k] == pytest.approx(2 * pre_state, rel=1e-12)
 
     def test_degenerate_constant_path(self, grid_100):
         spec = JumpDiffusionSpec(drift=0.0, diffusion=0.0,
                                  jump_size=lambda t, x: x, jump_law=NoJumps(), x0=0.1)
-        path = simulate_seeded(spec, grid_100, 3)
-        np.testing.assert_array_equal(path.observed, np.full(101, 0.1))
+        path = simulate_batch(spec, grid_100, 3, 0, 1)
+        np.testing.assert_array_equal(path.observed[0], np.full(101, 0.1))
 
     def test_terminal_variance_of_brownian(self):
         # Var(W_1) = 1; oracle is the sample variance over seeded paths
@@ -82,11 +83,11 @@ class TestSimulatePath:
         assert abs(var - 1.0) < 0.05
 
     def test_determinism_bit_identical(self, study_spec, grid_100):
-        a = simulate_seeded(study_spec, grid_100, 99, 4, 2)
-        b = simulate_seeded(study_spec, grid_100, 99, 4, 2)
+        a = simulate_batch(study_spec, grid_100, 99, 4, 1, path_offset=2)
+        b = simulate_batch(study_spec, grid_100, 99, 4, 1, path_offset=2)
         np.testing.assert_array_equal(a.observed, b.observed)
-        np.testing.assert_array_equal(a.continuous_part, b.continuous_part)
-        assert a.jump_events == b.jump_events
+        np.testing.assert_array_equal(a.continuous, b.continuous)
+        assert jump_ledger(a) == jump_ledger(b)
 
     def test_overflow_reports_step(self, grid_100):
         for spec in [
@@ -96,7 +97,7 @@ class TestSimulatePath:
                               jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e308),
         ]:
             with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
-                simulate_seeded(spec, grid_100, 0)
+                simulate_batch(spec, grid_100, 0, 0, 1)
             assert err.value.step_index >= 1
 
     def test_callable_coefficients_match_constants(self, grid_100):
@@ -106,8 +107,8 @@ class TestSimulatePath:
         called = JumpDiffusionSpec(drift=lambda t, x: 0.3, diffusion=lambda t, x: 0.7,
                                    jump_size=lambda t, x: x,
                                    jump_law=SingleUniformJump(), x0=0.1)
-        a = simulate_seeded(const, grid_100, 21)
-        b = simulate_seeded(called, grid_100, 21)
+        a = simulate_batch(const, grid_100, 21, 0, 1)
+        b = simulate_batch(called, grid_100, 21, 0, 1)
         np.testing.assert_allclose(a.observed, b.observed, rtol=1e-12)
 
     @pytest.mark.parametrize("drift,sigma", [(0.0, 1.0), (0.3, 0.7), (-2.5, 1e-3)])
@@ -124,13 +125,14 @@ class TestSimulatePath:
             continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
             jump_time = sample_single_jump_time(rng) * grid.horizon
             k = int(np.searchsorted(grid.times, jump_time))
-            path = simulate_seeded(spec, grid, 19, episode, p)
-            np.testing.assert_array_equal(path.continuous_part, continuous)
-            assert path.jump_events == ((jump_time, continuous[k], jump_time - continuous[k]),)
+            path = simulate_batch(spec, grid, 19, episode, 1, path_offset=p)
+            np.testing.assert_array_equal(path.continuous[0], continuous)
+            assert jump_ledger(path) == [
+                (0, k, jump_time, continuous[k], jump_time - continuous[k])]
             assert jump_time != grid.times[k]
             observed = continuous.copy()
             observed[k:] += jump_time - continuous[k]
-            np.testing.assert_array_equal(path.observed, observed)
+            np.testing.assert_array_equal(path.observed[0], observed)
 
 
 class TestPathInvariants:
@@ -145,22 +147,22 @@ class TestPathInvariants:
         assert abs(qv.mean() - sigma ** 2) < 0.05 * sigma ** 2
 
     def test_jump_ledger_reconstructs_observed(self, study_spec, grid_1000):
-        path = simulate_seeded(study_spec, grid_1000, 31)
-        rebuilt = path.continuous_part.copy()
-        for event in path.jump_events:
-            k = int(np.searchsorted(grid_1000.times, event.time))
-            rebuilt[k:] += event.size
-        np.testing.assert_allclose(rebuilt, path.observed, rtol=1e-12, atol=1e-15)
+        path = simulate_batch(study_spec, grid_1000, 31, 0, 1)
+        rebuilt = path.continuous[0].copy()
+        for time, size in zip(path.jump_time, path.jump_size):
+            k = int(np.searchsorted(grid_1000.times, time))
+            rebuilt[k:] += size
+        np.testing.assert_allclose(rebuilt, path.observed[0], rtol=1e-12, atol=1e-15)
 
     def test_single_jump_law_always_one_event(self, study_spec, grid_100):
         for path_idx in range(50):
-            path = simulate_seeded(study_spec, grid_100, 41, 0, path_idx)
-            assert len(path.jump_events) == 1
-            assert 0.0 < path.jump_events[0].time <= 1.0
+            path = simulate_batch(study_spec, grid_100, 41, 0, 1, path_offset=path_idx)
+            assert path.jump_step.size == 1
+            assert 0.0 < path.jump_time[0] <= 1.0
 
     def test_no_jump_at_time_zero(self, study_spec, grid_100):
-        path = simulate_seeded(study_spec, grid_100, 43)
-        assert path.observed[0] == path.continuous_part[0]
+        path = simulate_batch(study_spec, grid_100, 43, 0, 1)
+        assert path.observed[0, 0] == path.continuous[0, 0]
 
 
 class TestPoissonRate:
@@ -169,7 +171,7 @@ class TestPoissonRate:
                                  jump_size=lambda t, x: 1.0,
                                  jump_law=PoissonRate(rate=50.0), x0=0.0)
         with pytest.raises(ConfigurationError):
-            simulate_seeded(spec, grid_100, 0)
+            simulate_batch(spec, grid_100, 0, 0, 1)
 
     def test_mean_jump_count(self):
         rate = 2.0
@@ -186,9 +188,9 @@ class TestBatch:
     def test_rows_match_single_path_api(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 59, 3, 8)
         for p in range(8):
-            single = simulate_seeded(study_spec, grid_100, 59, 3, p)
-            np.testing.assert_array_equal(batch.observed[p], single.observed)
-            np.testing.assert_array_equal(batch.continuous[p], single.continuous_part)
+            single = simulate_batch(study_spec, grid_100, 59, 3, 1, path_offset=p)
+            np.testing.assert_array_equal(batch.observed[p], single.observed[0])
+            np.testing.assert_array_equal(batch.continuous[p], single.continuous[0])
 
     def test_offset_gives_chunk_independence(self, study_spec, grid_100):
         whole = simulate_batch(study_spec, grid_100, 61, 0, 10)
@@ -209,15 +211,23 @@ class TestBatch:
         grid = build_grid(1.0, 200)
         offset = 2**33 + 5
         batch = simulate_batch(spec, grid, 2**40 + 3, 7, 6, path_offset=offset)
-        events = list(zip(batch.jump_path, batch.jump_step, batch.jump_pre, batch.jump_size))
+        events = jump_ledger(batch)
         for p in range(6):
-            single = simulate_seeded(spec, grid, 2**40 + 3, 7, offset + p)
-            np.testing.assert_array_equal(batch.observed[p], single.observed)
-            np.testing.assert_array_equal(batch.continuous[p], single.continuous_part)
-            assert [(k, pre, size) for row, k, pre, size in events if row == p] == [
-                (int(grid.times.searchsorted(e.time)), e.pre_state, e.size)
-                for e in single.jump_events]
+            single = simulate_batch(spec, grid, 2**40 + 3, 7, 1, path_offset=offset + p)
+            np.testing.assert_array_equal(batch.observed[p], single.observed[0])
+            np.testing.assert_array_equal(batch.continuous[p], single.continuous[0])
+            assert [event[1:] for event in events if event[0] == p] == [
+                event[1:] for event in jump_ledger(single)]
+        # each ledger step is its drawn time snapped to the grid
+        np.testing.assert_array_equal(batch.jump_step, grid.times.searchsorted(batch.jump_time))
         assert batch.jump_step.size > 0
+
+    def test_arrays_are_read_only(self, study_spec, grid_100):
+        batch = simulate_batch(study_spec, grid_100, 73, 0, 3)
+        for name in ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
+                     "jump_time", "jump_pre", "jump_size"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(batch, name)[0] = 0
 
     def test_pre_jump_backs_out_landing(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 67, 0, 5)
@@ -227,14 +237,28 @@ class TestBatch:
 
 class TestCsvExport:
     def test_round_trip(self, study_spec, grid_100):
-        path = simulate_seeded(study_spec, grid_100, 71)
+        path = simulate_batch(study_spec, grid_100, 71, 0, 1)
         buf = io.StringIO()
-        path_to_csv(path, buf)
+        path_to_csv(path, 0, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,observed,continuous,jump_flag"
         assert len(lines) == grid_100.n_steps + 2
         data = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
         np.testing.assert_array_equal(data[:, 0], grid_100.times)
-        np.testing.assert_array_equal(data[:, 1], path.observed)
-        np.testing.assert_array_equal(data[:, 2], path.continuous_part)
-        assert data[:, 3].sum() == len(path.jump_events)
+        np.testing.assert_array_equal(data[:, 1], path.observed[0])
+        np.testing.assert_array_equal(data[:, 2], path.continuous[0])
+        assert data[:, 3].sum() == path.jump_step.size
+
+    def test_jump_flag_matches_ledger_steps(self):
+        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
+                                 jump_law=PoissonRate(rate=8.0), x0=1.0)
+        batch = simulate_batch(spec, build_grid(1.0, 200), 79, 2, 6)
+        counts = np.bincount(batch.jump_path, minlength=6)
+        assert counts.max() >= 2
+        for row in range(6):
+            buf = io.StringIO()
+            path_to_csv(batch, row, buf)
+            flags = [int(line.rsplit(",", 1)[1])
+                     for line in buf.getvalue().splitlines()[1:]]
+            np.testing.assert_array_equal(np.flatnonzero(flags),
+                                          batch.jump_step[batch.jump_path == row])
