@@ -233,7 +233,13 @@ def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
     step = _number(cfg, "dt", dt, 0.01)
     if not 0 < step < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {step}")
-    grid = build_grid(horizon, round(horizon / step))
+    n_steps = horizon / step  # inf for a subnormal dt, which build_grid rejects
+    if n_steps < math.inf:
+        n_steps = round(n_steps)
+    if n_steps < 2:
+        raise ConfigurationError(
+            f"dt must leave at least 2 grid steps on the horizon {horizon}, got {step}")
+    grid = build_grid(horizon, n_steps)
     spec = doubling_jump_spec(_number(cfg, "x0", None, 0.1))
     train_config = TrainConfig(
         loss_kind=_merged(cfg, "loss", loss, "msbve"),

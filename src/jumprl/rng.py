@@ -7,11 +7,18 @@ be simulated in any order (or in parallel) and still reproduce bit-identical
 results.
 
 `stream` builds the generator through `np.random.SeedSequence` and is the
-reference. `path_rng` can instead re-point a caller-owned generator: it derives
-the same Philox key with SeedSequence's documented hashing (pool size 4,
-`mix_entropy`, then `generate_state(2, uint64)`) in plain integers, caching
-the pool mixed from (master seed, *key[:-1]) so that each path hashes only its
-last key word.
+reference. The path simulator builds none per path:
+
+- `philox_keys` derives the Philox keys of a run of consecutive paths at once.
+  It follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
+  then `generate_state(2, uint64)`) in wrapping uint64 NumPy arithmetic
+  masked to 32 bits. The hash constants do not depend on the data, so each
+  absorbed key word updates the pools of all rows together; a path index of
+  2^32 or more takes extra masked rounds. The pool mixed from the master seed
+  alone is cached. `philox_key` is the one-row case.
+- `thread_generator` holds one Philox generator per thread, and `path_rng`
+  re-points it to each path's stream (derived key, zero counter, empty
+  buffer); its draws then equal the fresh stream's bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import threading
 
 import numpy as np
 
@@ -30,6 +38,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _ZEROS4 = (0, 0, 0, 0)
+
+
+_POWERS_A = np.array([pow(_MULT_A, j, 1 << 32) for j in range(_POOL_SIZE + 1)],
+                     dtype=np.uint64)
+# the run of hash constants that generate_state hashes the pool with
+_OUTPUT_CONSTS = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32
+                           for j in range(_POOL_SIZE + 1)], dtype=np.uint64)
+_local = threading.local()  # each thread's generator, see thread_generator
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -50,89 +66,126 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    value ^= hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
+def _consts(hash_const, count: int) -> np.ndarray:
+    """hash_const and the `count` constants that hashmix advances it to."""
+    return hash_const * _POWERS_A[:count + 1] & _MASK32
 
 
-def _mix(x: int, y: int) -> int:
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """hashmix of the last axis of values with a run of hash constants:
+    XOR with consts[:-1], multiply by consts[1:]."""
+    hashed = (values ^ consts[:-1]) * consts[1:] & _MASK32
+    return hashed ^ (hashed >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> 16)
 
 
-def _absorb(pool: tuple, hash_const: int, words: list[int]) -> tuple[tuple, int]:
+def _absorb(pool: np.ndarray, hash_const, words: np.ndarray,
+            n_words: np.ndarray | None = None):
     """Mix entropy words past the pool size into every pool word.
 
-    This is `_mix(pool[dst], _hashmix(word, ...))` written out, as it runs
-    once per derived key.
+    pool is (rows, 4) and column w of words holds each row's w-th word; a row
+    with n_words <= w keeps its pool through that round. The hash constants
+    depend only on the word's position, so a round updates all rows at once.
     """
-    pool = list(pool)
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            hashed = word ^ hash_const
-            hash_const = (hash_const * _MULT_A) & _MASK32
-            hashed = (hashed * hash_const) & _MASK32
-            hashed ^= hashed >> 16
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
-            pool[dst] = mixed ^ (mixed >> 16)
-    return tuple(pool), hash_const
+    for w in range(words.shape[1]):
+        consts = _consts(hash_const, _POOL_SIZE)
+        mixed = _mix(pool, _hash(words[:, w, None], consts))
+        pool = mixed if n_words is None else np.where((n_words > w)[:, None], mixed, pool)
+        hash_const = consts[-1]
+    return pool, hash_const
 
 
 @functools.lru_cache(maxsize=64)
-def _mixed_pool(master_seed: int, prefix: tuple) -> tuple[tuple, int]:
-    """Pool and hash constant after mixing the entropy of (master_seed, *prefix).
+def _seed_pool(master_seed: int):
+    """Pool (1, 4) and hash constant after mixing the master seed's entropy.
 
     A non-empty spawn key makes SeedSequence pad the master seed's words to
     the pool size, so the first four words always come from the master seed.
     """
     entropy = _words(master_seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
-    for k in prefix:
-        entropy += _words(k)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
+    consts = _consts(_INIT_A, _POOL_SIZE)
+    pool = _hash(np.array([entropy[:_POOL_SIZE]], dtype=np.uint64), consts)
+    hash_const = consts[-1]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return _absorb(tuple(pool), hash_const, entropy[_POOL_SIZE:])
+                consts = _consts(hash_const, 1)
+                pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], consts)[:, 0])
+                hash_const = consts[-1]
+    pool, hash_const = _absorb(pool, hash_const,
+                               np.array([entropy[_POOL_SIZE:]], dtype=np.uint64))
+    pool.setflags(write=False)
+    return pool, hash_const
+
+
+def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.ndarray:
+    """Philox keys of the streams (master_seed, *prefix, first + i), i < count.
+
+    Returns a (count, 2) uint64 array whose row i is the key that
+    `stream(master_seed, *prefix, first + i)` uses.
+    """
+    pool, hash_const = _seed_pool(operator.index(master_seed))
+    prefix_words = [w for k in prefix for w in _words(int(k))]
+    pool, hash_const = _absorb(pool, hash_const, np.array([prefix_words], dtype=np.uint64))
+    # row i's last key word is first + i; count < 2^32, so the words above its
+    # low word are those of first >> 32, or of one more where the low word carried
+    first = operator.index(first)
+    low = (first & _MASK32) + np.arange(count, dtype=np.uint64)
+    carry = (low >> 32).astype(np.intp)
+    uppers = [_words(h) if h else [] for h in (first >> 32, (first >> 32) + 1)]
+    width = len(uppers[carry[-1]]) if count else 0
+    words = np.zeros((count, 1 + width), dtype=np.uint64)
+    words[:, 0] = low & _MASK32
+    for c, upper in enumerate(uppers):
+        if len(upper) <= width:
+            words[carry == c, 1:1 + len(upper)] = upper
+    n_words = None if len(uppers[0]) == width else 1 + np.array([len(u) for u in uppers])[carry]
+    pool, _ = _absorb(pool, hash_const, words, n_words)
+    out = _hash(pool, _OUTPUT_CONSTS)
+    return out[:, 0::2] | out[:, 1::2] << 32
 
 
 def philox_key(master_seed: int, *key: int) -> tuple[int, int]:
     """The Philox key that `stream(master_seed, *key)` uses; key must be non-empty."""
-    pool, hash_const = _mixed_pool(operator.index(master_seed),
-                                   tuple(int(k) for k in key[:-1]))
-    pool, _ = _absorb(pool, hash_const, _words(int(key[-1])))
-    out = []
-    hash_const = _INIT_B
-    for word in pool:
-        word ^= hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = (word * hash_const) & _MASK32
-        out.append(word ^ (word >> 16))
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
+    low, high = philox_keys(master_seed, key[:-1], int(key[-1]), 1)[0].tolist()
+    return low, high
+
+
+def thread_generator() -> np.random.Generator:
+    """This thread's Philox generator, for `path_rng` to re-point.
+
+    One per thread, so chunks simulated at once on worker threads never
+    re-point a generator another thread is drawing from.
+    """
+    try:
+        return _local.generator
+    except AttributeError:
+        _local.generator = np.random.Generator(np.random.Philox(0))
+        return _local.generator
 
 
 def path_rng(master_seed: int, episode: int, path: int,
-             reuse: np.random.Generator | None = None) -> np.random.Generator:
+             reuse: np.random.Generator | None = None, key=None) -> np.random.Generator:
     """Generator for one simulated path, keyed by (seed, episode, path).
 
     Without `reuse` this is a fresh `stream(master_seed, episode, path)`.
     With a caller-owned Philox generator, that generator is re-pointed to the
     same stream (derived key, zero counter, empty buffer) and returned; its
-    draws then equal the fresh stream's bit for bit.
+    draws then equal the fresh stream's bit for bit. `key` is the stream's
+    Philox key when the caller has derived it already (`philox_keys`).
     """
     if reuse is None:
         return stream(master_seed, episode, path)
+    if key is None:
+        key = philox_key(master_seed, episode, path)
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": philox_key(master_seed, episode, path)},
+        "state": {"counter": _ZEROS4, "key": key},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return reuse

@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, SimulationOverflowError
-from .rng import path_rng
+from .rng import path_rng, philox_keys, thread_generator
 
 Coefficient = Union[float, Callable[[float, float], float]]
 
@@ -45,14 +45,19 @@ class TimeGrid:
 def build_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Build the uniform grid with dt = horizon / n_steps.
 
-    Raises ConfigurationError for horizon <= 0 or n_steps < 2.
+    Raises ConfigurationError for horizon <= 0, n_steps < 2, or a step count
+    too large to allocate.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    if int(n_steps) != n_steps or n_steps < 2:
+    if not (n_steps == math.inf or n_steps >= 2 and int(n_steps) == n_steps):
         raise ConfigurationError(f"n_steps must be an integer >= 2, got {n_steps}")
-    n_steps = int(n_steps)
-    times = np.linspace(0.0, float(horizon), n_steps + 1)
+    try:
+        n_steps = int(n_steps)
+        times = np.linspace(0.0, float(horizon), n_steps + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"n_steps = {n_steps:.6g} is too large to allocate a grid") from exc
     return TimeGrid(horizon=float(horizon), n_steps=n_steps,
                     dt=float(horizon) / n_steps, times=times)
 
@@ -108,26 +113,24 @@ def sample_single_jump_time(rng: np.random.Generator) -> float:
     return u
 
 
-def _jump_schedule(spec: JumpDiffusionSpec, grid: TimeGrid,
-                   rng: np.random.Generator) -> list[tuple[int, float]]:
-    """Jump grid indices and event times for one path.
+def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid):
+    """Function drawing one path's jump times, in ascending order, from its generator.
 
-    Drawn after the path's normal increments so the Brownian part of a path
-    is identical across jump laws for the same stream.
+    It is called after the path's normal increments, so the Brownian part of
+    a path is identical across jump laws for the same stream.
     """
     law = spec.jump_law
     if isinstance(law, NoJumps):
-        return []
+        return lambda rng: ()
     if isinstance(law, SingleUniformJump):
-        u = sample_single_jump_time(rng) * grid.horizon
-        return [(int(grid.times.searchsorted(u)), u)]  # first grid point >= u
+        return lambda rng: (sample_single_jump_time(rng) * grid.horizon,)
     if isinstance(law, PoissonRate):
         p = law.rate * grid.dt
         if p >= 0.1:
             raise ConfigurationError(
                 f"PoissonRate requires rate*dt < 0.1 (one jump per cell); got {p:.4g}")
-        flags = rng.random(grid.n_steps) < p
-        return [(i + 1, grid.times[i + 1]) for i in np.flatnonzero(flags)]
+        cells = grid.times[1:]
+        return lambda rng: cells[rng.random(grid.n_steps) < p].tolist()
     raise ConfigurationError(f"unknown jump law {law!r}")
 
 
@@ -144,7 +147,7 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
     cont = np.empty(n + 1)
     observed[0] = cont[0] = spec.x0
     x = xc = spec.x0
-    events = []  # (step, time, pre-jump state, size)
+    pres, sizes = [], []  # per schedule entry, as the schedule is in time order
     for i in range(n):
         t = grid.times[i]
         s = diff(t, x)
@@ -157,14 +160,15 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
             pre = x
             size = float(spec.jump_size(t_evt, pre))
             x += size
-            events.append((i + 1, t_evt, pre, size))
+            pres.append(pre)
+            sizes.append(size)
         if not math.isfinite(x):
             raise SimulationOverflowError(
                 f"state became non-finite at step {i + 1} (t={grid.times[i + 1]:.6g})",
                 step_index=i + 1)
         observed[i + 1] = x
         cont[i + 1] = xc
-    return observed, cont, events
+    return observed, cont, pres, sizes
 
 
 @dataclass(frozen=True)
@@ -201,18 +205,30 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     """Simulate n_paths paths with per-path streams (master_seed, episode, offset+i).
 
     Each row depends only on its own stream, so results do not depend on
-    batch or chunk boundaries.
+    batch or chunk boundaries. All rows' keys are derived at once, and the
+    calling thread's generator is re-pointed to each row's stream in turn.
     """
     n = grid.n_steps
     z = np.empty((n_paths, n))
-    schedules = []
-    rng = None  # one generator per batch, re-pointed to each row's stream
-    for i in range(n_paths):
-        rng = path_rng(master_seed, episode, path_offset + i, reuse=rng)
+    keys = philox_keys(master_seed, (episode,), path_offset, n_paths).tolist()
+    rng = thread_generator()
+    draw_jumps = _jump_sampler(spec, grid)
+    times, counts = [], []
+    for i, key in enumerate(keys):
+        path_rng(master_seed, episode, path_offset + i, reuse=rng, key=key)
         rng.standard_normal(out=z[i])
-        schedules.append(_jump_schedule(spec, grid, rng))
+        row_times = draw_jumps(rng)
+        times.extend(row_times)
+        counts.append(len(row_times))
+    # the ledger, row by row: each row's jumps in time order
+    counts = np.array(counts, dtype=int)
+    jump_path = np.repeat(np.arange(n_paths), counts)
+    jump_time = np.array(times, dtype=float)
+    jump_step = grid.times.searchsorted(jump_time)  # first grid point >= each time
+    jump_pre = np.empty(jump_time.size)
+    jump_size = np.empty(jump_time.size)
+    starts = np.cumsum(counts) - counts
 
-    ledger = []  # (row, step, time, pre-jump state, size)
     if spec.has_constant_coefficients:
         # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
         z *= float(spec.diffusion) * math.sqrt(grid.dt)
@@ -222,12 +238,23 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         np.cumsum(z, axis=1, out=cont[:, 1:])
         cont[:, 1:] += spec.x0
         observed = cont.copy()
-        for i, schedule in enumerate(schedules):
-            for k, t_evt in schedule:
-                pre = float(observed[i, k])
-                size = float(spec.jump_size(t_evt, pre))
-                observed[i, k:] += size
-                ledger.append((i, k, t_evt, pre, size))
+        # round r applies the r-th jump of every row that has one, adding to
+        # the row's columns from its jump step on and writing no other element,
+        # so each element gets the additions of a per-jump loop in its order
+        rank = np.arange(jump_time.size) - np.repeat(starts, counts)
+        cols = np.arange(n + 1)
+        for r in range(counts.max(initial=0)):
+            sel = np.flatnonzero(rank == r)
+            rows, steps = jump_path[sel], jump_step[sel]
+            pre = observed[rows, steps]
+            jump_pre[sel] = pre
+            jump_size[sel] = [float(spec.jump_size(t, x))
+                              for t, x in zip(jump_time[sel].tolist(), pre.tolist())]
+            first = np.full(n_paths, n + 1)
+            first[rows] = steps
+            size = np.zeros(n_paths)
+            size[rows] = jump_size[sel]
+            np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
         if not np.isfinite(observed).all():
             bad = np.argwhere(~np.isfinite(observed))[0]
             raise SimulationOverflowError(
@@ -236,21 +263,17 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     else:
         observed = np.empty((n_paths, n + 1))
         cont = np.empty((n_paths, n + 1))
-        for i, schedule in enumerate(schedules):
-            observed[i], cont[i], events = _simulate_looped(spec, grid, z[i], schedule)
-            ledger.extend((i, *event) for event in events)
+        for i, (lo, hi) in enumerate(zip(starts.tolist(), (starts + counts).tolist())):
+            schedule = list(zip(jump_step[lo:hi].tolist(), jump_time[lo:hi].tolist()))
+            observed[i], cont[i], jump_pre[lo:hi], jump_size[lo:hi] = _simulate_looped(
+                spec, grid, z[i], schedule)
 
-    rows, steps, times, pres, sizes = zip(*ledger) if ledger else ((),) * 5
-    jump_path = np.asarray(rows, dtype=int)
-    jump_step = np.asarray(steps, dtype=int)
-    jump_size = np.asarray(sizes, dtype=float)
     pre_jump = observed.copy()
     # back out sizes at landing points only; earlier jumps stay folded in
     np.subtract.at(pre_jump, (jump_path, jump_step), jump_size)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
-                     jump_path=jump_path, jump_step=jump_step,
-                     jump_time=np.asarray(times, dtype=float),
-                     jump_pre=np.asarray(pres, dtype=float), jump_size=jump_size)
+                     jump_path=jump_path, jump_step=jump_step, jump_time=jump_time,
+                     jump_pre=jump_pre, jump_size=jump_size)
 
 
 def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:

@@ -60,6 +60,16 @@ class TestSimulate:
         assert "seed" in result.output.lower()
 
 
+# --dt values and the message each exits 2 with; 1e-300 asks for 1e300 grid
+# steps, which numpy refuses before allocating anything
+BAD_DT = {
+    "0": "dt must be positive and finite, got 0.0",
+    "nan": "dt must be positive and finite, got nan",
+    "0.7": "dt must leave at least 2 grid steps on the horizon 1.0, got 0.7",
+    "1e-300": "n_steps = 1e+300 is too large to allocate a grid",
+}
+
+
 class TestTrain:
     def test_zero_alpha_keeps_theta0(self, runner, tmp_path):
         result = runner.invoke(main, ["train", "--family", "linear", "--loss", "msbve",
@@ -117,12 +127,13 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert "paper-linear" in result.output
 
-    @pytest.mark.parametrize("dt", ["0", "nan"])
+    @pytest.mark.parametrize("dt", list(BAD_DT))
     def test_bad_dt_exits_2(self, runner, tmp_path, dt):
         result = runner.invoke(main, ["train", "--episodes", "1", "--dt", dt,
                                       "--seed", "1", "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
-        assert f"dt must be positive and finite, got {float(dt)}" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert BAD_DT[dt] in result.output
 
     @pytest.mark.parametrize("line", ["seed = 1.7", "seed = -3", "seed = abc", "seed = true"])
     def test_malformed_config_seed_exits_2(self, runner, tmp_path, line):
@@ -232,6 +243,14 @@ class TestCompare:
         # small-sample scan still lands in the right neighborhood
         assert doc["families"]["linear"]["oracle_scan"] == pytest.approx(-1.5, abs=0.15)
 
+
+    @pytest.mark.parametrize("dt", list(BAD_DT))
+    def test_bad_dt_exits_2(self, runner, tmp_path, dt):
+        result = runner.invoke(main, ["compare", "--families", "linear", "--episodes", "1",
+                                      "--dt", dt, "--seed", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert BAD_DT[dt] in result.output
 
     def test_zero_scan_paths_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--families", "linear",

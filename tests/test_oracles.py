@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from jumprl.oracles import (QuadraticObjective, _decay_moment, argmin_quadratic,
                             mc_limit_objective, mc_objective_grid,
                             mc_objective_samples, mc_oracle_objective,
                             reference_minimizers)
-from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec
+from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
+                        simulate_batch)
 from conftest import exponential_quadratic_by_gauss_legendre
 
 
@@ -210,6 +213,24 @@ class TestThreadDeterminism:
         sequential = run()
         monkeypatch.setenv("JUMPRL_THREADS", "2")
         np.testing.assert_array_equal(run(), sequential)
+
+
+    def test_concurrent_batches_match_sequential(self, study_spec, grid_100):
+        # each thread re-points its own generator, so two threads simulating
+        # at once, switching often, give the sequential arrays
+        args = [(study_spec, grid_100, 97, episode, 16) for episode in range(40)]
+        sequential = [simulate_batch(*a) for a in args]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(lambda a: simulate_batch(*a), args, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(sequential, concurrent):
+            for name in ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
+                         "jump_time", "jump_pre", "jump_size"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestExponentialScanAgreement:

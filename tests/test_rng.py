@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumprl.errors import ConfigurationError
-from jumprl.rng import path_rng, philox_key, stream, thread_cap
+from jumprl.rng import (path_rng, philox_key, philox_keys, stream, thread_cap,
+                        thread_generator)
 
 WORDS = st.integers(min_value=0, max_value=2**70)
 SEEDS = st.integers(min_value=0, max_value=2**200)
+# first path indices whose batches straddle 2^32 or 2^64 and need extra key words
+FIRSTS = st.one_of(WORDS, st.integers(2**32 - 12, 2**32), st.integers(2**64 - 12, 2**64))
 
 
 def reference_generator(master_seed, *key):
@@ -53,6 +56,30 @@ class TestPhiloxKey:
         want = [tuple(int(w) for w in np.random.SeedSequence(m, spawn_key=(e, p))
                       .generate_state(2, np.uint64)) for m, e, p in keys]
         assert got == want
+
+
+class TestPhiloxKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(master=st.one_of(SEEDS, st.integers(2**64, 2**130)), episode=WORDS,
+           first=FIRSTS, count=st.integers(0, 12))
+    @example(master=2**64 + 1, episode=3, first=2**32 - 5, count=10)
+    @example(master=2**200 - 1, episode=2**33, first=2**64 - 4, count=8)
+    @example(master=0, episode=0, first=0, count=1)
+    @example(master=5, episode=1, first=7, count=0)
+    def test_every_row_equals_seed_sequence_state(self, master, episode, first, count):
+        keys = philox_keys(master, (episode,), first, count)
+        assert keys.shape == (count, 2) and keys.dtype == np.uint64
+        want = [np.random.SeedSequence(master, spawn_key=(episode, first + i))
+                .generate_state(2, np.uint64).tolist() for i in range(count)]
+        assert keys.tolist() == want
+
+
+class TestThreadGenerator:
+    def test_one_generator_per_thread(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(thread_generator).result(timeout=60)
+        assert thread_generator() is thread_generator()
+        assert other is not thread_generator()
 
 
 class TestPathRng:

@@ -36,6 +36,14 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(horizon, n)
 
+    @pytest.mark.parametrize("n, shown", [(10**300, "1e+300"), (math.inf, "inf")],
+                             ids=["1e300", "inf"])
+    def test_unallocatable_step_count_names_n_steps(self, n, shown):
+        # both sizes are refused before anything is allocated
+        with pytest.raises(ConfigurationError) as info:
+            build_grid(1.0, n)
+        assert f"n_steps = {shown} is too large to allocate a grid" in str(info.value)
+
 
 class TestSingleJumpTime:
     def test_in_open_interval(self, rng):
@@ -221,6 +229,43 @@ class TestBatch:
         # each ledger step is its drawn time snapped to the grid
         np.testing.assert_array_equal(batch.jump_step, grid.times.searchsorted(batch.jump_time))
         assert batch.jump_step.size > 0
+
+    def test_poisson_rows_match_sequential_reference(self):
+        # reference: each row's normals, then its Bernoulli jump flags, from
+        # stream(seed, e, p); jumps applied one at a time as observed[k:] += size
+        grid = build_grid(1.0, 200)
+        rate, drift, sigma = 8.0, 0.1, 1.3
+        spec = JumpDiffusionSpec(drift=drift, diffusion=sigma,
+                                 jump_size=lambda t, x: t - 0.5 * x,
+                                 jump_law=PoissonRate(rate=rate), x0=1.0)
+        seed, episode, offset, n_paths = 83, 4, 2**32 - 3, 6
+        batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
+        ledger = []
+        for i in range(n_paths):
+            rng = stream(seed, episode, offset + i)
+            z = rng.standard_normal(grid.n_steps)
+            flags = rng.random(grid.n_steps) < rate * grid.dt
+            increments = drift * grid.dt + sigma * math.sqrt(grid.dt) * z
+            continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
+            observed = continuous.copy()
+            for k in np.flatnonzero(flags) + 1:
+                t, pre = grid.times[k], observed[k]
+                observed[k:] += t - 0.5 * pre
+                ledger.append((i, k, t, pre, t - 0.5 * pre))
+            np.testing.assert_array_equal(batch.continuous[i], continuous)
+            np.testing.assert_array_equal(batch.observed[i], observed)
+        assert jump_ledger(batch) == ledger
+        assert (np.bincount(batch.jump_path, minlength=n_paths) >= 2).sum() >= 2
+
+    def test_negative_zero_start_keeps_its_sign(self):
+        # a jump writes only the columns from its step on, so x0 = -0.0 stays
+        # -0.0 in column 0; adding a masked-out +0.0 there would make it +0.0
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: 1.0,
+                                 jump_law=SingleUniformJump(), x0=-0.0)
+        batch = simulate_batch(spec, build_grid(1.0, 50), 89, 0, 8)
+        assert batch.jump_step.size == 8
+        for array in (batch.observed, batch.continuous, batch.pre_jump):
+            assert np.signbit(array[:, 0]).all()
 
     def test_arrays_are_read_only(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 73, 0, 3)
