@@ -18,6 +18,7 @@ same sum at the latent continuous states instead gives the oracle objective.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -26,10 +27,11 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvexError
 from .rng import thread_cap
-from .sde import JumpDiffusionSpec, TimeGrid, simulate_batch
+from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, simulate_batch
 
 FAMILIES = ("linear", "quadratic", "exponential")
 METHODS = ("mstde", "msbve", "oracle")
+_local = threading.local()  # each thread's path workspace, see _thread_workspace
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,13 @@ def reference_minimizers() -> MinimizerTable:
 
 
 def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
-                      spec: JumpDiffusionSpec) -> np.ndarray:
-    """Per-path objective values for each theta; shape (len(thetas), paths)."""
+                      spec: JumpDiffusionSpec, scratch: np.ndarray) -> np.ndarray:
+    """Per-path objective values for each theta; shape (len(thetas), paths).
+
+    scratch is a writable (paths, n) array that the squared gradient terms are
+    formed in; it is never an array the model returned, since a model may
+    return its input.
+    """
     grid = batch.grid
     states = batch.pre_jump if state == "pre_jump" else batch.continuous
     left = states[:, :-1]
@@ -159,8 +166,9 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
     out = np.empty((len(thetas), states.shape[0]))
     for j, theta in enumerate(thetas):
         gx = np.asarray(model.dvalue_dx(theta, t_left, left), dtype=float)
-        prod = gx * sigma
-        vals = np.sum(prod * prod, axis=1) * grid.dt
+        np.multiply(gx, sigma, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        vals = np.sum(scratch, axis=1) * grid.dt
         if include_jump_term and batch.jump_step.size:
             post = np.asarray(model.value(theta, t_jump, batch.jump_pre + batch.jump_size),
                               dtype=float)
@@ -168,6 +176,15 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
             np.add.at(vals, batch.jump_path, (post - pre) ** 2)
         out[j] = vals
     return out
+
+
+def _thread_workspace() -> PathWorkspace:
+    """This thread's path workspace; a pool worker's dies with its thread."""
+    try:
+        return _local.workspace
+    except AttributeError:
+        _local.workspace = PathWorkspace()
+        return _local.workspace
 
 
 def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths: int,
@@ -184,8 +201,12 @@ def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths:
 
     def run(lo: int) -> np.ndarray:
         hi = min(lo + chunk, n_paths)
-        batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo)
-        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term, spec))
+        workspace = _thread_workspace()
+        batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo,
+                               workspace=workspace)
+        # the normals are dead once the batch is built
+        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term, spec,
+                                        workspace.z[:hi - lo]))
 
     starts = range(0, n_paths, chunk)
     workers = thread_cap()

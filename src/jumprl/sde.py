@@ -135,7 +135,9 @@ def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid):
 
 
 def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
-                     schedule: list[tuple[int, float]]):
+                     schedule: list[tuple[int, float]], observed: np.ndarray,
+                     cont: np.ndarray):
+    """Fill one row's observed and continuous states; return its jumps' (pres, sizes)."""
     jumps_at = {}
     for k, t_evt in schedule:
         jumps_at.setdefault(k, []).append(t_evt)
@@ -143,8 +145,6 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
     diff = spec.diffusion if callable(spec.diffusion) else (lambda t, x: spec.diffusion)
     n = grid.n_steps
     sq = math.sqrt(grid.dt)
-    observed = np.empty(n + 1)
-    cont = np.empty(n + 1)
     observed[0] = cont[0] = spec.x0
     x = xc = spec.x0
     pres, sizes = [], []  # per schedule entry, as the schedule is in time order
@@ -168,7 +168,47 @@ def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
                 step_index=i + 1)
         observed[i + 1] = x
         cont[i + 1] = xc
-    return observed, cont, pres, sizes
+    return pres, sizes
+
+
+class PathWorkspace:
+    """Arrays that `simulate_batch` reuses from batch to batch.
+
+    It holds the normals scratch z (rows, n) and the continuous, observed and
+    pre-jump states (rows, n+1). A batch of at most `rows` paths on n steps
+    uses their leading rows; another step count or more paths reallocates
+    them. A batch simulated into a workspace is overwritten by the next one,
+    and a workspace must not be shared between threads.
+    """
+
+    def __init__(self):
+        self.z = self.continuous = self.observed = self.pre_jump = None
+
+
+def _batch_arrays(n_paths: int, n_steps: int, workspace: PathWorkspace | None):
+    """(z, continuous, observed, pre_jump) of one batch, uninitialised.
+
+    Fresh arrays without a workspace; views of the workspace's leading rows
+    with one. Raises ConfigurationError if the batch cannot be allocated.
+    """
+    ws = workspace
+    if (ws is None or ws.z is None or ws.z.shape[1] != n_steps
+            or not 0 <= n_paths <= len(ws.z)):
+        if ws is not None:
+            ws.z = ws.continuous = ws.observed = ws.pre_jump = None  # free before reallocating
+        try:
+            state_shape = (n_paths, n_steps + 1)
+            arrays = (np.empty((n_paths, n_steps)), np.empty(state_shape),
+                      np.empty(state_shape), np.empty(state_shape))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
+                                     f"n_steps = {n_steps}: {exc}") from exc
+        if ws is None:
+            return arrays
+        ws.z, ws.continuous, ws.observed, ws.pre_jump = arrays
+    # views, so that PathBatch marks them read-only and the workspace's own
+    # arrays stay writable
+    return ws.z[:n_paths], ws.continuous[:n_paths], ws.observed[:n_paths], ws.pre_jump[:n_paths]
 
 
 @dataclass(frozen=True)
@@ -201,15 +241,21 @@ class PathBatch:
 
 
 def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
-                   episode: int, n_paths: int, path_offset: int = 0) -> PathBatch:
+                   episode: int, n_paths: int, path_offset: int = 0, *,
+                   workspace: PathWorkspace | None = None) -> PathBatch:
     """Simulate n_paths paths with per-path streams (master_seed, episode, offset+i).
 
     Each row depends only on its own stream, so results do not depend on
     batch or chunk boundaries. All rows' keys are derived at once, and the
     calling thread's generator is re-pointed to each row's stream in turn.
+    Without a workspace the batch owns fresh arrays. With one, its state
+    arrays are read-only views of the workspace's, valid until the next
+    batch simulated into that workspace; the values are the same either way.
+    Raises ConfigurationError, before any path is drawn, if the batch cannot
+    be allocated.
     """
     n = grid.n_steps
-    z = np.empty((n_paths, n))
+    z, cont, observed, pre_jump = _batch_arrays(n_paths, n, workspace)
     keys = philox_keys(master_seed, (episode,), path_offset, n_paths).tolist()
     rng = thread_generator()
     draw_jumps = _jump_sampler(spec, grid)
@@ -233,11 +279,10 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
         z *= float(spec.diffusion) * math.sqrt(grid.dt)
         z += float(spec.drift) * grid.dt
-        cont = np.empty((n_paths, n + 1))
         cont[:, 0] = spec.x0
         np.cumsum(z, axis=1, out=cont[:, 1:])
         cont[:, 1:] += spec.x0
-        observed = cont.copy()
+        observed[...] = cont
         # round r applies the r-th jump of every row that has one, adding to
         # the row's columns from its jump step on and writing no other element,
         # so each element gets the additions of a per-jump loop in its order
@@ -261,14 +306,12 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                 f"path {path_offset + bad[0]} became non-finite at step {bad[1]}",
                 step_index=int(bad[1]))
     else:
-        observed = np.empty((n_paths, n + 1))
-        cont = np.empty((n_paths, n + 1))
         for i, (lo, hi) in enumerate(zip(starts.tolist(), (starts + counts).tolist())):
             schedule = list(zip(jump_step[lo:hi].tolist(), jump_time[lo:hi].tolist()))
-            observed[i], cont[i], jump_pre[lo:hi], jump_size[lo:hi] = _simulate_looped(
-                spec, grid, z[i], schedule)
+            jump_pre[lo:hi], jump_size[lo:hi] = _simulate_looped(
+                spec, grid, z[i], schedule, observed[i], cont[i])
 
-    pre_jump = observed.copy()
+    pre_jump[...] = observed
     # back out sizes at landing points only; earlier jumps stay folded in
     np.subtract.at(pre_jump, (jump_path, jump_step), jump_size)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,

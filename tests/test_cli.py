@@ -135,6 +135,16 @@ class TestTrain:
         assert isinstance(result.exception, SystemExit)
         assert BAD_DT[dt] in result.output
 
+    def test_unallocatable_paths_exit_2(self, runner, tmp_path):
+        # numpy refuses 2^60 rows without allocating anything
+        result = runner.invoke(main, ["train", "--family", "linear", "--loss", "msbve",
+                                      "--episodes", "1", "--paths", str(2**60),
+                                      "--dt", "0.01", "--seed", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert ("cannot allocate a batch of n_paths = 1152921504606846976 x "
+                "n_steps = 100: ") in result.output
+
     @pytest.mark.parametrize("line", ["seed = 1.7", "seed = -3", "seed = abc", "seed = true"])
     def test_malformed_config_seed_exits_2(self, runner, tmp_path, line):
         cfg = tmp_path / "run.cfg"

@@ -7,10 +7,10 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from jumprl.errors import ConfigurationError, NonConvexError
-from jumprl.models import ExponentialValue, LinearValue, QuadraticValue
-from jumprl.oracles import (QuadraticObjective, _decay_moment, argmin_quadratic,
-                            closed_form_objective, golden_section_min, mc_argmin,
-                            mc_limit_objective, mc_objective_grid,
+from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
+from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace,
+                            argmin_quadratic, closed_form_objective, golden_section_min,
+                            mc_argmin, mc_limit_objective, mc_objective_grid,
                             mc_objective_samples, mc_oracle_objective,
                             reference_minimizers)
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
@@ -191,6 +191,45 @@ class TestMcObjectives:
         np.testing.assert_array_equal(small, big)
 
 
+class TestWorkspaceReuse:
+    """The chunk pass simulates into this thread's workspace; results stay fresh."""
+
+    def test_results_share_no_memory(self, study_spec, grid_100):
+        results = [
+            mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40, seed=3,
+                                 include_jump_term=True, chunk=16),
+            mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40, seed=3,
+                                 include_jump_term=True, chunk=16),
+            mc_objective_grid(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3,
+                              chunk=16),
+            mc_objective_grid(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3,
+                              chunk=16),
+        ]
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[2], results[3])
+        workspace = _thread_workspace()
+        held = [workspace.z, workspace.continuous, workspace.observed, workspace.pre_jump]
+        for i, result in enumerate(results):
+            assert not any(np.shares_memory(result, other) for other in results[i + 1:])
+            assert not any(np.shares_memory(result, array) for array in held)
+
+    @pytest.mark.parametrize("state", ["pre_jump", "continuous"])
+    def test_model_returning_its_input(self, study_spec, grid_100, state):
+        # dvalue_dx returns the states array itself; the pass must form the
+        # squared terms elsewhere, leave the batch as simulated and give
+        # sum((dJ/dx sigma)^2) dt over left endpoints
+        identity = CustomValue(value_fn=lambda theta, t, x: x, dx_fn=lambda theta, t, x: x)
+        got = mc_objective_samples(identity, 0.0, study_spec, grid_100, 12, seed=21,
+                                   state=state, chunk=5)
+        batches = [simulate_batch(study_spec, grid_100, 21, 0, hi - lo, path_offset=lo)
+                   for lo, hi in ((0, 5), (5, 10), (10, 12))]
+        left = np.vstack([getattr(b, state) for b in batches])[:, :-1]
+        prod = left * 1.0  # sigma = 1
+        np.testing.assert_array_equal(got, np.sum(prod * prod, axis=1) * grid_100.dt)
+        last = _thread_workspace()
+        np.testing.assert_array_equal(getattr(last, state)[:2], getattr(batches[-1], state))
+
+
 class TestThreadDeterminism:
     """Results do not depend on JUMPRL_THREADS when chunks run in parallel."""
 
@@ -214,6 +253,24 @@ class TestThreadDeterminism:
         monkeypatch.setenv("JUMPRL_THREADS", "2")
         np.testing.assert_array_equal(run(), sequential)
 
+
+    def test_workers_keep_their_own_workspaces(self, monkeypatch, study_spec, grid_100):
+        # more workers than cores, switching often: a workspace shared between
+        # threads would let one chunk's batch overwrite another's
+        def run():
+            return mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 480,
+                                        seed=17, include_jump_term=True, chunk=8)
+
+        monkeypatch.delenv("JUMPRL_THREADS", raising=False)
+        sequential = run()
+        monkeypatch.setenv("JUMPRL_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            concurrent = run()
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(concurrent, sequential)
 
     def test_concurrent_batches_match_sequential(self, study_spec, grid_100):
         # each thread re-points its own generator, so two threads simulating

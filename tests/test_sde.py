@@ -6,8 +6,9 @@ import pytest
 
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
-from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                        build_grid, path_to_csv, sample_single_jump_time, simulate_batch)
+from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
+                        SingleUniformJump, build_grid, path_to_csv, sample_single_jump_time,
+                        simulate_batch)
 from conftest import jump_ledger
 
 
@@ -192,6 +193,19 @@ class TestPoissonRate:
         assert abs(mean_count - rate) < 0.1
 
 
+BATCH_ARRAYS = ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
+                "jump_time", "jump_pre", "jump_size")
+# constant coefficients, callable coefficients (the looped branch), several jumps per row
+BATCH_SPECS = [
+    JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
+                      jump_law=SingleUniformJump(), x0=0.2),
+    JumpDiffusionSpec(drift=lambda t, x: -x, diffusion=lambda t, x: 0.5 + t,
+                      jump_size=lambda t, x: 0.25, jump_law=SingleUniformJump(), x0=0.5),
+    JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
+                      jump_law=PoissonRate(rate=8.0), x0=1.0),
+]
+
+
 class TestBatch:
     def test_rows_match_single_path_api(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 59, 3, 8)
@@ -207,14 +221,7 @@ class TestBatch:
         np.testing.assert_array_equal(whole.observed,
                                       np.vstack([left.observed, right.observed]))
 
-    @pytest.mark.parametrize("spec", [
-        JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
-                          jump_law=SingleUniformJump(), x0=0.2),
-        JumpDiffusionSpec(drift=lambda t, x: -x, diffusion=lambda t, x: 0.5 + t,
-                          jump_size=lambda t, x: 0.25, jump_law=SingleUniformJump(), x0=0.5),
-        JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
-                          jump_law=PoissonRate(rate=8.0), x0=1.0),
-    ], ids=["constant", "callable", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
     def test_rows_match_seeded_paths_at_offset(self, spec):
         grid = build_grid(1.0, 200)
         offset = 2**33 + 5
@@ -269,8 +276,7 @@ class TestBatch:
 
     def test_arrays_are_read_only(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 73, 0, 3)
-        for name in ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
-                     "jump_time", "jump_pre", "jump_size"):
+        for name in BATCH_ARRAYS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(batch, name)[0] = 0
 
@@ -278,6 +284,60 @@ class TestBatch:
         batch = simulate_batch(study_spec, grid_100, 67, 0, 5)
         for path, step, pre in zip(batch.jump_path, batch.jump_step, batch.jump_pre):
             assert batch.pre_jump[path, step] == pytest.approx(pre, rel=1e-12)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
+    def test_batch_equals_fresh_batch_and_is_read_only(self, spec):
+        grid, workspace = build_grid(1.0, 200), PathWorkspace()
+        # a larger batch first, so the second uses the leading rows of dirty arrays
+        simulate_batch(spec, grid, 3, 1, 9, workspace=workspace)
+        got = simulate_batch(spec, grid, 2**40 + 3, 7, 6, path_offset=2**33, workspace=workspace)
+        want = simulate_batch(spec, grid, 2**40 + 3, 7, 6, path_offset=2**33)
+        for name in BATCH_ARRAYS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(got, name)[0] = 0
+        for name in ("z", "continuous", "observed", "pre_jump"):
+            assert getattr(workspace, name).flags.writeable
+
+    def test_fresh_batches_share_no_memory(self, study_spec, grid_100):
+        first = simulate_batch(study_spec, grid_100, 5, 0, 4)
+        second = simulate_batch(study_spec, grid_100, 5, 0, 4)
+        for a in BATCH_ARRAYS:
+            for b in BATCH_ARRAYS:
+                assert not np.shares_memory(getattr(first, a), getattr(second, b))
+
+    def test_buffers_reused_for_same_shape_and_replaced_on_shape_change(self, study_spec):
+        workspace = PathWorkspace()
+
+        def buffers():
+            return [getattr(workspace, name)
+                    for name in ("z", "continuous", "observed", "pre_jump")]
+
+        simulate_batch(study_spec, build_grid(1.0, 100), 1, 0, 8, workspace=workspace)
+        held = buffers()
+        assert [b.shape for b in held] == [(8, 100)] + [(8, 101)] * 3
+        batch = simulate_batch(study_spec, build_grid(1.0, 100), 2, 0, 8, workspace=workspace)
+        assert all(now is before for now, before in zip(buffers(), held))
+        assert np.shares_memory(batch.observed, workspace.observed)
+        # fewer paths use the leading rows
+        simulate_batch(study_spec, build_grid(1.0, 100), 3, 0, 5, workspace=workspace)
+        assert all(now is before for now, before in zip(buffers(), held))
+        for n_paths, n_steps in ((9, 100), (9, 50)):
+            simulate_batch(study_spec, build_grid(1.0, n_steps), 4, 0, n_paths,
+                           workspace=workspace)
+            assert not any(np.shares_memory(now, before)
+                           for now in buffers() for before in held)
+            assert buffers()[0].shape == (n_paths, n_steps)
+            held = buffers()
+
+    def test_unallocatable_batch_names_n_paths_and_n_steps(self, study_spec, grid_100):
+        # numpy refuses 2^60 rows without allocating anything
+        for workspace in (None, PathWorkspace()):
+            with pytest.raises(ConfigurationError, match=r"cannot allocate a batch of "
+                               r"n_paths = 1152921504606846976 x n_steps = 100: "):
+                simulate_batch(study_spec, grid_100, 1, 0, 2**60, workspace=workspace)
 
 
 class TestCsvExport:
