@@ -47,10 +47,11 @@ def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:
     """Per-row loss for a (paths, n+1) matrix of fitted values."""
     d = np.diff(values, axis=1)
     if kind == "mstde":
-        return np.sum(d * d, axis=1)
+        d *= d
+        return np.sum(d, axis=1)
     if kind == "msbve":
-        a = np.abs(d)
-        return np.sum(a[:, 1:] * a[:, :-1], axis=1)
+        np.abs(d, out=d)
+        return np.sum(d[:, 1:] * d[:, :-1], axis=1)
     raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
@@ -59,12 +60,17 @@ def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarr
     d = np.diff(values, axis=1)
     g = np.diff(dvalues, axis=1)
     if kind == "mstde":
-        return 2.0 * np.sum(d * g, axis=1)
+        d *= g
+        return 2.0 * np.sum(d, axis=1)
     if kind == "msbve":
+        # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
+        # sign-symmetric rounding the two orders give the same bits
         s = np.sign(d)
-        a = np.abs(d)
-        return np.sum(g[:, 1:] * a[:, :-1] * s[:, 1:] + g[:, :-1] * a[:, 1:] * s[:, :-1],
-                      axis=1)
+        g *= s
+        np.abs(d, out=d)
+        term = g[:, 1:] * d[:, :-1]
+        term += np.multiply(g[:, :-1], d[:, 1:], out=s[:, :-1])
+        return np.sum(term, axis=1)
     raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 

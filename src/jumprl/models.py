@@ -9,6 +9,10 @@ Each family exposes a scalar parameter theta and three vectorized evaluations:
 The three study families (linear, quadratic, exponential) anchor the terminal
 value at t = 1 independently of theta. The mean-variance family is singular at
 theta = 0 and rejects parameters below a configurable magnitude floor.
+
+The built-in evaluations never write into their arguments and return a fresh
+array (a numpy scalar for scalar inputs). Those formed in place keep the
+plain formula's order of operations, so they give its bits.
 """
 
 from __future__ import annotations
@@ -20,6 +24,27 @@ import numpy as np
 
 from .errors import SingularParameterError
 from .sde import PathBatch
+
+
+def _scalar_if_0d(out: np.ndarray):
+    """A 0-d result as a numpy scalar, the type plain arithmetic gives."""
+    return out if out.ndim else out[()]
+
+
+def _reusable(fresh, other):
+    """fresh itself when it is an array already of the shape and dtype of its
+    product with other, so a ufunc can write that product there; else None."""
+    if (isinstance(fresh, np.ndarray)
+            and np.broadcast_shapes(fresh.shape, np.shape(other)) == fresh.shape
+            and np.result_type(fresh, other) == fresh.dtype):
+        return fresh
+    return None
+
+
+def _offset(x, w, t_shaped) -> np.ndarray:
+    """x - w in a fresh float array of the broadcast shape of x and t_shaped."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(t_shaped)))
+    return np.subtract(x, w, out=out)
 
 
 @dataclass(frozen=True)
@@ -35,7 +60,9 @@ class LinearValue:
         return (1.0 - t) * x
 
     def dvalue_dx(self, theta, t, x):
-        return (theta * (1.0 - t) + 1.0) * np.ones_like(np.asarray(x, dtype=float))
+        coef = theta * (1.0 - t) + 1.0
+        return _scalar_if_0d(np.full(np.broadcast_shapes(np.shape(coef), np.shape(x)),
+                                     coef, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -51,7 +78,9 @@ class QuadraticValue:
         return (1.0 - t) * x * x
 
     def dvalue_dx(self, theta, t, x):
-        return 2.0 * theta * (1.0 - t) * x + 1.0
+        out = 2.0 * theta * (1.0 - t) * x
+        out += 1.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -67,7 +96,11 @@ class ExponentialValue:
         return (1.0 - t) * np.exp(x)
 
     def dvalue_dx(self, theta, t, x):
-        return theta * (1.0 - t) * np.exp(x) + 1.0
+        coef = theta * (1.0 - t)
+        ex = np.exp(x)
+        out = np.multiply(coef, ex, out=_reusable(ex, coef))
+        out += 1.0
+        return out
 
 
 def target_anchor(theta: float, z: float, x0: float, horizon: float,
@@ -109,16 +142,29 @@ class MeanVarianceValue:
     def value(self, theta, t, x):
         w = self.anchor(theta)
         decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - self.horizon))
-        return (x - w) ** 2 * decay - (w - self.z) ** 2
+        out = _offset(x, w, decay)
+        np.square(out, out=out)
+        out *= decay
+        out -= (w - self.z) ** 2
+        return _scalar_if_0d(out)
 
     def dvalue_dtheta(self, theta, t, x):
         w = self.anchor(theta)
         dw = _anchor_slope(theta, self.z, self.x0, self.horizon)
         t = np.asarray(t, dtype=float)
         decay = np.exp(theta * theta * (t - self.horizon))
-        return (-2.0 * (x - w) * dw * decay
-                + (x - w) ** 2 * decay * 2.0 * theta * (t - self.horizon)
-                - 2.0 * (w - self.z) * dw)
+        out = _offset(x, w, decay)
+        curv = np.square(out)  # (x - w)^2 decay 2 theta (t - T)
+        curv *= decay
+        curv *= 2.0
+        curv *= theta
+        curv *= t - self.horizon
+        out *= -2.0            # -2 (x - w) dw decay
+        out *= dw
+        out *= decay
+        out += curv
+        out -= 2.0 * (w - self.z) * dw
+        return _scalar_if_0d(out)
 
     def dvalue_dx(self, theta, t, x):
         w = self.anchor(theta)

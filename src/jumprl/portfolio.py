@@ -206,20 +206,22 @@ def _excess_returns(day_matrix: np.ndarray, r_f_daily: float, dt: float) -> np.n
 
 def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
                    z: float, x0: float, horizon: float,
-                   start_wealth: float | None = None) -> np.ndarray:
+                   start_wealth: float | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Wealth paths (days, m+1) from replaying each day's excess returns.
 
     The policy's bar step W_{i+1} = W_i - k (W_i - w) e_i, k = theta/sigma_hat,
     is affine in W, so W_i - w = (W_0 - w) prod_{j<i} (1 - k e_j): one
     cumulative product per row. start_wealth overrides W_0; the policy anchor
-    w always uses the configured x0.
+    w always uses the configured x0. Every entry is written into out, a
+    (days, m+1) float buffer, when one is given, and a fresh array otherwise.
     """
     if not sigma_hat > 0:
         raise ConfigurationError(f"sigma_hat must be > 0, got {sigma_hat}")
     w = target_anchor(theta, z, x0, horizon)
     k = theta / sigma_hat
     start = x0 if start_wealth is None else start_wealth
-    wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
+    wealth = np.empty((excess.shape[0], excess.shape[1] + 1)) if out is None else out
     wealth[:, 0] = start
     growth = wealth[:, 1:]
     np.multiply(excess, -k, out=growth)
@@ -329,12 +331,16 @@ LOSS_RATE_SCALE = {"mstde": 1.0, "msbve": 2.0 / math.pi}
 def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: str,
                config: BacktestConfig, model: MeanVarianceValue,
                times: np.ndarray, dt: float) -> float:
-    """Gradient steps of the chosen loss on wealth paths replayed under theta."""
+    """Gradient steps of the chosen loss on wealth paths replayed under theta.
+
+    Every step replays the window into the same wealth buffer.
+    """
     lr = config.learning.learning_rate / LOSS_RATE_SCALE[loss_kind]
     excess = _excess_returns(matrix, config.risk_free_daily, dt)
+    wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
     for step in range(config.learning.episodes):
-        wealth = _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
-                                config.initial_wealth, config.horizon)
+        _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
+                       config.initial_wealth, config.horizon, out=wealth)
         J = np.asarray(model.value(theta, times, wealth), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, wealth), dtype=float)
         grad = float(np.mean(grads_by_row(loss_kind, J, dJ)))

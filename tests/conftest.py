@@ -16,6 +16,18 @@ def synthetic_path(times, observed) -> PathBatch:
                      jump_time=values, jump_pre=values, jump_size=values)
 
 
+def assert_same_bits(got, ref):
+    """got and ref have the same type, shape, values, NaN positions and signs
+    (signed zeros included). A NaN's sign bit is not compared: IEEE leaves it
+    to whichever operand the hardware propagates."""
+    assert type(got) is type(ref)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref, equal_nan=True)
+    real = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(ref[real]))
+
+
 def jump_ledger(batch) -> list:
     """The batch's jumps as (row, step, time, pre-jump state, size) tuples."""
     return list(zip(batch.jump_path.tolist(), batch.jump_step.tolist(),

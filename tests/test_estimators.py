@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumprl.errors import ConfigurationError, DivergenceError, InsufficientDataError
-from jumprl.estimators import (TrainConfig, jump_robustness_ratio, msbve_grad,
+from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
+                               jump_robustness_ratio, losses_by_row, msbve_grad,
                                msbve_loss, mstde_grad, mstde_loss, train)
 from jumprl.models import (ExponentialValue, LinearValue, QuadraticValue,
                            path_values)
 from jumprl.rng import stream
 from jumprl.sde import simulate_batch
-from conftest import synthetic_path
+from conftest import assert_same_bits, synthetic_path
 
 value_lists = st.lists(st.floats(min_value=-100, max_value=100,
                                  allow_nan=False, allow_infinity=False),
@@ -108,6 +109,71 @@ class TestGradients:
                        - msbve_loss(path_values(model, theta - h, path)[0])) / (2 * h)
                 assert abs(g2 - fd2) / (1 + abs(fd2)) < 1e-6
             checked += 1
+
+
+def _losses_expression(kind, values):
+    d = np.diff(values, axis=1)
+    if kind == "mstde":
+        return np.sum(d * d, axis=1)
+    a = np.abs(d)
+    return np.sum(a[:, 1:] * a[:, :-1], axis=1)
+
+
+def _grads_expression(kind, values, dvalues):
+    d = np.diff(values, axis=1)
+    g = np.diff(dvalues, axis=1)
+    if kind == "mstde":
+        return 2.0 * np.sum(d * g, axis=1)
+    s = np.sign(d)
+    a = np.abs(d)
+    return np.sum(g[:, 1:] * a[:, :-1] * s[:, 1:] + g[:, :-1] * a[:, 1:] * s[:, :-1],
+                  axis=1)
+
+
+def kernel_matrices(rng):
+    """(values, dvalues) of every tested shape: random entries with +-inf,
+    NaN and signed zeros, and about a third of the value differences exactly
+    zero, where msbve's sgn(0) = 0 applies."""
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+    for rows, cols in ((7, 12), (1, 12), (5, 2), (5, 3), (1, 3)):
+        for spiked in (False, True):
+            values = rng.uniform(-3.0, 3.0, (rows, cols))
+            dvalues = rng.uniform(-3.0, 3.0, (rows, cols))
+            if spiked:
+                for arr in (values, dvalues):
+                    picks = rng.random((rows, cols)) < 0.2
+                    arr[picks] = rng.choice(special, int(picks.sum()))
+            repeat = np.flatnonzero(rng.random(cols - 1) < 0.35) + 1
+            values[:, repeat] = values[:, repeat - 1]
+            yield values, dvalues
+            yield values, -dvalues
+
+
+class TestInPlaceKernelBits:
+    """losses_by_row and grads_by_row give the bits of the expressions they
+    replaced, and never write into their inputs."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_match_expression(self, kind):
+        rng = np.random.default_rng(21)
+        for values, dvalues in kernel_matrices(rng):
+            assert_same_bits(losses_by_row(kind, values), _losses_expression(kind, values))
+            assert_same_bits(grads_by_row(kind, values, dvalues),
+                             _grads_expression(kind, values, dvalues))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_read_only_inputs_unchanged(self, kind):
+        rng = np.random.default_rng(22)
+        for values, dvalues in kernel_matrices(rng):
+            before = values.copy(), dvalues.copy()
+            values.setflags(write=False)
+            dvalues.setflags(write=False)
+            losses_by_row(kind, values)
+            grads_by_row(kind, values, dvalues)
+            assert_same_bits(values, before[0])
+            assert_same_bits(dvalues, before[1])
 
 
 class TestTrainConfigValidation:

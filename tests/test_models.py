@@ -5,10 +5,10 @@ import pytest
 
 from jumprl.errors import SimulationOverflowError, SingularParameterError
 from jumprl.models import (CustomValue, ExponentialValue, LinearValue,
-                           MeanVarianceValue, QuadraticValue, family_by_name,
-                           path_values, target_anchor)
+                           MeanVarianceValue, QuadraticValue, _anchor_slope,
+                           family_by_name, path_values, target_anchor)
 from jumprl.rng import stream
-from conftest import synthetic_path
+from conftest import assert_same_bits, synthetic_path
 
 FAMILIES = [LinearValue(), QuadraticValue(), ExponentialValue(),
             MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]
@@ -145,3 +145,110 @@ class TestCustomAndRegistry:
             family_by_name("cubic")
         with pytest.raises(ValueError):
             family_by_name("mean_variance")
+
+
+def _mean_variance_value(model, theta, t, x):
+    w = model.anchor(theta)
+    decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - model.horizon))
+    return (x - w) ** 2 * decay - (w - model.z) ** 2
+
+
+def _mean_variance_dtheta(model, theta, t, x):
+    w = model.anchor(theta)
+    dw = _anchor_slope(theta, model.z, model.x0, model.horizon)
+    t = np.asarray(t, dtype=float)
+    decay = np.exp(theta * theta * (t - model.horizon))
+    return (-2.0 * (x - w) * dw * decay
+            + (x - w) ** 2 * decay * 2.0 * theta * (t - model.horizon)
+            - 2.0 * (w - model.z) * dw)
+
+
+# The one-expression forms the in-place kernels replaced, kept here as the
+# bit-for-bit reference: (family, method) -> reference(model, theta, t, x).
+EXPRESSIONS = {
+    ("linear", "dvalue_dx"): lambda m, theta, t, x:
+        (theta * (1.0 - t) + 1.0) * np.ones_like(np.asarray(x, dtype=float)),
+    ("quadratic", "dvalue_dx"): lambda m, theta, t, x: 2.0 * theta * (1.0 - t) * x + 1.0,
+    ("exponential", "dvalue_dx"): lambda m, theta, t, x:
+        theta * (1.0 - t) * np.exp(x) + 1.0,
+    ("mean_variance", "value"): _mean_variance_value,
+    ("mean_variance", "dvalue_dtheta"): _mean_variance_dtheta,
+}
+KERNELS = [(model, method) for model in FAMILIES
+           for method in ("value", "dvalue_dtheta", "dvalue_dx")
+           if (model.name, method) in EXPRESSIONS]
+
+
+def kernel_thetas(model):
+    thetas = (-2.5, -0.7, 0.3, 1.9)
+    return thetas if model.name == "mean_variance" else thetas + (0.0,)
+
+
+def path_inputs(model, theta, rng):
+    """(t, x): paths of every tested shape with +-inf, NaN, signed zeros, and
+    entries at the mean-variance anchor, where x - w is exactly zero."""
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+    if model.name == "mean_variance":
+        special.append(float(model.anchor(theta)))
+    for rows, cols in ((6, 9), (1, 9), (4, 2), (4, 3), (1, 2)):
+        t = np.linspace(0.0, 1.0, cols)[None, :]
+        x = rng.uniform(-3.0, 3.0, (rows, cols))
+        picks = rng.random((rows, cols)) < 0.35
+        x[picks] = rng.choice(special, int(picks.sum()))
+        yield t, x
+
+
+class TestInPlaceKernelBits:
+    """The rewritten kernels give the bits of the expressions they replaced."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model,method", KERNELS,
+                             ids=lambda k: getattr(k, "name", k))
+    def test_paths_match_expression(self, model, method):
+        rng = np.random.default_rng(11)
+        reference = EXPRESSIONS[model.name, method]
+        for theta in kernel_thetas(model):
+            for t, x in path_inputs(model, theta, rng):
+                assert_same_bits(getattr(model, method)(theta, t, x),
+                                 reference(model, theta, t, x))
+                # a column of states against a row of times broadcasts both
+                # ways; float32 states keep the old expression's dtype
+                for other in (x[:, :1], x.astype(np.float32)):
+                    assert_same_bits(getattr(model, method)(theta, t, other),
+                                     reference(model, theta, t, other))
+
+    @pytest.mark.parametrize("model,method", KERNELS,
+                             ids=lambda k: getattr(k, "name", k))
+    def test_scalar_x(self, model, method):
+        """A scalar x against a row of times, and a scalar x at a scalar time.
+
+        numpy squares a scalar with `**` through libm pow, which misrounds by
+        one ulp on about 1 in 1,250 inputs; the mean-variance kernels square in
+        np.square for every shape. So their scalar-x results are held to the
+        expression on x broadcast to an array, where `**` is np.square."""
+        rng = np.random.default_rng(12)
+        reference = EXPRESSIONS[model.name, method]
+        for theta in kernel_thetas(model):
+            for x in (*rng.uniform(-3.0, 3.0, 20), 0.0, -0.0):
+                x = float(x)
+                for t in (np.linspace(0.0, 1.0, 7)[None, :], 0.25, 1.0):
+                    got = getattr(model, method)(theta, t, x)
+                    if model.name != "mean_variance":
+                        assert_same_bits(got, reference(model, theta, t, x))
+                        continue
+                    as_array = np.full(np.shape(t) or (1,), x)
+                    ref = reference(model, theta, t, as_array)
+                    assert_same_bits(got, ref if np.ndim(t) else ref[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model,method", KERNELS,
+                             ids=lambda k: getattr(k, "name", k))
+    def test_read_only_x_unchanged(self, model, method):
+        rng = np.random.default_rng(13)
+        for theta in kernel_thetas(model):
+            for t, x in path_inputs(model, theta, rng):
+                before = x.copy()
+                x.setflags(write=False)
+                got = getattr(model, method)(theta, t, x)
+                assert_same_bits(x, before)
+                assert got.flags.writeable and not np.shares_memory(got, x)

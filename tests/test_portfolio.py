@@ -266,6 +266,19 @@ class TestWealthMatrix:
         with pytest.raises(DivergenceError, match="non-finite"):
             simulate_wealth(-10.0, 1e-9, prices[0], 1.01, 1.0)
 
+    def test_out_buffer_gets_the_fresh_result(self):
+        rng = stream(43)
+        for trial in range(20):
+            days, bars = int(rng.integers(1, 30)), int(rng.integers(1, 80))
+            excess = _excess_returns(random_window(rng, days, bars), 1e-4, 1.0 / bars)
+            theta = float(rng.uniform(0.01, 10.0)) * (1 if trial % 2 else -1)
+            start = 1.02 if trial % 3 == 0 else None
+            fresh = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, 1.0, start)
+            buf = np.full((days, bars + 1), np.nan)
+            got = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, 1.0, start, out=buf)
+            assert got is buf
+            np.testing.assert_array_equal(buf, fresh)
+
 
 class TestDailyBipower:
     @pytest.mark.parametrize("log_scale", [False, True])
@@ -314,6 +327,19 @@ class TestFitTheta:
                     negative += theta < 0
                     flipped += (theta < 0) != (theta0 < 0)
         assert negative and flipped
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_window_raises_with_last_theta(self):
+        window = random_window(stream(47), 5, 79)
+        model = MeanVarianceValue(z=1.01, x0=1.0, horizon=1.0)
+        config = BacktestConfig(learning=TrainConfig("msbve", 1e-3, 20, 1, 7.5,
+                                                     master_seed=0),
+                                train_days=5)
+        with pytest.raises(DivergenceError, match="non-finite") as info:
+            _fit_theta(7.5, window, 1e-9, "msbve", config, model,
+                       np.linspace(0.0, 1.0, 80)[None, :], 1.0 / 79)
+        assert info.value.last_theta == 7.5
+        assert info.value.episode == 0
 
 
 class TestSharpe:
@@ -448,6 +474,21 @@ class TestRollingBacktest:
         b = rolling_backtest(series, config, "mstde")
         assert a.daily_return == b.daily_return
         assert a.theta_per_day == b.theta_per_day
+
+    def test_successive_calls_identical(self):
+        series = synthetic_gbm_jump_series(14, bars_per_day=12, seed=8,
+                                           jump_prob_per_day=0.4)
+        other = synthetic_gbm_jump_series(9, bars_per_day=5, seed=9)
+        for mode in ("raw", "thresholded"):
+            config = BacktestConfig(learning=learning(steps=20), train_days=9,
+                                    steps_per_day=12, threshold_mode=mode)
+            for loss in ("mstde", "msbve"):
+                first = rolling_backtest(series, config, loss)
+                rolling_backtest(other, BacktestConfig(learning=learning(), train_days=6,
+                                                       steps_per_day=5), loss)
+                second = rolling_backtest(series, config, loss)
+                assert first.to_json_dict() == second.to_json_dict()
+                assert first.per_day_csv() == second.per_day_csv()
 
     def test_result_shapes_and_csv(self):
         series = synthetic_gbm_jump_series(12, bars_per_day=10, seed=7)
