@@ -43,34 +43,59 @@ def msbve_loss(values) -> float:
     return float(losses_by_row("msbve", v[None, :])[0])
 
 
+def _shifted(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a[:, j + 1], b[:, j]) for every column j of two C-contiguous
+    (rows, cols) arrays, as one flat pass over their raveled rows into a
+    fresh array of the same shape.
+
+    Column cols - 1 pairs a row's first entry with the previous row's last
+    (and holds 0 in the last row), so only the first cols - 1 columns of a
+    difference, and the first cols - 2 of a product of differences, belong
+    to one row; the kernels sum no others. Every pass thus runs over
+    contiguous memory, and the row sums see one layout whatever the layout
+    of the kernels' inputs.
+    """
+    out = np.empty_like(a)
+    flat = out.reshape(-1)
+    op(a.reshape(-1)[1:], b.reshape(-1)[:-1], out=flat[:-1])
+    flat[-1:] = 0.0
+    return out
+
+
 def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:
     """Per-row loss for a (paths, n+1) matrix of fitted values."""
-    d = np.diff(values, axis=1)
+    v = np.ascontiguousarray(values)
+    d = _shifted(np.subtract, v, v)
+    cols = d.shape[1]
     if kind == "mstde":
         d *= d
-        return np.sum(d, axis=1)
+        return np.sum(d[:, :cols - 1], axis=1)
     if kind == "msbve":
         np.abs(d, out=d)
-        return np.sum(d[:, 1:] * d[:, :-1], axis=1)
+        return np.sum(_shifted(np.multiply, d, d)[:, :cols - 2], axis=1)
     raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     """Per-row theta-gradient for matrices of values and their theta-derivatives."""
-    d = np.diff(values, axis=1)
-    g = np.diff(dvalues, axis=1)
+    v, dv = np.ascontiguousarray(values), np.ascontiguousarray(dvalues)
+    d = _shifted(np.subtract, v, v)
+    g = _shifted(np.subtract, dv, dv)
+    cols = d.shape[1]
     if kind == "mstde":
         d *= g
-        return 2.0 * np.sum(d, axis=1)
+        return 2.0 * np.sum(d[:, :cols - 1], axis=1)
     if kind == "msbve":
         # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
         # sign-symmetric rounding the two orders give the same bits
         s = np.sign(d)
         g *= s
         np.abs(d, out=d)
-        term = g[:, 1:] * d[:, :-1]
-        term += np.multiply(g[:, :-1], d[:, 1:], out=s[:, :-1])
-        return np.sum(term, axis=1)
+        term = _shifted(np.multiply, g, d)
+        # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
+        np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
+        term += s
+        return np.sum(term[:, :cols - 2], axis=1)
     raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
@@ -107,8 +132,14 @@ class TrainConfig:
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigurationError(
                 f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if not (self.learning_rate > 0):
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not math.isfinite(self.theta0):
+            raise ConfigurationError(f"theta0 must be finite, got {self.theta0}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
+            raise ConfigurationError(
+                f"grad_clip must be positive and finite, got {self.grad_clip}")
         if self.episodes < 1:
             raise ConfigurationError(f"episodes must be >= 1, got {self.episodes}")
         if self.paths_per_episode < 1:

@@ -215,6 +215,10 @@ def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
     cumulative product per row. start_wealth overrides W_0; the policy anchor
     w always uses the configured x0. Every entry is written into out, a
     (days, m+1) float buffer, when one is given, and a fresh array otherwise.
+
+    Column 0 holds the growth factor 1 (an excess return of 0), so every pass
+    after the multiply by -k runs over whole contiguous rows; 1 * x == x
+    keeps the products' bits, and column 0 gets W_0 last.
     """
     if not sigma_hat > 0:
         raise ConfigurationError(f"sigma_hat must be > 0, got {sigma_hat}")
@@ -222,13 +226,13 @@ def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
     k = theta / sigma_hat
     start = x0 if start_wealth is None else start_wealth
     wealth = np.empty((excess.shape[0], excess.shape[1] + 1)) if out is None else out
+    wealth[:, 0] = 0.0
+    np.multiply(excess, -k, out=wealth[:, 1:])
+    wealth += 1.0
+    np.cumprod(wealth, axis=1, out=wealth)
+    wealth *= start - w
+    wealth += w
     wealth[:, 0] = start
-    growth = wealth[:, 1:]
-    np.multiply(excess, -k, out=growth)
-    growth += 1.0
-    np.cumprod(growth, axis=1, out=growth)
-    growth *= start - w
-    growth += w
     if not np.isfinite(wealth).all():
         raise DivergenceError("wealth path became non-finite", episode=0, last_theta=theta)
     return wealth
@@ -262,6 +266,11 @@ class BacktestConfig:
     annualization: float = 252.0
 
     def __post_init__(self):
+        for name in ("target_wealth", "initial_wealth", "risk_free_daily"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.train_days < 2:
             raise ConfigurationError(f"train_days must be >= 2, got {self.train_days}")
         if self.steps_per_day < 1:
@@ -371,6 +380,10 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
             f"need at least train_days + 1 = {config.train_days + 1} complete days, "
             f"got {len(partition)}")
     matrix = _day_matrix([series.prices[sl] for _, sl in partition])
+    if matrix.shape[1] < 3:
+        raise IngestionError(
+            f"each day needs at least 3 prices (2 bars) for the bipower variance; "
+            f"the days have {matrix.shape[1]} at bars per day = {series.bars_per_day}")
     m = matrix.shape[1] - 1
     dt = config.horizon / m
     times = np.linspace(0.0, config.horizon, m + 1)[None, :]

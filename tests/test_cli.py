@@ -361,6 +361,46 @@ class TestBacktest:
         assert "loss_kind must be one of ('mstde', 'msbve'), got 'foo'" in result.output
 
 
+    @pytest.mark.parametrize("bars", [1, 2])
+    def test_one_bar_days_exit_2(self, runner, tmp_path, bars):
+        # two prices a day leave one increment, and the bipower variance needs two
+        data = tmp_path / "one_bar.csv"
+        write_price_csv(synthetic_gbm_jump_series(8, bars_per_day=1, seed=3), data)
+        result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                      str(bars), "--train-days", "5", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (f"each day needs at least 3 prices (2 bars) for the bipower variance; "
+                f"the days have 2 at bars per day = {bars}") in result.output
+
+
+# numbers that parse as floats but are not finite, by flag or config line, and
+# the message each exits 2 with
+NON_FINITE = [
+    (["train", "--theta0", "inf"], "", "theta0 must be finite, got inf"),
+    (["train", "--theta0", "nan"], "", "theta0 must be finite, got nan"),
+    (["train", "--alpha", "inf"], "", "learning_rate must be positive and finite, got inf"),
+    (["train"], "alpha = NaN", "learning_rate must be positive and finite, got nan"),
+    (["backtest", "--z", "nan"], "", "target_wealth must be finite, got nan"),
+    (["backtest", "--rf", "inf"], "", "risk_free_daily must be finite, got inf"),
+    (["backtest"], "x0 = -Infinity", "initial_wealth must be finite, got -inf"),
+    (["backtest", "--theta0", "-inf"], "", "theta0 must be finite, got -inf"),
+    (["backtest", "--alpha", "inf"], "", "learning_rate must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("args, cfg_line, message", NON_FINITE)
+def test_non_finite_number_exits_2(runner, tmp_path, fixture_csv, args, cfg_line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{cfg_line}\n")
+    rest = (["--episodes", "1", "--dt", "0.1", "--seed", "1"] if args[0] == "train" else
+            ["--data", str(fixture_csv), "--bars-per-day", "10", "--train-days", "8"])
+    result = runner.invoke(main, [*args, "--config", str(cfg), *rest, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 def output_digest(directory) -> str:
     """sha256 over the names and bytes of every file a command wrote."""
     digest = hashlib.sha256()

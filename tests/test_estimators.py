@@ -130,12 +130,18 @@ def _grads_expression(kind, values, dvalues):
                   axis=1)
 
 
+# rows longer than numpy's 128-entry pairwise-summation block, the benchmark's
+# backtest (126 x 80) and desk (32 x 101) shapes, and no rows at all
+KERNEL_SHAPES = ((7, 12), (1, 12), (5, 2), (5, 3), (1, 3), (3, 129), (2, 1001),
+                 (4, 200), (126, 80), (32, 101), (0, 5))
+
+
 def kernel_matrices(rng):
     """(values, dvalues) of every tested shape: random entries with +-inf,
     NaN and signed zeros, and about a third of the value differences exactly
     zero, where msbve's sgn(0) = 0 applies."""
     special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
-    for rows, cols in ((7, 12), (1, 12), (5, 2), (5, 3), (1, 3)):
+    for rows, cols in KERNEL_SHAPES:
         for spiked in (False, True):
             values = rng.uniform(-3.0, 3.0, (rows, cols))
             dvalues = rng.uniform(-3.0, 3.0, (rows, cols))
@@ -147,6 +153,17 @@ def kernel_matrices(rng):
             values[:, repeat] = values[:, repeat - 1]
             yield values, dvalues
             yield values, -dvalues
+
+
+def layouts(a):
+    """a's entries as a Fortran-ordered copy, a column slice of a wider
+    matrix and every other column of one."""
+    rows, cols = a.shape
+    wide = np.full((rows, 2 * cols + 1), 7.0)
+    wide[:, 1:cols + 1] = a
+    stepped = np.full((rows, 2 * cols), 7.0)
+    stepped[:, ::2] = a
+    return [np.asfortranarray(a), wide[:, 1:cols + 1], stepped[:, ::2]]
 
 
 class TestInPlaceKernelBits:
@@ -161,6 +178,19 @@ class TestInPlaceKernelBits:
             assert_same_bits(losses_by_row(kind, values), _losses_expression(kind, values))
             assert_same_bits(grads_by_row(kind, values, dvalues),
                              _grads_expression(kind, values, dvalues))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_layout_independent(self, kind):
+        # the reference is the expression on the C-ordered input: np.sum over
+        # a Fortran-ordered difference matrix adds each row in another order
+        rng = np.random.default_rng(23)
+        for values, dvalues in kernel_matrices(rng):
+            losses = _losses_expression(kind, values)
+            grads = _grads_expression(kind, values, dvalues)
+            for v, dv in zip(layouts(values), layouts(dvalues)):
+                assert_same_bits(losses_by_row(kind, v), losses)
+                assert_same_bits(grads_by_row(kind, v, dv), grads)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -188,6 +218,16 @@ class TestTrainConfigValidation:
     def test_rejects_zero_episodes(self):
         with pytest.raises(ConfigurationError):
             TrainConfig("mstde", 0.1, 0, 4, 0.5, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.inf), ("learning_rate", np.nan), ("theta0", np.inf),
+        ("theta0", -np.inf), ("theta0", np.nan), ("grad_clip", np.inf),
+        ("grad_clip", np.nan), ("grad_clip", 0.0)])
+    def test_rejects_non_finite_or_nonpositive_field(self, field, value):
+        fields = dict(loss_kind="mstde", learning_rate=0.1, episodes=10,
+                      paths_per_episode=4, theta0=0.5, master_seed=0, grad_clip=1.0)
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            TrainConfig(**{**fields, field: value})
 
 
 class TestTrain:

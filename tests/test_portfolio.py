@@ -18,6 +18,7 @@ from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, PriceSeries,
                               threshold_series, write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
+from conftest import assert_same_bits
 
 
 def tiny_series(prices, bars_per_day=None, start=0):
@@ -65,6 +66,24 @@ def wealth_exact(theta, sigma_hat, excess, z, x0, horizon):
             wealth -= k * (wealth - w) * Fraction(float(e))
             out[r, i + 1] = float(wealth)
     return out
+
+
+def wealth_strided(theta, sigma_hat, excess, z, x0, horizon, start_wealth=None):
+    """`_wealth_matrix`'s closed form with the growth factors and their
+    cumulative product formed in the strided view of columns 1..m: the
+    bit-for-bit reference for the whole-row form."""
+    w = target_anchor(theta, z, x0, horizon)
+    k = theta / sigma_hat
+    start = x0 if start_wealth is None else start_wealth
+    wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
+    wealth[:, 0] = start
+    growth = wealth[:, 1:]
+    np.multiply(excess, -k, out=growth)
+    growth += 1.0
+    np.cumprod(growth, axis=1, out=growth)
+    growth *= start - w
+    growth += w
+    return wealth
 
 
 def assert_within_row_scale(got, ref, rtol):
@@ -278,6 +297,26 @@ class TestWealthMatrix:
             got = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, 1.0, start, out=buf)
             assert got is buf
             np.testing.assert_array_equal(buf, fresh)
+
+
+    @pytest.mark.parametrize("bars", [79, 1])
+    def test_whole_row_passes_match_strided_form(self, bars):
+        rng = stream(53)
+        for trial in range(24):
+            days = int(rng.integers(1, 130))
+            excess = _excess_returns(random_window(rng, days, bars),
+                                     float(rng.uniform(-1e-3, 1e-3)), 1.0 / bars)
+            theta = float(rng.uniform(0.01, 10.0)) * (1 if trial % 2 else -1)
+            sigma_hat = float(rng.uniform(0.005, 0.05))
+            z = float(rng.uniform(1.001, 1.1))
+            start = float(rng.uniform(0.9, 1.1)) if trial % 3 == 0 else None
+            ref = wealth_strided(theta, sigma_hat, excess, z, 1.0, 1.0, start)
+            assert_same_bits(_wealth_matrix(theta, sigma_hat, excess, z, 1.0, 1.0, start), ref)
+            dirty = rng.uniform(-1e300, 1e300, (days, bars + 1))
+            dirty[:, ::3] = np.nan
+            got = _wealth_matrix(theta, sigma_hat, excess, z, 1.0, 1.0, start, out=dirty)
+            assert got is dirty
+            assert_same_bits(dirty, ref)
 
 
 class TestDailyBipower:
@@ -533,3 +572,11 @@ class TestRollingBacktest:
             BacktestConfig(learning=learning(), target_wealth=1.0, initial_wealth=1.0)
         with pytest.raises(ConfigurationError):
             BacktestConfig(learning=learning(), threshold_mode="clipped")
+
+    @pytest.mark.parametrize("field, value", [
+        ("target_wealth", np.nan), ("target_wealth", np.inf), ("initial_wealth", -np.inf),
+        ("risk_free_daily", np.inf), ("risk_free_daily", np.nan), ("horizon", np.inf),
+        ("horizon", np.nan), ("horizon", 0.0)])
+    def test_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            BacktestConfig(learning=learning(), **{field: value})
