@@ -13,8 +13,7 @@ from .estimators import (TrainConfig, TrainResult, jump_robustness_ratio,
 from .models import (CustomValue, ExponentialValue, LinearValue, MeanVarianceValue,
                      QuadraticValue, family_by_name, path_values)
 from .oracles import (MinimizerTable, QuadraticObjective, argmin_quadratic,
-                      closed_form_objective, mc_argmin,
-                      mc_limit_objective, mc_oracle_objective, reference_minimizers)
+                      closed_form_objective, mc_argmin, reference_minimizers)
 from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sigma2,
                         build_price_series, jump_threshold, read_price_csv,
                         rolling_backtest, sharpe, simulate_wealth,

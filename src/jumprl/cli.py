@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner.
 
-Subcommands: simulate, train, compare, backtest. Options can come from a
-`key = value` config file (see README) with command-line flags taking
-precedence. Exit codes: 0 success, 2 configuration, ingestion or
-singular-parameter error, 3 numerical divergence.
+Subcommands: simulate, train, compare, backtest. `KEYS` lists the keys each
+one reads, with their kind and default; a key comes from its flag, else a
+`key = value` config file (see README), else the named preset, else the
+default. A value that does not fit its kind, or a config key that no
+subcommand reads, is a configuration error. Exit codes: 0 success, 2
+configuration, ingestion or singular-parameter error, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -25,19 +27,47 @@ from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                   build_grid, doubling_jump_spec, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
-SIM_PRESETS = {
-    "paper-sim": dict(x0=0.1, horizon=1.0, n_steps=1000, drift=0.0, sigma=1.0,
-                      law="single_uniform"),
+HORIZON = 1.0  # of every training run and oracle scan
+
+_TRAINING = {  # keys train and compare share
+    "seed": ("seed", None), "out": ("str", "out"), "x0": ("float", 0.1),
+    "dt": ("float", 0.01), "alpha": ("float", 0.0005), "episodes": ("int", 20000),
+    "paths": ("int", 32), "theta0": ("float", 0.5), "record_every": ("int", 100),
 }
 
-TRAIN_PRESETS = {
-    "paper-linear": dict(family="linear", dt=0.001, alpha=0.0005, episodes=100000,
-                         paths=32, theta0=0.5),
-    "paper-quadratic": dict(family="quadratic", dt=0.001, alpha=0.0005, episodes=100000,
-                            paths=32, theta0=0.5),
-    "paper-exponential": dict(family="exponential", dt=0.001, alpha=0.0005,
-                              episodes=100000, paths=32, theta0=0.5),
+# subcommand: {key: (kind, default)}; kinds are int, float, str and seed
+KEYS = {
+    "simulate": {
+        "seed": ("seed", None), "out": ("str", "out"), "preset": ("str", None),
+        "paths": ("int", 1), "x0": ("float", 0.1), "horizon": ("float", 1.0),
+        "n_steps": ("int", 1000), "drift": ("float", 0.0), "sigma": ("float", 1.0),
+        "law": ("str", "single_uniform"), "poisson_rate": ("float", 1.0),
+    },
+    "train": {
+        **_TRAINING, "preset": ("str", None), "family": ("str", "linear"),
+        "loss": ("str", "msbve"), "z": ("float", 1.01), "wealth_x0": ("float", 1.0),
+    },
+    "compare": {
+        **_TRAINING, "families": ("str", "linear,quadratic,exponential"),
+        "scan_paths": ("int", 20000), "scan_steps": ("int", 1000),
+    },
+    "backtest": {
+        "seed": ("seed", 0), "out": ("str", "out"), "data": ("str", None),
+        "mode": ("str", "raw"), "loss": ("str", "both"), "train_days": ("int", 126),
+        "bars_per_day": ("int", 79), "z": ("float", 1.01), "x0": ("float", 1.0),
+        "rf": ("float", 0.0), "alpha": ("float", 50.0), "steps_per_update": ("int", 20),
+        "theta0": ("float", 1.0),
+    },
 }
+
+SIM_PRESETS = {"paper-sim": {}}  # the simulate defaults are the paper's process
+
+_PAPER_TRAINING = dict(dt=0.001, alpha=0.0005, episodes=100000, paths=32, theta0=0.5)
+TRAIN_PRESETS = {f"paper-{family}": dict(_PAPER_TRAINING, family=family)
+                 for family in ("linear", "quadratic", "exponential")}
+
+_NOUNS = {"int": "an integer", "float": "a number", "str": "a string",
+          "seed": "a non-negative integer"}
 
 
 def load_config_file(path) -> dict:
@@ -63,51 +93,59 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _merged(cfg: dict, key: str, flag_value, default):
-    """Flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _typed(key: str, kind: str, value):
+    """value as kind; ConfigurationError naming the key and the value unless it
+    fits. Number kinds refuse bools; int and seed take integral floats; float
+    also parses strings such as `inf`."""
+    if kind == "str":
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, bool):
+        pass
+    elif kind == "float":
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    else:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, int) and (kind == "int" or value >= 0):
+            return value
+    raise ConfigurationError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
 
 
-def _number(cfg: dict, key: str, flag_value, default, kind=float):
-    """_merged value converted by kind (float or int); ConfigurationError
-    naming the key and the value when it does not convert."""
-    value = _merged(cfg, key, flag_value, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{key} must be {noun}, got {value!r}") from exc
+def _resolve(command: str, flags: dict) -> dict:
+    """Every key of KEYS[command], typed: flag over config file over preset
+    over default. Flags left unset are None."""
+    cfg = load_config_file(flags["config"]) if flags["config"] else {}
+    known = set().union(*KEYS.values())
+    for key in cfg:
+        if key not in known:
+            raise ConfigurationError(
+                f"unknown config key {key!r}; {command} reads {sorted(KEYS[command])}")
+    layers = [{k: v for k, v in flags.items() if v is not None}, cfg]
 
+    def pick(key, kind, default):
+        for layer in layers:
+            if key in layer:
+                return _typed(key, kind, layer[key])
+        return default
 
-def _with_preset(cfg: dict, flag_value, presets: dict) -> dict:
-    """Config-file keys laid over the preset named by the flag or by config
-    `preset`; cfg unchanged when no preset is named."""
-    name = _merged(cfg, "preset", flag_value, None)
-    if name is None:
-        return cfg
-    if name not in presets:
-        raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(presets)}")
-    return {**presets[name], **cfg}
-
-
-def _seed_value(seed) -> int:
-    """A master seed as an int; ConfigurationError unless a non-negative integer."""
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    presets = {"simulate": SIM_PRESETS, "train": TRAIN_PRESETS}.get(command)
+    name = pick("preset", "str", None) if presets is not None else None
+    if name is not None:
+        if name not in presets:
+            raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(presets)}")
+        layers.append(presets[name])
+    return {key: pick(key, kind, default) for key, (kind, default) in KEYS[command].items()}
 
 
 def _require_seed(seed) -> int:
     if seed is None:
         raise ConfigurationError("a --seed (or config `seed`) is required for "
                                  "stochastic commands")
-    return _seed_value(seed)
+    return seed
 
 
 def _out_dir(out) -> Path:
@@ -121,17 +159,15 @@ def _out_dir(out) -> Path:
 
 def _build_spec(x0, drift, sigma, law, poisson_rate) -> JumpDiffusionSpec:
     laws = {
-        "none": NoJumps(),
-        "single_uniform": SingleUniformJump(),
-        "poisson": PoissonRate(rate=poisson_rate),
+        "none": NoJumps,
+        "single_uniform": SingleUniformJump,
+        "poisson": lambda: PoissonRate(rate=poisson_rate),
     }
     if law not in laws:
         raise ConfigurationError(f"unknown jump law {law!r}; expected {sorted(laws)}")
-    if law == "single_uniform" and drift == 0.0 and sigma == 1.0:
-        return doubling_jump_spec(x0)
     return JumpDiffusionSpec(drift=drift, diffusion=sigma,
                              jump_size=lambda t, x_pre: x_pre,
-                             jump_law=laws[law], x0=x0)
+                             jump_law=laws[law](), x0=x0)
 
 
 def _spec_echo(x0, drift, sigma, law, poisson_rate) -> dict:
@@ -148,7 +184,7 @@ def main():
 
 
 def _shared_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
+    fn = click.option("--config", type=click.Path(), default=None,
                       help="key = value config file; flags override it.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
     fn = click.option("--out", default=None, help="Output directory.")(fn)
@@ -158,7 +194,7 @@ def _shared_options(fn):
 @main.command("simulate")
 @_shared_options
 @click.option("--preset", default=None, help=f"One of {sorted(SIM_PRESETS)}.")
-@click.option("--paths", "n_paths", type=int, default=None, help="Paths to export.")
+@click.option("--paths", type=int, default=None, help="Paths to export.")
 @click.option("--x0", type=float, default=None)
 @click.option("--horizon", type=float, default=None)
 @click.option("--n-steps", type=int, default=None)
@@ -167,29 +203,17 @@ def _shared_options(fn):
 @click.option("--law", default=None,
               type=click.Choice(["none", "single_uniform", "poisson"]))
 @click.option("--poisson-rate", type=float, default=None)
-def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
-                 drift, sigma, law, poisson_rate):
+def cmd_simulate(**flags):
     """Export simulated paths as CSV plus a manifest."""
-    def body():
-        cfg = _with_preset(load_config_file(config_path) if config_path else {},
-                           preset, SIM_PRESETS)
-        base = SIM_PRESETS["paper-sim"]
-        params = dict(
-            x0=_number(cfg, "x0", x0, base["x0"]),
-            drift=_number(cfg, "drift", drift, base["drift"]),
-            sigma=_number(cfg, "sigma", sigma, base["sigma"]),
-            law=_merged(cfg, "law", law, base["law"]),
-            poisson_rate=_number(cfg, "poisson_rate", poisson_rate, 1.0),
-        )
-        grid = build_grid(_number(cfg, "horizon", horizon, base["horizon"]),
-                          _number(cfg, "n_steps", n_steps, base["n_steps"], kind=int))
-        count = _number(cfg, "paths", n_paths, 1, kind=int)
+    def body(v):
+        params = {key: v[key] for key in ("x0", "drift", "sigma", "law", "poisson_rate")}
+        spec = _build_spec(**params)
+        grid = build_grid(v["horizon"], v["n_steps"])
+        count = v["paths"]
         if count < 0:
             raise ConfigurationError(f"paths must be >= 0, got {count}")
-        master = _require_seed(_merged(cfg, "seed", seed, None))
-        directory = _out_dir(_merged(cfg, "out", out, "out"))
-
-        spec = _build_spec(**params)
+        master = _require_seed(v["seed"])
+        directory = _out_dir(v["out"])
         files = []
         for p in range(count):  # one row at a time keeps memory flat in --paths
             name = f"path_{p:03d}.csv"
@@ -207,7 +231,7 @@ def cmd_simulate(config_path, seed, out, preset, n_paths, x0, horizon, n_steps,
         write_json(manifest, directory / "manifest.json")
         click.echo(f"wrote {count} path file(s) and manifest.json to {directory}")
 
-    _run(body)
+    _run("simulate", flags, body)
 
 
 def _nearest_reference(family: str, theta_final: float):
@@ -220,37 +244,24 @@ def _nearest_reference(family: str, theta_final: float):
     return {"family": fam, "method": method, "theta_reference": ref, "gap": gap}
 
 
-def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
-                record_every, seed):
-    family_name = _merged(cfg, "family", family, "linear")
-    z = _number(cfg, "z", None, 1.01)
-    x0_wealth = _number(cfg, "wealth_x0", None, 1.0)
-    horizon = 1.0
-    try:
-        model = family_by_name(family_name, z=z, x0=x0_wealth, horizon=horizon)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    step = _number(cfg, "dt", dt, 0.01)
+def _training(v: dict, loss: str):
+    """The doubling-jump spec, the grid that dt leaves on HORIZON, and the
+    TrainConfig of one training run."""
+    step = v["dt"]
     if not 0 < step < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {step}")
-    n_steps = horizon / step  # inf for a subnormal dt, which build_grid rejects
+    n_steps = HORIZON / step  # inf for a subnormal dt, which build_grid rejects
     if n_steps < math.inf:
         n_steps = round(n_steps)
     if n_steps < 2:
         raise ConfigurationError(
-            f"dt must leave at least 2 grid steps on the horizon {horizon}, got {step}")
-    grid = build_grid(horizon, n_steps)
-    spec = doubling_jump_spec(_number(cfg, "x0", None, 0.1))
-    train_config = TrainConfig(
-        loss_kind=_merged(cfg, "loss", loss, "msbve"),
-        learning_rate=_number(cfg, "alpha", alpha, 0.0005),
-        episodes=_number(cfg, "episodes", episodes, 20000, kind=int),
-        paths_per_episode=_number(cfg, "paths", paths, 32, kind=int),
-        theta0=_number(cfg, "theta0", theta0, 0.5),
-        master_seed=_require_seed(_merged(cfg, "seed", seed, None)),
-        record_every=_number(cfg, "record_every", record_every, 100, kind=int),
-    )
-    return family_name, model, spec, grid, train_config
+            f"dt must leave at least 2 grid steps on the horizon {HORIZON}, got {step}")
+    grid = build_grid(HORIZON, n_steps)
+    spec = doubling_jump_spec(v["x0"])
+    return spec, grid, TrainConfig(
+        loss_kind=loss, learning_rate=v["alpha"], episodes=v["episodes"],
+        paths_per_episode=v["paths"], theta0=v["theta0"],
+        master_seed=_require_seed(v["seed"]), record_every=v["record_every"])
 
 
 @main.command("train")
@@ -265,15 +276,16 @@ def _train_once(cfg, family, loss, episodes, paths, alpha, theta0, dt,
 @click.option("--theta0", type=float, default=None)
 @click.option("--dt", type=float, default=None)
 @click.option("--record-every", type=int, default=None)
-def cmd_train(config_path, seed, out, preset, family, loss, episodes, paths,
-              alpha, theta0, dt, record_every):
+def cmd_train(**flags):
     """Run one SGD estimation and report the fitted parameter."""
-    def body():
-        cfg = _with_preset(load_config_file(config_path) if config_path else {},
-                           preset, TRAIN_PRESETS)
-        family_name, model, spec, grid, train_config = _train_once(
-            cfg, family, loss, episodes, paths, alpha, theta0, dt, record_every, seed)
-        directory = _out_dir(_merged(cfg, "out", out, "out"))
+    def body(v):
+        try:
+            model = family_by_name(v["family"], z=v["z"], x0=v["wealth_x0"],
+                                   horizon=HORIZON)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        spec, grid, train_config = _training(v, v["loss"])
+        directory = _out_dir(v["out"])
         try:
             result = train(model, spec, grid, train_config)
         except DivergenceError as exc:
@@ -289,7 +301,7 @@ def cmd_train(config_path, seed, out, preset, family, loss, episodes, paths,
         write_json(result.to_json_dict(), directory / "train_result.json")
         (directory / "trace.csv").write_text(result.trace_csv())
         click.echo(f"theta_final = {result.theta_final:.6f}")
-        near = _nearest_reference(family_name, result.theta_final)
+        near = _nearest_reference(v["family"], result.theta_final)
         if near is None:
             click.echo("no reference minimizer for this family")
         else:
@@ -297,7 +309,7 @@ def cmd_train(config_path, seed, out, preset, family, loss, episodes, paths,
                        f"theta* = {near['theta_reference']:.6f} "
                        f"gap = {near['gap']:.6f}")
 
-    _run(body)
+    _run("train", flags, body)
 
 
 @main.command("compare")
@@ -312,29 +324,25 @@ def cmd_train(config_path, seed, out, preset, family, loss, episodes, paths,
 @click.option("--oracle-scan/--no-oracle-scan", default=False)
 @click.option("--scan-paths", type=int, default=None)
 @click.option("--scan-steps", type=int, default=None)
-def cmd_compare(config_path, seed, out, families, episodes, paths, alpha, theta0,
-                dt, oracle_scan, scan_paths, scan_steps):
+def cmd_compare(**flags):
     """Train both losses per family and report gaps to reference minimizers."""
-    def body():
-        cfg = load_config_file(config_path) if config_path else {}
-        raw = _merged(cfg, "families", families, "linear,quadratic,exponential")
-        names = [f.strip() for f in str(raw).split(",") if f.strip()]
+    def body(v):
+        names = [f.strip() for f in v["families"].split(",") if f.strip()]
         unknown = [n for n in names if n not in oracles.FAMILIES]
         if unknown:
             raise ConfigurationError(
                 f"no reference minimizers for {unknown}; choose from {list(oracles.FAMILIES)}")
-        directory = _out_dir(_merged(cfg, "out", out, "out"))
+        directory = _out_dir(v["out"])
         report = {"families": {}}
         if names:
-            master = _require_seed(_merged(cfg, "seed", seed, None))
+            master = _require_seed(v["seed"])
             table = oracles.reference_minimizers()
             report["reference_minimizers"] = table.to_json_dict()
             for family_name in names:
+                model = family_by_name(family_name)
                 cell: dict = {}
                 for loss_kind in ("mstde", "msbve"):
-                    _, model, spec, grid, train_config = _train_once(
-                        cfg, family_name, loss_kind, episodes, paths, alpha,
-                        theta0, dt, None, master)
+                    spec, grid, train_config = _training(v, loss_kind)
                     try:
                         result = train(model, spec, grid, train_config)
                         ref = table.get(family_name, loss_kind)
@@ -349,23 +357,20 @@ def cmd_compare(config_path, seed, out, families, episodes, paths, alpha, theta0
                     except DivergenceError as exc:
                         cell[loss_kind] = {"error": str(exc)}
                 cell["oracle_reference"] = table.get(family_name, "oracle")
-                if oracle_scan:
-                    grid = build_grid(
-                        1.0, _number(cfg, "scan_steps", scan_steps, 1000, kind=int))
-                    n_scan = _number(cfg, "scan_paths", scan_paths, 20000, kind=int)
-                    model = family_by_name(family_name, z=1.01, x0=1.0, horizon=1.0)
+                if flags["oracle_scan"]:
                     cell["oracle_scan"] = oracles.mc_argmin(
-                        model, "oracle", doubling_jump_spec(), grid, n_scan, master)
+                        model, "oracle", doubling_jump_spec(),
+                        build_grid(HORIZON, v["scan_steps"]), v["scan_paths"], master)
                 report["families"][family_name] = cell
         write_json(report, directory / "compare_report.json")
         click.echo(dump_json(report), nl=False)
 
-    _run(body)
+    _run("compare", flags, body)
 
 
 @main.command("backtest")
 @_shared_options
-@click.option("--data", "data_path", type=click.Path(), default=None, required=False)
+@click.option("--data", type=click.Path(), default=None, required=False)
 @click.option("--mode", default=None,
               type=click.Choice(["raw", "thresholded", "both"]))
 @click.option("--loss", default=None, type=click.Choice(["mstde", "msbve", "both"]))
@@ -377,42 +382,27 @@ def cmd_compare(config_path, seed, out, families, episodes, paths, alpha, theta0
 @click.option("--steps-per-update", type=int, default=None,
               help="Gradient steps per trading day.")
 @click.option("--theta0", type=float, default=None)
-def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
-                 bars_per_day, z, rf, alpha, steps_per_update, theta0):
+def cmd_backtest(**flags):
     """Rolling-window backtest over (loss, threshold mode) cells."""
-    def body():
-        cfg = load_config_file(config_path) if config_path else {}
-        path = _merged(cfg, "data", data_path, None)
-        if path is None:
+    def body(v):
+        if v["data"] is None:
             raise ConfigurationError("--data (or config `data`) is required")
-        bars = _number(cfg, "bars_per_day", bars_per_day, 79, kind=int)
-        series = read_price_csv(path, bars)
-        directory = _out_dir(_merged(cfg, "out", out, "out"))
-        mode_req = _merged(cfg, "mode", mode, "raw")
-        loss_req = _merged(cfg, "loss", loss, "both")
-        modes = ["raw", "thresholded"] if mode_req == "both" else [mode_req]
-        losses = ["mstde", "msbve"] if loss_req == "both" else [loss_req]
+        series = read_price_csv(v["data"], v["bars_per_day"])
+        directory = _out_dir(v["out"])
+        modes = ["raw", "thresholded"] if v["mode"] == "both" else [v["mode"]]
+        losses = ["mstde", "msbve"] if v["loss"] == "both" else [v["loss"]]
         learning = TrainConfig(
-            loss_kind="msbve",
-            learning_rate=_number(cfg, "alpha", alpha, 50.0),
-            episodes=_number(cfg, "steps_per_update", steps_per_update, 20, kind=int),
-            paths_per_episode=1,
-            theta0=_number(cfg, "theta0", theta0, 1.0),
-            master_seed=_seed_value(_merged(cfg, "seed", seed, 0)),
-        )
+            loss_kind="msbve", learning_rate=v["alpha"], episodes=v["steps_per_update"],
+            paths_per_episode=1, theta0=v["theta0"], master_seed=v["seed"])
         report = {"cells": {}, "sharpe_table": {}}
         for loss_kind in losses:
             report["sharpe_table"][loss_kind] = {}
             for mode_name in modes:
                 config = BacktestConfig(
-                    learning=learning,
-                    train_days=_number(cfg, "train_days", train_days, 126, kind=int),
-                    steps_per_day=bars,
-                    target_wealth=_number(cfg, "z", z, 1.01),
-                    initial_wealth=_number(cfg, "x0", None, 1.0),
-                    risk_free_daily=_number(cfg, "rf", rf, 0.0),
-                    threshold_mode=mode_name,
-                )
+                    learning=learning, train_days=v["train_days"],
+                    steps_per_day=v["bars_per_day"], target_wealth=v["z"],
+                    initial_wealth=v["x0"], risk_free_daily=v["rf"],
+                    threshold_mode=mode_name)
                 result = rolling_backtest(series, config, loss_kind)
                 key = f"{loss_kind}_{mode_name}"
                 report["cells"][key] = result.to_json_dict()
@@ -420,16 +410,17 @@ def cmd_backtest(config_path, seed, out, data_path, mode, loss, train_days,
                 (directory / f"backtest_{key}.csv").write_text(result.per_day_csv())
         write_json(report, directory / "backtest_report.json")
         for loss_kind, row in report["sharpe_table"].items():
-            cells = ", ".join(f"{m}: {v if v is not None else 'degenerate'}"
-                              for m, v in row.items())
+            cells = ", ".join(f"{m}: {s if s is not None else 'degenerate'}"
+                              for m, s in row.items())
             click.echo(f"{loss_kind}: {cells}")
 
-    _run(body)
+    _run("backtest", flags, body)
 
 
-def _run(body) -> None:
+def _run(command: str, flags: dict, body) -> None:
+    """body(resolved keys of command), with library errors mapped to exit codes."""
     try:
-        body()
+        body(_resolve(command, flags))
     except (ConfigurationError, SingularParameterError) as exc:  # ingestion errors included
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -17,12 +17,13 @@ plain formula's order of operations, so they give its bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularParameterError
+from .errors import ConfigurationError, SingularParameterError
 from .sde import PathBatch
 
 
@@ -135,6 +136,13 @@ class MeanVarianceValue:
     horizon: float
     theta_floor: float = 1e-6
     name: str = "mean_variance"
+
+    def __post_init__(self):
+        for name in ("z", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
 
     def anchor(self, theta):
         return target_anchor(theta, self.z, self.x0, self.horizon, self.theta_floor)

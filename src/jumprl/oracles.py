@@ -230,22 +230,6 @@ def mc_objective_samples(model, theta: float, spec: JumpDiffusionSpec, grid: Tim
     return np.concatenate(parts)
 
 
-def mc_limit_objective(model, theta: float, spec: JumpDiffusionSpec, grid: TimeGrid,
-                       n_paths: int, seed: int, include_jump_term: bool = False) -> float:
-    """Monte-Carlo estimate of the limit objective at observed pre-jump states."""
-    samples = mc_objective_samples(model, theta, spec, grid, n_paths, seed,
-                                   state="pre_jump", include_jump_term=include_jump_term)
-    return float(np.mean(samples))
-
-
-def mc_oracle_objective(model, theta: float, spec: JumpDiffusionSpec, grid: TimeGrid,
-                        n_paths: int, seed: int) -> float:
-    """Same functional evaluated at the latent continuous states."""
-    samples = mc_objective_samples(model, theta, spec, grid, n_paths, seed,
-                                   state="continuous", include_jump_term=False)
-    return float(np.mean(samples))
-
-
 def mc_objective_grid(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid,
                       n_paths: int, seed: int, *, state: str = "pre_jump",
                       include_jump_term: bool = False, chunk: int = 2048) -> np.ndarray:

@@ -78,6 +78,10 @@ class PoissonRate:
 
     rate: float
 
+    def __post_init__(self):
+        if not 0 <= self.rate < math.inf:
+            raise ConfigurationError(f"Poisson rate must be >= 0 and finite, got {self.rate}")
+
 
 JumpLaw = Union[NoJumps, SingleUniformJump, PoissonRate]
 
@@ -95,10 +99,12 @@ class JumpDiffusionSpec:
     def __post_init__(self):
         if not math.isfinite(self.x0):
             raise ConfigurationError(f"x0 must be finite, got {self.x0}")
+        for name in ("drift", "diffusion"):
+            value = getattr(self, name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ConfigurationError(f"constant {name} must be finite, got {value}")
         if isinstance(self.diffusion, (int, float)) and self.diffusion < 0:
             raise ConfigurationError(f"constant diffusion must be >= 0, got {self.diffusion}")
-        if isinstance(self.jump_law, PoissonRate) and self.jump_law.rate < 0:
-            raise ConfigurationError("Poisson rate must be >= 0")
 
     @property
     def has_constant_coefficients(self) -> bool:

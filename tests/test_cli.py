@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,12 +156,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("line, message", [
         ("alpha = abc", "alpha must be a number, got 'abc'"),
-        ("episodes = x", "episodes must be an integer, got 'x'")])
+        ("episodes = x", "episodes must be an integer, got 'x'"),
+        ("family = 1", "family must be a string, got 1"),
+        ("family = null", "family must be a string, got None"),
+        ("out = true", "out must be a string, got True"),
+        ("episodes = 2.7", "episodes must be an integer, got 2.7"),
+        ("paths = true", "paths must be an integer, got True"),
+        ("episods = 5", "unknown config key 'episods'")])
     def test_malformed_config_number_exits_2(self, runner, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"episodes = 1\ndt = 0.1\n{line}\n")
-        result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "1",
-                                      "--out", str(tmp_path)])
+        cfg.write_text(f"episodes = 1\ndt = 0.1\nout = {tmp_path}\n{line}\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "1"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
@@ -262,6 +268,14 @@ class TestCompare:
         assert isinstance(result.exception, SystemExit)
         assert BAD_DT[dt] in result.output
 
+    def test_config_key_of_another_command_ignored(self, runner, tmp_path):
+        # one config file can serve both train and compare
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = linear\n")
+        result = runner.invoke(main, ["compare", "--families", "", "--config", str(cfg),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+
     def test_zero_scan_paths_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--families", "linear",
                                       "--episodes", "1", "--paths", "2", "--dt", "0.1",
@@ -338,7 +352,8 @@ class TestBacktest:
 
     @pytest.mark.parametrize("line, message", [
         ("alpha = abc", "alpha must be a number, got 'abc'"),
-        ("train_days = x", "train_days must be an integer, got 'x'")])
+        ("train_days = x", "train_days must be an integer, got 'x'"),
+        ("data = 0", "data must be a string, got 0")])
     def test_malformed_config_number_exits_2(self, runner, tmp_path, fixture_csv, line,
                                              message):
         cfg = tmp_path / "run.cfg"
@@ -374,8 +389,8 @@ class TestBacktest:
                 f"the days have 2 at bars per day = {bars}") in result.output
 
 
-# numbers that parse as floats but are not finite, by flag or config line, and
-# the message each exits 2 with
+# numbers that are not finite, or not whole where an integer is due, by flag or
+# config line, and the message each exits 2 with
 NON_FINITE = [
     (["train", "--theta0", "inf"], "", "theta0 must be finite, got inf"),
     (["train", "--theta0", "nan"], "", "theta0 must be finite, got nan"),
@@ -386,6 +401,12 @@ NON_FINITE = [
     (["backtest"], "x0 = -Infinity", "initial_wealth must be finite, got -inf"),
     (["backtest", "--theta0", "-inf"], "", "theta0 must be finite, got -inf"),
     (["backtest", "--alpha", "inf"], "", "learning_rate must be positive and finite, got inf"),
+    (["simulate", "--sigma", "nan"], "", "constant diffusion must be finite, got nan"),
+    (["simulate", "--drift", "inf"], "", "constant drift must be finite, got inf"),
+    (["simulate", "--law", "poisson", "--poisson-rate", "nan"], "",
+     "Poisson rate must be >= 0 and finite, got nan"),
+    (["train", "--family", "mean_variance"], "z = NaN", "z must be finite, got nan"),
+    (["simulate"], "n_steps = 10.5", "n_steps must be an integer, got 10.5"),
 ]
 
 
@@ -393,12 +414,28 @@ NON_FINITE = [
 def test_non_finite_number_exits_2(runner, tmp_path, fixture_csv, args, cfg_line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{cfg_line}\n")
-    rest = (["--episodes", "1", "--dt", "0.1", "--seed", "1"] if args[0] == "train" else
-            ["--data", str(fixture_csv), "--bars-per-day", "10", "--train-days", "8"])
+    rest = {"simulate": ["--paths", "1", "--seed", "1"],
+            "train": ["--episodes", "1", "--dt", "0.1", "--seed", "1"],
+            "backtest": ["--data", str(fixture_csv), "--bars-per-day", "10",
+                         "--train-days", "8"]}[args[0]]
     result = runner.invoke(main, [*args, "--config", str(cfg), *rest, "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+
+
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_every_flag_is_a_key(command):
+    # _resolve reads flags by key, so a flag named otherwise would go unread
+    flags = {param.name for param in main.commands[command].params}
+    assert flags - {"config", "oracle_scan"} <= set(cli.KEYS[command])
+
+
+def test_readme_lists_every_config_key():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = text[text.index("Config files are"):text.index("Presets (")]
+    keys = set().union(*cli.KEYS.values())
+    assert {key for key in keys if f"`{key}`" not in paragraph} == set()
 
 
 def output_digest(directory) -> str:

@@ -10,8 +10,7 @@ from jumprl.errors import ConfigurationError, NonConvexError
 from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
 from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace,
                             argmin_quadratic, closed_form_objective, golden_section_min,
-                            mc_argmin, mc_limit_objective, mc_objective_grid,
-                            mc_objective_samples, mc_oracle_objective,
+                            mc_argmin, mc_objective_grid, mc_objective_samples,
                             reference_minimizers)
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch)
@@ -148,12 +147,13 @@ class TestMcObjectives:
         # (theta (1-t) + 1)^2 over [0, 1]
         spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
                                  jump_law=NoJumps(), x0=0.0)
-        got = mc_limit_objective(LinearValue(), -1.5, spec, grid_1000, 1, seed=0)
+        got = np.mean(mc_objective_samples(LinearValue(), -1.5, spec, grid_1000, 1, seed=0))
         assert got == pytest.approx(0.25, abs=1e-3)
 
     def test_quadratic_theta_zero_is_one(self, study_spec, grid_1000):
         # gradient reduces to the constant 1, so the Riemann sum is exactly T
-        got = mc_limit_objective(QuadraticValue(), 0.0, study_spec, grid_1000, 4, seed=1)
+        got = np.mean(mc_objective_samples(QuadraticValue(), 0.0, study_spec, grid_1000, 4,
+                                           seed=1))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_linear_with_jump_term_matches_closed_form(self, study_spec, grid_1000):
@@ -167,14 +167,17 @@ class TestMcObjectives:
     def test_oracle_equals_limit_without_jumps(self, grid_100):
         spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
                                  jump_law=NoJumps(), x0=0.1)
-        a = mc_limit_objective(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5)
-        b = mc_oracle_objective(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5)
+        a = np.mean(mc_objective_samples(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5))
+        b = np.mean(mc_objective_samples(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5,
+                                         state="continuous"))
         assert a == b
 
     def test_linear_oracle_equals_limit_with_jumps(self, study_spec, grid_100):
         # the linear family's state gradient is x-free
-        a = mc_limit_objective(LinearValue(), -0.7, study_spec, grid_100, 64, seed=6)
-        b = mc_oracle_objective(LinearValue(), -0.7, study_spec, grid_100, 64, seed=6)
+        a = np.mean(mc_objective_samples(LinearValue(), -0.7, study_spec, grid_100, 64,
+                                         seed=6))
+        b = np.mean(mc_objective_samples(LinearValue(), -0.7, study_spec, grid_100, 64,
+                                         seed=6, state="continuous"))
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("n_paths, chunk", [(0, 2048), (-1, 2048), (10, 0)])
