@@ -301,7 +301,7 @@ def cmd_train(**flags):
         write_json(result.to_json_dict(), directory / "train_result.json")
         (directory / "trace.csv").write_text(result.trace_csv())
         click.echo(f"theta_final = {result.theta_final:.6f}")
-        near = _nearest_reference(v["family"], result.theta_final)
+        near = _nearest_reference(model.name, result.theta_final)
         if near is None:
             click.echo("no reference minimizer for this family")
         else:

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
 from .models import LinearValue, path_values
 from .rng import stream
-from .sde import JumpDiffusionSpec, PathBatch, TimeGrid, build_grid, simulate_batch
+from .sde import (JumpDiffusionSpec, PathBatch, PathWorkspace, TimeGrid, build_grid,
+                  simulate_batch)
 
 LOSS_KINDS = ("mstde", "msbve")
 
@@ -182,7 +183,8 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     """Run the SGD loop; deterministic given the config.
 
     Episode e simulates paths with streams (master_seed, e, path index),
-    averages the per-path gradient over the batch, and takes one step.
+    averages the per-path gradient over the batch, and takes one step. Every
+    episode is simulated into the same workspace.
     """
     theta = float(config.theta0)
     theta_trace = [(0, theta)]
@@ -191,14 +193,18 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     clip_events = 0
     plateau_buf = [theta] if config.plateau_tol is not None else None
     episodes_run = 0
+    workspace = PathWorkspace()
 
     for e in range(1, config.episodes + 1):
         batch = simulate_batch(spec, grid, config.master_seed, e - 1,
-                               config.paths_per_episode)
+                               config.paths_per_episode, workspace=workspace)
         J = np.asarray(model.value(theta, times, batch.observed), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, batch.observed), dtype=float)
-        grad = float(np.mean(grads_by_row(config.loss_kind, J, dJ)))
-        loss = float(np.mean(losses_by_row(config.loss_kind, J)))
+        # batch means, with np.mean's bits and without its dispatch
+        grads = grads_by_row(config.loss_kind, J, dJ)
+        grad = float(np.add.reduce(grads) / grads.size)
+        losses = losses_by_row(config.loss_kind, J)
+        loss = float(np.add.reduce(losses) / losses.size)
         if config.grad_clip is not None and abs(grad) > config.grad_clip:
             grad = math.copysign(config.grad_clip, grad)
             clip_events += 1

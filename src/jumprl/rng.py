@@ -11,11 +11,12 @@ reference. The path simulator builds none per path:
 
 - `philox_keys` derives the Philox keys of a run of consecutive paths at once.
   It follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
-  then `generate_state(2, uint64)`) in wrapping uint64 NumPy arithmetic
-  masked to 32 bits. The hash constants do not depend on the data, so each
-  absorbed key word updates the pools of all rows together; a path index of
-  2^32 or more takes extra masked rounds. The pool mixed from the master seed
-  alone is cached. `philox_key` is the one-row case.
+  then `generate_state(2, uint64)`). The words every row shares (the master
+  seed, whose pool is cached, and the prefix, such as the episode) are mixed
+  in plain Python ints. Only the path index differs from row to row: its low
+  word takes one round of wrapping uint32 NumPy arithmetic over all rows,
+  and a path index of 2^32 or more one more round per higher word, for the
+  rows that have it. `philox_key` is the one-row case.
 - `thread_generator` holds one Philox generator per thread, and `path_rng`
   re-points it to each path's stream (derived key, zero counter, empty
   buffer); its draws then equal the fresh stream's bit for bit.
@@ -41,10 +42,12 @@ _ZEROS4 = (0, 0, 0, 0)
 
 
 _POWERS_A = np.array([pow(_MULT_A, j, 1 << 32) for j in range(_POOL_SIZE + 1)],
-                     dtype=np.uint64)
-# the run of hash constants that generate_state hashes the pool with
-_OUTPUT_CONSTS = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32
-                           for j in range(_POOL_SIZE + 1)], dtype=np.uint64)
+                     dtype=np.uint32)
+# the run of hash constants that generate_state hashes the pool with:
+# word j is XORed with the j-th and multiplied by the next
+_OUTPUT_CONSTS = [_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32 for j in range(_POOL_SIZE + 1)]
+_OUTPUT_XOR = np.array(_OUTPUT_CONSTS[:-1], dtype=np.uint32)
+_OUTPUT_MULT = np.array(_OUTPUT_CONSTS[1:], dtype=np.uint32)
 _local = threading.local()  # each thread's generator, see thread_generator
 
 
@@ -66,61 +69,51 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _consts(hash_const, count: int) -> np.ndarray:
-    """hash_const and the `count` constants that hashmix advances it to."""
-    return hash_const * _POWERS_A[:count + 1] & _MASK32
+def _hashed(word: int, hash_const: int, times: int = _POOL_SIZE) -> tuple[list[int], int]:
+    """SeedSequence's hashmix of word with each of the next `times` hash
+    constants: (the hashes, the next hash constant)."""
+    hashes = []
+    for _ in range(times):
+        value = word ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        hashes.append(value ^ value >> 16)
+    return hashes, hash_const
 
 
-def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """hashmix of the last axis of values with a run of hash constants:
-    XOR with consts[:-1], multiply by consts[1:]."""
-    hashed = (values ^ consts[:-1]) * consts[1:] & _MASK32
-    return hashed ^ (hashed >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y, as ints or uint32 arrays."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> 16)
 
 
-def _absorb(pool: np.ndarray, hash_const, words: np.ndarray,
-            n_words: np.ndarray | None = None):
-    """Mix entropy words past the pool size into every pool word.
-
-    pool is (rows, 4) and column w of words holds each row's w-th word; a row
-    with n_words <= w keeps its pool through that round. The hash constants
-    depend only on the word's position, so a round updates all rows at once.
-    """
-    for w in range(words.shape[1]):
-        consts = _consts(hash_const, _POOL_SIZE)
-        mixed = _mix(pool, _hash(words[:, w, None], consts))
-        pool = mixed if n_words is None else np.where((n_words > w)[:, None], mixed, pool)
-        hash_const = consts[-1]
+def _absorb(pool: list, hash_const: int, words) -> tuple[list, int]:
+    """Mix entropy words past the pool size into every pool word, in ints."""
+    for word in words:
+        hashes, hash_const = _hashed(word, hash_const)
+        pool = [_mix(x, y) for x, y in zip(pool, hashes)]
     return pool, hash_const
 
 
 @functools.lru_cache(maxsize=64)
-def _seed_pool(master_seed: int):
-    """Pool (1, 4) and hash constant after mixing the master seed's entropy.
+def _seed_pool(master_seed: int) -> tuple[tuple, int]:
+    """Pool words and hash constant after mixing the master seed's entropy.
 
     A non-empty spawn key makes SeedSequence pad the master seed's words to
     the pool size, so the first four words always come from the master seed.
     """
     entropy = _words(master_seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
-    consts = _consts(_INIT_A, _POOL_SIZE)
-    pool = _hash(np.array([entropy[:_POOL_SIZE]], dtype=np.uint64), consts)
-    hash_const = consts[-1]
+    pool, hash_const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        (value,), hash_const = _hashed(word, hash_const, 1)
+        pool.append(value)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                consts = _consts(hash_const, 1)
-                pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], consts)[:, 0])
-                hash_const = consts[-1]
-    pool, hash_const = _absorb(pool, hash_const,
-                               np.array([entropy[_POOL_SIZE:]], dtype=np.uint64))
-    pool.setflags(write=False)
-    return pool, hash_const
+        hashes, hash_const = _hashed(pool[src], hash_const, _POOL_SIZE - 1)
+        for dst, value in zip([d for d in range(_POOL_SIZE) if d != src], hashes):
+            pool[dst] = _mix(pool[dst], value)
+    pool, hash_const = _absorb(pool, hash_const, entropy[_POOL_SIZE:])
+    return tuple(pool), hash_const
 
 
 def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.ndarray:
@@ -130,24 +123,35 @@ def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.n
     `stream(master_seed, *prefix, first + i)` uses.
     """
     pool, hash_const = _seed_pool(operator.index(master_seed))
-    prefix_words = [w for k in prefix for w in _words(int(k))]
-    pool, hash_const = _absorb(pool, hash_const, np.array([prefix_words], dtype=np.uint64))
-    # row i's last key word is first + i; count < 2^32, so the words above its
-    # low word are those of first >> 32, or of one more where the low word carried
+    pool, hash_const = _absorb(pool, hash_const, [w for k in prefix for w in _words(int(k))])
+    # row i's last key word is first + i. Its low word differs from row to
+    # row, so it is hashed for all rows at once; uint32 arithmetic wraps as
+    # SeedSequence's does.
     first = operator.index(first)
-    low = (first & _MASK32) + np.arange(count, dtype=np.uint64)
-    carry = (low >> 32).astype(np.intp)
-    uppers = [_words(h) if h else [] for h in (first >> 32, (first >> 32) + 1)]
-    width = len(uppers[carry[-1]]) if count else 0
-    words = np.zeros((count, 1 + width), dtype=np.uint64)
-    words[:, 0] = low & _MASK32
-    for c, upper in enumerate(uppers):
-        if len(upper) <= width:
-            words[carry == c, 1:1 + len(upper)] = upper
-    n_words = None if len(uppers[0]) == width else 1 + np.array([len(u) for u in uppers])[carry]
-    pool, _ = _absorb(pool, hash_const, words, n_words)
-    out = _hash(pool, _OUTPUT_CONSTS)
-    return out[:, 0::2] | out[:, 1::2] << 32
+    low = np.arange(count, dtype=np.uint32) + (first & _MASK32)
+    consts = hash_const * _POWERS_A
+    hashed = (low[:, None] ^ consts[:-1]) * consts[1:]
+    hashed ^= hashed >> 16
+    # _mix, with the pool's term formed in ints
+    pool = (np.array([_MIX_MULT_L * x & _MASK32 for x in pool], dtype=np.uint32)
+            - _MIX_MULT_R * hashed)
+    pool ^= pool >> 16
+    # count < 2^32, so the words above the low word are those of first >> 32,
+    # or of one more in the rows from `split` on, where the low word carried;
+    # every row of a group absorbs the same words
+    split = min(count, (1 << 32) - (first & _MASK32))
+    for rows, high in ((pool[:split], first >> 32), (pool[split:], (first >> 32) + 1)):
+        upper = _words(high) if high else []  # raises for a negative first
+        if not rows.size:
+            continue
+        row_const = int(consts[-1])
+        for word in upper:
+            hashes, row_const = _hashed(word, row_const)
+            rows[...] = _mix(rows, np.array(hashes, dtype=np.uint32))
+    out = (pool ^ _OUTPUT_XOR) * _OUTPUT_MULT
+    out ^= out >> 16
+    # word pairs (low, high) of each row; '<u4' words read as '<u8' are low | high << 32
+    return out.astype("<u4", copy=False).view("<u8")
 
 
 def philox_key(master_seed: int, *key: int) -> tuple[int, int]:

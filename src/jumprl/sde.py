@@ -264,13 +264,15 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     z, cont, observed, pre_jump = _batch_arrays(n_paths, n, workspace)
     keys = philox_keys(master_seed, (episode,), path_offset, n_paths).tolist()
     rng = thread_generator()
+    draw_normals = rng.standard_normal
     draw_jumps = _jump_sampler(spec, grid)
     times, counts = [], []
-    for i, key in enumerate(keys):
+    for i, (key, row) in enumerate(zip(keys, z)):
+        # path_rng is read from this module's globals, where tracing rebinds it
         path_rng(master_seed, episode, path_offset + i, reuse=rng, key=key)
-        rng.standard_normal(out=z[i])
+        draw_normals(out=row)
         row_times = draw_jumps(rng)
-        times.extend(row_times)
+        times += row_times
         counts.append(len(row_times))
     # the ledger, row by row: each row's jumps in time order
     counts = np.array(counts, dtype=int)
@@ -292,11 +294,11 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         # round r applies the r-th jump of every row that has one, adding to
         # the row's columns from its jump step on and writing no other element,
         # so each element gets the additions of a per-jump loop in its order
-        rank = np.arange(jump_time.size) - np.repeat(starts, counts)
         cols = np.arange(n + 1)
         for r in range(counts.max(initial=0)):
-            sel = np.flatnonzero(rank == r)
-            rows, steps = jump_path[sel], jump_step[sel]
+            rows = np.flatnonzero(counts > r)
+            sel = starts[rows] + r
+            steps = jump_step[sel]
             pre = observed[rows, steps]
             jump_pre[sel] = pre
             jump_size[sel] = [float(spec.jump_size(t, x))

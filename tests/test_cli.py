@@ -116,6 +116,19 @@ class TestTrain:
         # the flag wins over the file value
         assert doc["theta_final"] == pytest.approx(0.75, abs=1e-9)
 
+    @pytest.mark.parametrize("line,family", [("family = Linear", "linear"),
+                                             ("family =  QUADRATIC ", "quadratic")])
+    def test_config_family_spelling_finds_its_reference(self, runner, tmp_path, line, family):
+        # the family is matched as family_by_name matches it, so the reference
+        # lookup must use the resolved family's name, not the raw string
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nloss = msbve\nepisodes = 1\nalpha = 1e-12\ndt = 0.1\n"
+                       f"out = {tmp_path}\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "2"])
+        assert result.exit_code == 0, result.output
+        assert f"nearest reference: {family}/" in result.output
+        assert "no reference minimizer" not in result.output
+
     def test_negative_seed_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["train", "--episodes", "1", "--seed", "-1",
                                       "--out", str(tmp_path)])

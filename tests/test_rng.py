@@ -74,6 +74,18 @@ class TestPhiloxKeys:
         assert keys.tolist() == want
 
 
+    @pytest.mark.parametrize("prefix", [(2**64 + 3, 5), (2**64,), (2**96 + 7,)],
+                             ids=["two-entries", "one-entry-2^64", "one-entry-above-2^64"])
+    @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**64 - 2])
+    def test_multi_word_prefix_equals_seed_sequence_state(self, prefix, first):
+        # every prefix word, however many an entry splits into, is mixed into
+        # the pool the rows share before any path word
+        keys = philox_keys(2**70 + 11, prefix, first, 5)
+        want = [np.random.SeedSequence(2**70 + 11, spawn_key=(*prefix, first + i))
+                .generate_state(2, np.uint64).tolist() for i in range(5)]
+        assert keys.tolist() == want
+
+
 class TestThreadGenerator:
     def test_one_generator_per_thread(self):
         with ThreadPoolExecutor(max_workers=1) as pool:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
@@ -206,6 +207,33 @@ BATCH_SPECS = [
 ]
 
 
+def assert_matches_sequential_reference(spec, grid, seed, episode, offset, n_paths):
+    """Check a constant-coefficient Poisson batch against its rows built one
+    at a time, and return each row's jump count.
+
+    Reference: each row's normals, then its Bernoulli jump flags, from
+    stream(seed, e, p); jumps applied one at a time as observed[k:] += size.
+    """
+    batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
+    ledger = []
+    for i in range(n_paths):
+        rng = stream(seed, episode, offset + i)
+        z = rng.standard_normal(grid.n_steps)
+        flags = rng.random(grid.n_steps) < spec.jump_law.rate * grid.dt
+        increments = spec.drift * grid.dt + spec.diffusion * math.sqrt(grid.dt) * z
+        continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
+        observed = continuous.copy()
+        for k in np.flatnonzero(flags) + 1:
+            t, pre = grid.times[k], observed[k]
+            size = spec.jump_size(t, pre)
+            observed[k:] += size
+            ledger.append((i, k, t, pre, size))
+        np.testing.assert_array_equal(batch.continuous[i], continuous)
+        np.testing.assert_array_equal(batch.observed[i], observed)
+    assert jump_ledger(batch) == ledger
+    return np.bincount(batch.jump_path, minlength=n_paths)
+
+
 class TestBatch:
     def test_rows_match_single_path_api(self, study_spec, grid_100):
         batch = simulate_batch(study_spec, grid_100, 59, 3, 8)
@@ -238,31 +266,23 @@ class TestBatch:
         assert batch.jump_step.size > 0
 
     def test_poisson_rows_match_sequential_reference(self):
-        # reference: each row's normals, then its Bernoulli jump flags, from
-        # stream(seed, e, p); jumps applied one at a time as observed[k:] += size
-        grid = build_grid(1.0, 200)
-        rate, drift, sigma = 8.0, 0.1, 1.3
-        spec = JumpDiffusionSpec(drift=drift, diffusion=sigma,
+        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3,
                                  jump_size=lambda t, x: t - 0.5 * x,
-                                 jump_law=PoissonRate(rate=rate), x0=1.0)
-        seed, episode, offset, n_paths = 83, 4, 2**32 - 3, 6
-        batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
-        ledger = []
-        for i in range(n_paths):
-            rng = stream(seed, episode, offset + i)
-            z = rng.standard_normal(grid.n_steps)
-            flags = rng.random(grid.n_steps) < rate * grid.dt
-            increments = drift * grid.dt + sigma * math.sqrt(grid.dt) * z
-            continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
-            observed = continuous.copy()
-            for k in np.flatnonzero(flags) + 1:
-                t, pre = grid.times[k], observed[k]
-                observed[k:] += t - 0.5 * pre
-                ledger.append((i, k, t, pre, t - 0.5 * pre))
-            np.testing.assert_array_equal(batch.continuous[i], continuous)
-            np.testing.assert_array_equal(batch.observed[i], observed)
-        assert jump_ledger(batch) == ledger
-        assert (np.bincount(batch.jump_path, minlength=n_paths) >= 2).sum() >= 2
+                                 jump_law=PoissonRate(rate=8.0), x0=1.0)
+        counts = assert_matches_sequential_reference(spec, build_grid(1.0, 200), seed=83,
+                                                     episode=4, offset=2**32 - 3, n_paths=6)
+        assert (counts >= 2).sum() >= 2
+
+    def test_constant_poisson_rows_with_zero_to_many_jumps_match_sequential_reference(self):
+        # a round applies the r-th jump of every row with more than r jumps;
+        # rows without any and rows with three or more must both come out as
+        # the one-jump-at-a-time reference
+        spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9,
+                                 jump_size=lambda t, x: 0.5 - x * t,
+                                 jump_law=PoissonRate(rate=2.0), x0=0.3)
+        counts = assert_matches_sequential_reference(spec, build_grid(1.0, 100), seed=97,
+                                                     episode=2, offset=0, n_paths=12)
+        assert counts.min() == 0 and counts.max() >= 3
 
     def test_negative_zero_start_keeps_its_sign(self):
         # a jump writes only the columns from its step on, so x0 = -0.0 stays
@@ -284,6 +304,26 @@ class TestBatch:
         batch = simulate_batch(study_spec, grid_100, 67, 0, 5)
         for path, step, pre in zip(batch.jump_path, batch.jump_step, batch.jump_pre):
             assert batch.pre_jump[path, step] == pytest.approx(pre, rel=1e-12)
+
+
+class TestTraceContract:
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
+    def test_path_rng_called_through_module_once_per_row(self, spec, monkeypatch):
+        # the benchmark's tracer rebinds sde.path_rng and counts one stream per
+        # call, so each row must call it through that global: a binding taken
+        # when the module loads (an alias, a default argument) hides every row
+        calls = []
+
+        def counting(master_seed, episode, path, **kwargs):
+            calls.append((master_seed, episode, path))
+            return path_rng(master_seed, episode, path, **kwargs)
+
+        monkeypatch.setattr(sde, "path_rng", counting)
+        grid = build_grid(1.0, 200)
+        for offset, n_paths in ((0, 5), (2**32 - 2, 4)):
+            calls.clear()
+            simulate_batch(spec, grid, 29, 3, n_paths, path_offset=offset)
+            assert calls == [(29, 3, offset + i) for i in range(n_paths)]
 
 
 class TestWorkspace:
