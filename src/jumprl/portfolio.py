@@ -57,37 +57,31 @@ class PriceSeries:
     @cached_property
     def day_partition(self) -> list[tuple[str, slice]]:
         """Calendar-date label and row slice per day, in order."""
-        dates = self.timestamps.astype("datetime64[D]")
-        uniq, starts = np.unique(dates, return_index=True)
-        order = np.argsort(starts)
-        out = []
-        bounds = list(starts[order]) + [self.timestamps.size]
-        for i, date in enumerate(uniq[order]):
-            out.append((str(date), slice(bounds[i], bounds[i + 1])))
-        return out
-
-    def day_prices(self) -> list[tuple[str, np.ndarray]]:
-        return [(date, self.prices[sl]) for date, sl in self.day_partition]
-
-    def sub_series(self, row_lo: int, row_hi: int) -> "PriceSeries":
-        return PriceSeries(self.timestamps[row_lo:row_hi].copy(),
-                           self.prices[row_lo:row_hi].copy(), self.bars_per_day)
+        # ascending timestamps keep np.unique's first indices in row order
+        uniq, starts = np.unique(self.timestamps.astype("datetime64[D]"),
+                                 return_index=True)
+        bounds = [*starts.tolist(), self.timestamps.size]
+        return [(str(date), slice(bounds[i], bounds[i + 1]))
+                for i, date in enumerate(uniq)]
 
 
 def _parse_timestamp(text: str) -> int:
-    """Seconds since epoch from ISO-8601 (tz-aware or naive) or epoch seconds."""
+    """Seconds since epoch from ISO-8601 (tz-aware or naive) or epoch seconds,
+    in the years 1 to 9999 UTC; ValueError with the reason otherwise."""
     s = text.strip()
     try:
-        return int(round(float(s)))
-    except ValueError:
-        pass
-    try:
-        parsed = datetime.fromisoformat(s.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise IngestionError(f"unparseable timestamp {text!r}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return int(parsed.timestamp())
+        seconds = int(round(float(s)))
+    except (ValueError, OverflowError):  # not a number, NaN or infinite
+        try:
+            parsed = datetime.fromisoformat(s.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise ValueError(f"unparseable timestamp {text!r}") from exc
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        seconds = int(parsed.timestamp())
+    if not -62135596800 <= seconds < 253402300800:  # 0001-01-01 to 10000-01-01
+        raise ValueError(f"timestamp {text!r} is outside the years 1 to 9999 UTC")
+    return seconds
 
 
 def build_price_series(timestamps: np.ndarray, prices: np.ndarray,
@@ -125,25 +119,27 @@ def read_price_csv(path, bars_per_day: int) -> PriceSeries:
     stamps = []
     values = []
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise IngestionError(f"cannot read price file {path}: {exc}") from exc
-    with fh:
-        header = fh.readline().strip().lower()
-        if header.replace(" ", "") != "timestamp,price":
-            raise IngestionError(f"expected header 'timestamp,price', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise IngestionError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"price file {path} is not UTF-8 text: {exc}") from exc
+    header = lines[0].strip().lower() if lines else ""
+    if header.replace(" ", "") != "timestamp,price":
+        raise IngestionError(f"expected header 'timestamp,price', got {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise IngestionError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
             stamps.append(_parse_timestamp(parts[0]))
-            try:
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise IngestionError(f"line {lineno}: bad price {parts[1]!r}") from exc
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise IngestionError(f"line {lineno}: {exc}") from exc
     timestamps = np.asarray(stamps, dtype="int64").astype("datetime64[s]")
     return build_price_series(timestamps, np.asarray(values), bars_per_day)
 
@@ -175,17 +171,20 @@ def jump_threshold(sigma_hat: float, dt: float) -> float:
     return 4.0 * sigma_hat * dt ** 0.47
 
 
-def threshold_series(series: PriceSeries, tau: float) -> PriceSeries:
+def threshold_series(prices, tau: float) -> np.ndarray:
     """Zero all increments with |dS| >= tau and rebuild from the first price."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != 1 or prices.size < 2:
+        raise InsufficientDataError(f"thresholding needs >= 2 prices, got {prices.size}")
     if tau < 0:
         raise ConfigurationError(f"tau must be >= 0, got {tau}")
-    inc = np.diff(series.prices)
+    inc = np.diff(prices)
     kept = np.where(np.abs(inc) < tau, inc, 0.0)
-    out = np.empty_like(series.prices)
-    out[0] = series.prices[0]
+    out = np.empty_like(prices)
+    out[0] = prices[0]
     np.cumsum(kept, out=out[1:])
-    out[1:] += series.prices[0]
-    return PriceSeries(series.timestamps.copy(), out, series.bars_per_day)
+    out[1:] += prices[0]
+    return out
 
 
 def sharpe(returns, periods_per_year: float) -> float:
@@ -315,15 +314,6 @@ class BacktestResult:
         return "\n".join(lines) + "\n"
 
 
-def _day_matrix(day_arrays: list[np.ndarray]) -> np.ndarray:
-    """Stack per-day price rows, trimming to the shortest day if counts differ."""
-    counts = {arr.size for arr in day_arrays}
-    m = min(counts)
-    if len(counts) > 1:
-        warnings.warn(f"day lengths differ {sorted(counts)}; trimming to {m} rows")
-    return np.stack([arr[:m] for arr in day_arrays])
-
-
 def _daily_bipower(matrix: np.ndarray, log_scale: bool) -> float:
     """Mean over days of per-day bipower variation of the chosen increments."""
     data = np.log(matrix) if log_scale else matrix
@@ -379,7 +369,12 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
         raise IngestionError(
             f"need at least train_days + 1 = {config.train_days + 1} complete days, "
             f"got {len(partition)}")
-    matrix = _day_matrix([series.prices[sl] for _, sl in partition])
+    counts = {sl.stop - sl.start for _, sl in partition}
+    if len(counts) > 1:
+        warnings.warn(f"day lengths differ {sorted(counts)}; trimming to {min(counts)} rows")
+    # the day index: each day's first m + 1 rows, m + 1 the shortest day's row count
+    index = np.array([sl.start for _, sl in partition])[:, None] + np.arange(min(counts))
+    matrix = series.prices[index]
     if matrix.shape[1] < 3:
         raise IngestionError(
             f"each day needs at least 3 prices (2 bars) for the bipower variance; "
@@ -399,11 +394,15 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
         sigma2_price = _daily_bipower(window, log_scale=False)
         tau = jump_threshold(math.sqrt(sigma2_price), 1.0 / config.steps_per_day)
         if config.threshold_mode == "thresholded":
+            # threshold the untrimmed rows, so every increment is the series' own
             lo = partition[d - config.train_days][1].start
             hi = partition[d - 1][1].stop
-            filtered = threshold_series(series.sub_series(lo, hi), tau)
-            train_view = _day_matrix([filtered.prices[sl] for _, sl in
-                                      filtered.day_partition])[:, :m + 1]
+            filtered = threshold_series(series.prices[lo:hi], tau)
+            if not (np.isfinite(filtered).all() and (filtered > 0).all()):
+                raise IngestionError(f"thresholded window for test day {partition[d][0]} "
+                                     f"lost positivity: at tau = {tau:.6g} a price is "
+                                     f"not positive and finite")
+            train_view = filtered[index[d - config.train_days:d] - lo]
         else:
             train_view = window
         sigma2_ret = _daily_bipower(train_view, log_scale=True)

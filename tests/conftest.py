@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jumprl.portfolio import build_price_series
 from jumprl.sde import PathBatch, TimeGrid, build_grid, doubling_jump_spec
 
 
@@ -26,6 +27,20 @@ def assert_same_bits(got, ref):
     assert np.array_equal(got, ref, equal_nan=True)
     real = ~np.isnan(ref)
     assert np.array_equal(np.signbit(got[real]), np.signbit(ref[real]))
+
+
+def falling_after_jump_series():
+    """Nine days of ten bars: +50 on the first bar, then -1.3 a bar. The raw
+    prices stay positive; with the jump zeroed they fall below zero on day 8."""
+    bars, days = 10, 9
+    steps = np.full(days * (bars + 1) - 1, -1.3)
+    steps[0] = 50.0
+    stamps = np.concatenate([
+        np.datetime64("2021-01-04T09:30", "s")
+        + np.timedelta64(d, "D").astype("timedelta64[s]")
+        + np.arange(bars + 1) * np.timedelta64(300, "s") for d in range(days)])
+    return build_price_series(stamps, 100.0 + np.concatenate([[0.0], np.cumsum(steps)]),
+                              bars)
 
 
 def jump_ledger(batch) -> list:

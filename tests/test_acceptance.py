@@ -265,17 +265,13 @@ def test_criterion_8_property_suites():
         assert msbve_loss(scale * values) == pytest.approx(scale ** 2 * lb,
                                                            rel=1e-9, abs=1e-9)
     # threshold idempotence
-    from jumprl.portfolio import PriceSeries
-    base_stamps = (np.datetime64("2021-03-01T09:30", "s")
-                   + np.arange(30) * np.timedelta64(300, "s"))
     for _ in range(1000):
         n = int(rng.integers(2, 30))
         prices = 1000.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(-5, 5, n - 1))])
-        series = PriceSeries(base_stamps[:n].copy(), prices, n - 1)
         tau = float(rng.uniform(0.0, 8.0))
-        once = threshold_series(series, tau)
+        once = threshold_series(prices, tau)
         twice = threshold_series(once, tau)
-        np.testing.assert_array_equal(once.prices, twice.prices)
+        np.testing.assert_array_equal(once, twice)
     # policy fixed point
     from jumprl.portfolio import _excess_returns, _wealth_matrix
     for _ in range(1000):

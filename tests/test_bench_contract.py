@@ -6,6 +6,7 @@ counts each workload derives from its parameters. A refactor that renames a
 traced function or changes how often a layer runs fails here.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,7 +14,39 @@ from pathlib import Path
 
 import pytest
 
+from jumprl.estimators import TrainConfig
+from jumprl.portfolio import BacktestConfig, rolling_backtest, synthetic_gbm_jump_series
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracer():
+    """bench/tracer.py as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["raw", "thresholded"])
+def test_backtest_trace_points_see_every_call(mode):
+    # portfolio.threshold_s is the one traced time no count check pins: a
+    # renamed threshold_series would read zero without failing the bench
+    series = synthetic_gbm_jump_series(7, bars_per_day=6, seed=3, jump_prob_per_day=0.5)
+    config = BacktestConfig(learning=TrainConfig("msbve", 50.0, 2, 1, 1.0, master_seed=0),
+                            train_days=4, steps_per_day=6, threshold_mode=mode)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = rolling_backtest(series, config, "msbve")
+    finally:
+        tracer.restore()
+    counts = {name: row["count"] for name, row in tracer.totals().items()}
+    test_days = len(result.test_days)
+    assert test_days == 3
+    assert counts.get("portfolio.threshold_series", 0) == (
+        test_days if mode == "thresholded" else 0)
+    assert counts["portfolio.bipower_sigma2"] == 2 * config.train_days * test_days
 
 
 @pytest.mark.parametrize("workload", ["train_desk", "mc_scan", "backtest_rolling"])

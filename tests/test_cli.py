@@ -1,14 +1,18 @@
 import hashlib
 import json
+from datetime import timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from jumprl import cli
 from jumprl.cli import main
-from jumprl.portfolio import synthetic_gbm_jump_series, write_price_csv
+from jumprl.errors import IngestionError
+from jumprl.portfolio import read_price_csv, synthetic_gbm_jump_series, write_price_csv
+from conftest import falling_after_jump_series
 
 
 @pytest.fixture
@@ -400,6 +404,86 @@ class TestBacktest:
         assert isinstance(result.exception, SystemExit)
         assert (f"each day needs at least 3 prices (2 bars) for the bipower variance; "
                 f"the days have 2 at bars per day = {bars}") in result.output
+
+    @pytest.mark.parametrize("stamp, message", [
+        ("inf", "unparseable timestamp 'inf'"),
+        ("-inf", "unparseable timestamp '-inf'"),
+        ("1e30", "timestamp '1e30' is outside the years 1 to 9999 UTC"),
+        ("-1e30", "timestamp '-1e30' is outside the years 1 to 9999 UTC"),
+        ("9223372036854775807",
+         "timestamp '9223372036854775807' is outside the years 1 to 9999 UTC")])
+    def test_out_of_range_timestamp_exits_2(self, runner, tmp_path, fixture_csv, stamp,
+                                            message):
+        lines = fixture_csv.read_text().splitlines()
+        lines[5] = f"{stamp},{lines[5].split(',')[1]}"
+        data = tmp_path / "stamp.csv"
+        data.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                      "10", "--train-days", "8", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"line 6: {message}" in result.output
+
+    def test_non_utf8_file_exits_2(self, runner, tmp_path, fixture_csv):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(fixture_csv.read_bytes() + b"2021-12-31T09:30,100\xe9\n")
+        result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                      "10", "--train-days", "8", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"price file {data} is not UTF-8 text" in result.output
+
+    def test_thresholded_window_losing_positivity_exits_2(self, runner, tmp_path):
+        data = tmp_path / "falling.csv"
+        write_price_csv(falling_after_jump_series(), data)
+        args = ["backtest", "--data", str(data), "--bars-per-day", "10", "--train-days",
+                "8", "--steps-per-update", "2", "--out", str(tmp_path)]
+        assert runner.invoke(main, [*args, "--mode", "raw"]).exit_code == 0
+        result = runner.invoke(main, [*args, "--mode", "thresholded"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "thresholded window for test day 2021-01-12 lost positivity" in result.output
+
+
+# one CSV field: floats (infinite, NaN, huge), integers near +-2^63, ISO-8601
+# times with a UTC offset or Z, and random text
+CSV_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e300", "Infinity"]),
+    st.integers(2**63 - 2**10, 2**63 + 2**10).map(str),
+    st.integers(-2**63 - 2**10, -2**63 + 2**10).map(str),
+    st.builds(lambda t, minutes: t.replace(tzinfo=timezone(timedelta(minutes=minutes)))
+              .isoformat(), st.datetimes(), st.integers(-1439, 1439)),
+    st.datetimes().map(lambda t: t.isoformat() + "Z"),
+    st.text(max_size=12))
+CSV_FILE = st.one_of(
+    st.lists(st.tuples(CSV_FIELD, CSV_FIELD).map(",".join), max_size=6)
+    .map(lambda rows: "\n".join(["timestamp,price", *rows]).encode()),
+    st.binary(max_size=48).map(lambda raw: b"timestamp,price\n" + raw))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=CSV_FILE)
+def test_fuzzed_csv_rows_exit_0_or_2_without_traceback(fuzz_dir, content):
+    data = fuzz_dir / "rows.csv"
+    data.write_bytes(content)
+    try:
+        read_price_csv(data, 2)
+    except IngestionError:
+        pass
+    result = CliRunner().invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                       "2", "--train-days", "2", "--out",
+                                       str(fuzz_dir / "out")])
+    assert result.exit_code in (0, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 # numbers that are not finite, or not whole where an integer is due, by flag or

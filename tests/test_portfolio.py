@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from jumprl.errors import (ConfigurationError, DegenerateSeriesError, Divergence
                            SingularParameterError)
 from jumprl.estimators import TrainConfig, grads_by_row
 from jumprl.models import MeanVarianceValue, target_anchor
-from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, PriceSeries,
+from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, BacktestResult, PriceSeries,
                               _daily_bipower, _excess_returns, _fit_theta,
                               _wealth_matrix, bipower_sigma2, build_price_series,
                               jump_threshold, read_price_csv, rolling_backtest,
@@ -18,7 +19,7 @@ from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, PriceSeries,
                               threshold_series, write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
-from conftest import assert_same_bits
+from conftest import assert_same_bits, falling_after_jump_series
 
 
 def tiny_series(prices, bars_per_day=None, start=0):
@@ -84,6 +85,73 @@ def wealth_strided(theta, sigma_hat, excess, z, x0, horizon, start_wealth=None):
     growth *= start - w
     growth += w
     return wealth
+
+
+def backtest_by_series(series, config, loss_kind):
+    """`rolling_backtest` with every training window rebuilt as a PriceSeries:
+    the window's rows are copied into a new series, thresholded there,
+    partitioned into days again and stacked day by day, trimmed to the
+    shortest day and then to the whole series' day width. The bit-for-bit
+    reference for the day index and for thresholding the window's prices."""
+    def stacked(s):
+        days = [s.prices[sl] for _, sl in s.day_partition]
+        width = min(day.size for day in days)
+        return np.stack([day[:width] for day in days])
+
+    def thresholded(s, tau):
+        inc = np.diff(s.prices)
+        kept = np.where(np.abs(inc) < tau, inc, 0.0)
+        out = np.empty_like(s.prices)
+        out[0] = s.prices[0]
+        np.cumsum(kept, out=out[1:])
+        out[1:] += s.prices[0]
+        return PriceSeries(s.timestamps.copy(), out, s.bars_per_day)
+
+    partition, matrix, T = series.day_partition, stacked(series), config.train_days
+    m = matrix.shape[1] - 1
+    dt = config.horizon / m
+    times = np.linspace(0.0, config.horizon, m + 1)[None, :]
+    model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth,
+                              horizon=config.horizon)
+    theta, rows = config.learning.theta0, []
+    for d in range(T, len(partition)):
+        window = matrix[d - T:d]
+        tau = jump_threshold(math.sqrt(_daily_bipower(window, log_scale=False)),
+                             1.0 / config.steps_per_day)
+        if config.threshold_mode == "thresholded":
+            lo, hi = partition[d - T][1].start, partition[d - 1][1].stop
+            sub = PriceSeries(series.timestamps[lo:hi].copy(), series.prices[lo:hi].copy(),
+                              series.bars_per_day)
+            window = stacked(thresholded(sub, tau))[:, :m + 1]
+        sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
+        theta = _fit_theta(theta, window, sigma_hat, loss_kind, config, model, times, dt)
+        terminal = simulate_wealth(theta, sigma_hat, matrix[d], config.target_wealth,
+                                   config.initial_wealth, config.risk_free_daily, dt,
+                                   config.horizon)
+        rows.append((partition[d][0], terminal, (terminal - config.initial_wealth)
+                     / config.initial_wealth - config.risk_free_daily, theta))
+    days, wealth, returns, thetas = (list(col) for col in zip(*rows))
+    return BacktestResult(loss_kind=loss_kind, threshold_mode=config.threshold_mode,
+                          sharpe_annualized=sharpe(returns, config.annualization),
+                          degenerate=False, test_days=days, terminal_wealth=wealth,
+                          daily_return=returns, theta_per_day=thetas)
+
+
+def mixed_day_series(n_days, bars, seed):
+    """Days of bars + 1 rows, except every third day, which has bars rows.
+
+    Each day opens about 3% away from the prior close, so the window's
+    increments from one day's last row to the next day's open depend on
+    whether the longer days are trimmed before or after thresholding.
+    """
+    full = synthetic_gbm_jump_series(n_days, bars_per_day=bars, seed=seed,
+                                     jump_prob_per_day=0.5)
+    gaps = np.exp(stream(seed).normal(0.0, 0.03, n_days))
+    prices = full.prices * np.repeat(np.cumprod(gaps), bars + 1)
+    keep = np.ones(full.prices.size, dtype=bool)
+    for _, sl in full.day_partition[::3]:
+        keep[sl.stop - 1] = False
+    return build_price_series(full.timestamps[keep], prices[keep], bars)
 
 
 def assert_within_row_scale(got, ref, rtol):
@@ -162,18 +230,24 @@ class TestJumpThreshold:
 class TestThresholdSeries:
     def test_wide_threshold_keeps_series(self):
         series = tiny_series([100.0, 101.0, 99.5, 102.0])
-        out = threshold_series(series, 1e9)
-        np.testing.assert_array_equal(out.prices, series.prices)
+        out = threshold_series(series.prices, 1e9)
+        np.testing.assert_array_equal(out, series.prices)
 
     def test_clips_large_move(self):
         series = tiny_series([100.0, 101.0, 150.0, 151.0])
-        out = threshold_series(series, 10.0)
-        np.testing.assert_allclose(out.prices, [100.0, 101.0, 101.0, 102.0])
+        out = threshold_series(series.prices, 10.0)
+        np.testing.assert_allclose(out, [100.0, 101.0, 101.0, 102.0])
 
     def test_zero_threshold_freezes_series(self):
         series = tiny_series([100.0, 101.0, 99.0, 104.0])
-        out = threshold_series(series, 0.0)
-        np.testing.assert_array_equal(out.prices, np.full(4, 100.0))
+        out = threshold_series(series.prices, 0.0)
+        np.testing.assert_array_equal(out, np.full(4, 100.0))
+
+    @pytest.mark.parametrize("prices", [np.float64(100.0), np.array(100.0), [100.0],
+                                        np.ones((2, 2))])
+    def test_rejects_fewer_than_two_prices_or_not_1d(self, prices):
+        with pytest.raises(InsufficientDataError, match="thresholding needs >= 2 prices"):
+            threshold_series(prices, 1.0)
 
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=25),
@@ -181,10 +255,9 @@ class TestThresholdSeries:
     def test_idempotent(self, increments, tau):
         # base price large enough that rebuilt series stays positive
         prices = 1000.0 + np.concatenate([[0.0], np.cumsum(increments)])
-        series = tiny_series(prices)
-        once = threshold_series(series, tau)
+        once = threshold_series(prices, tau)
         twice = threshold_series(once, tau)
-        np.testing.assert_array_equal(once.prices, twice.prices)
+        np.testing.assert_array_equal(once, twice)
 
 
 class TestAnchor:
@@ -341,7 +414,7 @@ class TestFitTheta:
         for seed in range(4):
             series = synthetic_gbm_jump_series(30, bars_per_day=20, seed=seed,
                                                jump_prob_per_day=0.5)
-            window = np.stack([prices for _, prices in series.day_prices()])
+            window = np.stack([series.prices[sl] for _, sl in series.day_partition])
             sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
             for loss in ("mstde", "msbve"):
                 for alpha, theta0 in ((1e4, 0.5), (1e5, 0.5), (1e4, -0.5), (1e5, 2.0)):
@@ -564,6 +637,46 @@ class TestRollingBacktest:
             assert thr.sharpe_annualized == pytest.approx(raw.sharpe_annualized,
                                                           abs=1e-6)
         np.testing.assert_allclose(raw.daily_return, thr.daily_return, atol=1e-9)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed_days"])
+    def test_reports_match_series_route_bit_for_bit(self, mixed):
+        series = (mixed_day_series(14, 12, seed=8) if mixed else
+                  synthetic_gbm_jump_series(14, bars_per_day=12, seed=8,
+                                            jump_prob_per_day=0.5))
+        assert len({sl.stop - sl.start for _, sl in series.day_partition}) == 1 + mixed
+        reports = {}
+        for mode in ("raw", "thresholded"):
+            config = BacktestConfig(learning=learning(steps=20), train_days=9,
+                                    steps_per_day=12, threshold_mode=mode)
+            for loss in ("mstde", "msbve"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = rolling_backtest(series, config, loss).to_json_dict()
+                    ref = backtest_by_series(series, config, loss).to_json_dict()
+                assert repr(got) == repr(ref)
+                reports[mode, loss] = got
+        # the threshold binds on these series, so the thresholded route is exercised
+        assert reports["raw", "msbve"] != reports["thresholded", "msbve"]
+
+    def test_trimming_warns_once_per_backtest(self):
+        series = mixed_day_series(14, 12, seed=8)
+        config = BacktestConfig(learning=learning(steps=2), train_days=9,
+                                steps_per_day=12, threshold_mode="thresholded")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rolling_backtest(series, config, "msbve")
+        assert [str(w.message) for w in caught] == [
+            "day lengths differ [12, 13]; trimming to 12 rows"]
+
+    def test_thresholded_window_losing_positivity_names_test_day(self):
+        series = falling_after_jump_series()
+        configs = {mode: BacktestConfig(learning=learning(steps=2), train_days=8,
+                                        steps_per_day=10, threshold_mode=mode)
+                   for mode in ("raw", "thresholded")}
+        assert rolling_backtest(series, configs["raw"], "msbve").test_days == ["2021-01-12"]
+        with pytest.raises(IngestionError, match="thresholded window for test day "
+                                                 "2021-01-12 lost positivity"):
+            rolling_backtest(series, configs["thresholded"], "msbve")
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
