@@ -30,6 +30,8 @@ from .models import MeanVarianceValue, target_anchor
 from .rng import stream
 
 THRESHOLD_MODES = ("raw", "thresholded")
+# the accepted timestamps, in epoch seconds: 0001-01-01 up to 10000-01-01 UTC
+_FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,16 @@ class PriceSeries:
             raise IngestionError("timestamps and prices must be equal-length 1-D arrays")
         if self.timestamps.size < 2:
             raise IngestionError("price series needs at least 2 rows")
-        if not (np.diff(self.timestamps.astype("int64")) > 0).all():
+        if self.timestamps.dtype != np.dtype("datetime64[s]"):
+            raise IngestionError(f"timestamps must be datetime64[s], got {self.timestamps.dtype}")
+        seconds = self.timestamps.astype("int64")  # NaT is the int64 minimum
+        outside = (seconds < _FIRST_SECOND) | (seconds >= _END_SECOND)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise IngestionError(f"row {row}: timestamp {self.timestamps[row]} is outside "
+                                 f"the years 1 to 9999 UTC")
+        # neighbours compared, not differenced, so that no difference can wrap
+        if not (seconds[1:] > seconds[:-1]).all():
             raise IngestionError("timestamps must be strictly ascending without duplicates")
         if not (np.isfinite(self.prices).all() and (self.prices > 0).all()):
             raise IngestionError("prices must be positive and finite")
@@ -79,9 +90,17 @@ def _parse_timestamp(text: str) -> int:
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=timezone.utc)
         seconds = int(parsed.timestamp())
-    if not -62135596800 <= seconds < 253402300800:  # 0001-01-01 to 10000-01-01
+    if not _FIRST_SECOND <= seconds < _END_SECOND:
         raise ValueError(f"timestamp {text!r} is outside the years 1 to 9999 UTC")
     return seconds
+
+
+def _parse_price(text: str) -> float:
+    """A positive finite price; ValueError with the reason otherwise."""
+    price = float(text)
+    if not (math.isfinite(price) and price > 0):
+        raise ValueError(f"price {text.strip()!r} must be positive and finite")
+    return price
 
 
 def build_price_series(timestamps: np.ndarray, prices: np.ndarray,
@@ -89,7 +108,8 @@ def build_price_series(timestamps: np.ndarray, prices: np.ndarray,
     """Apply the day-completeness ingestion rule and construct the series.
 
     Days with fewer than bars_per_day rows are dropped with a warning; days
-    with more than bars_per_day + 1 rows are rejected.
+    with more than bars_per_day + 1 rows are rejected. Timestamps must be
+    datetime64[s] values in the years 1 to 9999 UTC, strictly ascending.
     """
     raw = PriceSeries(np.asarray(timestamps), np.asarray(prices, dtype=float),
                       bars_per_day)
@@ -137,7 +157,7 @@ def read_price_csv(path, bars_per_day: int) -> PriceSeries:
             raise IngestionError(f"line {lineno}: expected 2 fields, got {len(parts)}")
         try:
             stamps.append(_parse_timestamp(parts[0]))
-            values.append(float(parts[1]))
+            values.append(_parse_price(parts[1]))
         except ValueError as exc:
             raise IngestionError(f"line {lineno}: {exc}") from exc
     timestamps = np.asarray(stamps, dtype="int64").astype("datetime64[s]")

@@ -13,10 +13,12 @@ reference. The path simulator builds none per path:
   It follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
   then `generate_state(2, uint64)`). The words every row shares (the master
   seed, whose pool is cached, and the prefix, such as the episode) are mixed
-  in plain Python ints. Only the path index differs from row to row: its low
-  word takes one round of wrapping uint32 NumPy arithmetic over all rows,
-  and a path index of 2^32 or more one more round per higher word, for the
-  rows that have it. `philox_key` is the one-row case.
+  in plain Python ints. Only the path index differs from row to row. The
+  hashes of its low words do not depend on the pool, so they are cached per
+  run of paths, and each call mixes its pool into them in one round of
+  wrapping uint32 NumPy arithmetic over all rows. A path index of 2^32 or
+  more takes one more round per higher word, for the rows that have it.
+  `philox_key` is the one-row case.
 - `thread_generator` holds one Philox generator per thread, and `path_rng`
   re-points it to each path's stream (derived key, zero counter, empty
   buffer); its draws then equal the fresh stream's bit for bit.
@@ -116,6 +118,24 @@ def _seed_pool(master_seed: int) -> tuple[tuple, int]:
     return tuple(pool), hash_const
 
 
+@functools.lru_cache(maxsize=32)
+def _path_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
+    """The path words' side of _mix for the rows of a run: _MIX_MULT_R times
+    the hashes of each row's low word (low_first + i, wrapping), read-only.
+
+    They depend on the hash constant and the run, not on the pool, so batches
+    that differ only in the prefix (the episode) share them. Nothing writes
+    to a cached array, so threads may share it.
+    """
+    low = np.arange(count, dtype=np.uint32) + np.uint32(low_first)
+    consts = hash_const * _POWERS_A
+    terms = (low[:, None] ^ consts[:-1]) * consts[1:]
+    terms ^= terms >> 16
+    terms *= np.uint32(_MIX_MULT_R)
+    terms.setflags(write=False)
+    return terms
+
+
 def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.ndarray:
     """Philox keys of the streams (master_seed, *prefix, first + i), i < count.
 
@@ -125,16 +145,11 @@ def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.n
     pool, hash_const = _seed_pool(operator.index(master_seed))
     pool, hash_const = _absorb(pool, hash_const, [w for k in prefix for w in _words(int(k))])
     # row i's last key word is first + i. Its low word differs from row to
-    # row, so it is hashed for all rows at once; uint32 arithmetic wraps as
+    # row, so it is mixed into all rows at once; uint32 arithmetic wraps as
     # SeedSequence's does.
     first = operator.index(first)
-    low = np.arange(count, dtype=np.uint32) + (first & _MASK32)
-    consts = hash_const * _POWERS_A
-    hashed = (low[:, None] ^ consts[:-1]) * consts[1:]
-    hashed ^= hashed >> 16
-    # _mix, with the pool's term formed in ints
     pool = (np.array([_MIX_MULT_L * x & _MASK32 for x in pool], dtype=np.uint32)
-            - _MIX_MULT_R * hashed)
+            - _path_terms(hash_const, first & _MASK32, count))
     pool ^= pool >> 16
     # count < 2^32, so the words above the low word are those of first >> 32,
     # or of one more in the rows from `split` on, where the low word carried;
@@ -144,14 +159,15 @@ def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.n
         upper = _words(high) if high else []  # raises for a negative first
         if not rows.size:
             continue
-        row_const = int(consts[-1])
+        row_const = hash_const * int(_POWERS_A[-1]) & _MASK32
         for word in upper:
             hashes, row_const = _hashed(word, row_const)
             rows[...] = _mix(rows, np.array(hashes, dtype=np.uint32))
-    out = (pool ^ _OUTPUT_XOR) * _OUTPUT_MULT
-    out ^= out >> 16
+    pool ^= _OUTPUT_XOR
+    pool *= _OUTPUT_MULT
+    pool ^= pool >> 16
     # word pairs (low, high) of each row; '<u4' words read as '<u8' are low | high << 32
-    return out.astype("<u4", copy=False).view("<u8")
+    return pool.astype("<u4", copy=False).view("<u8")
 
 
 def philox_key(master_seed: int, *key: int) -> tuple[int, int]:

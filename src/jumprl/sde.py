@@ -119,24 +119,35 @@ def sample_single_jump_time(rng: np.random.Generator) -> float:
     return u
 
 
-def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid):
-    """Function drawing one path's jump times, in ascending order, from its generator.
+def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
+    """Function that draws one path's jump times from its generator, appends
+    them to `times` in ascending order and returns how many it drew.
 
     It is called after the path's normal increments, so the Brownian part of
     a path is identical across jump laws for the same stream.
     """
     law = spec.jump_law
     if isinstance(law, NoJumps):
-        return lambda rng: ()
+        return lambda rng: 0
     if isinstance(law, SingleUniformJump):
-        return lambda rng: (sample_single_jump_time(rng) * grid.horizon,)
+        horizon, append = grid.horizon, times.append
+
+        def single(rng):
+            append(sample_single_jump_time(rng) * horizon)
+            return 1
+        return single
     if isinstance(law, PoissonRate):
         p = law.rate * grid.dt
         if p >= 0.1:
             raise ConfigurationError(
                 f"PoissonRate requires rate*dt < 0.1 (one jump per cell); got {p:.4g}")
-        cells = grid.times[1:]
-        return lambda rng: cells[rng.random(grid.n_steps) < p].tolist()
+        cells, n, extend = grid.times[1:], grid.n_steps, times.extend
+
+        def poisson(rng):
+            hits = cells[rng.random(n) < p]
+            extend(hits.tolist())
+            return hits.size
+        return poisson
     raise ConfigurationError(f"unknown jump law {law!r}")
 
 
@@ -265,20 +276,24 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     keys = philox_keys(master_seed, (episode,), path_offset, n_paths).tolist()
     rng = thread_generator()
     draw_normals = rng.standard_normal
-    draw_jumps = _jump_sampler(spec, grid)
     times, counts = [], []
-    for i, (key, row) in enumerate(zip(keys, z)):
+    draw_jumps = _jump_sampler(spec, grid, times)
+    count = counts.append
+    for path, key, row in zip(range(path_offset, path_offset + n_paths), keys, z):
         # path_rng is read from this module's globals, where tracing rebinds it
-        path_rng(master_seed, episode, path_offset + i, reuse=rng, key=key)
+        path_rng(master_seed, episode, path, reuse=rng, key=key)
         draw_normals(out=row)
-        row_times = draw_jumps(rng)
-        times += row_times
-        counts.append(len(row_times))
+        count(draw_jumps(rng))
+    # rounds 0 .. every_row - 1 have a jump in every row
+    every_row, n_rounds = min(counts, default=0), max(counts, default=0)
     # the ledger, row by row: each row's jumps in time order
     counts = np.array(counts, dtype=int)
     jump_path = np.repeat(np.arange(n_paths), counts)
     jump_time = np.array(times, dtype=float)
     jump_step = grid.times.searchsorted(jump_time)  # first grid point >= each time
+    # each jump's element in the raveled states; the state arrays are
+    # C-contiguous (fresh, or a workspace's leading rows), so reshape(-1) is a view
+    landing = jump_path * (n + 1) + jump_step
     jump_pre = np.empty(jump_time.size)
     jump_size = np.empty(jump_time.size)
     starts = np.cumsum(counts) - counts
@@ -287,26 +302,28 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
         z *= float(spec.diffusion) * math.sqrt(grid.dt)
         z += float(spec.drift) * grid.dt
-        cont[:, 0] = spec.x0
-        np.cumsum(z, axis=1, out=cont[:, 1:])
-        cont[:, 1:] += spec.x0
+        # x0 + cumsum, with column 0 formed as -0.0 + x0 == x0, so that one
+        # contiguous pass adds x0 to every column
+        cont[:, 0] = -0.0
+        np.add.accumulate(z, axis=1, out=cont[:, 1:])  # np.cumsum's sum, less call overhead
+        cont += spec.x0
         observed[...] = cont
         # round r applies the r-th jump of every row that has one, adding to
         # the row's columns from its jump step on and writing no other element,
         # so each element gets the additions of a per-jump loop in its order
         cols = np.arange(n + 1)
-        for r in range(counts.max(initial=0)):
-            rows = np.flatnonzero(counts > r)
-            sel = starts[rows] + r
-            steps = jump_step[sel]
-            pre = observed[rows, steps]
+        for r in range(n_rounds):
+            rows = None if r < every_row else np.flatnonzero(counts > r)
+            sel = starts + r if rows is None else starts[rows] + r
+            pre = observed.reshape(-1)[landing[sel]]
             jump_pre[sel] = pre
             jump_size[sel] = [float(spec.jump_size(t, x))
                               for t, x in zip(jump_time[sel].tolist(), pre.tolist())]
-            first = np.full(n_paths, n + 1)
-            first[rows] = steps
-            size = np.zeros(n_paths)
-            size[rows] = jump_size[sel]
+            if rows is None:
+                first, size = jump_step[sel], jump_size[sel]
+            else:  # rows without an r-th jump get none
+                first, size = np.full(n_paths, n + 1), np.zeros(n_paths)
+                first[rows], size[rows] = jump_step[sel], jump_size[sel]
             np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
         if not np.isfinite(observed).all():
             bad = np.argwhere(~np.isfinite(observed))[0]
@@ -321,7 +338,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
 
     pre_jump[...] = observed
     # back out sizes at landing points only; earlier jumps stay folded in
-    np.subtract.at(pre_jump, (jump_path, jump_step), jump_size)
+    np.subtract.at(pre_jump.reshape(-1), landing, jump_size)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
                      jump_path=jump_path, jump_step=jump_step, jump_time=jump_time,
                      jump_pre=jump_pre, jump_size=jump_size)

@@ -345,15 +345,17 @@ class TestBacktest:
         assert str(missing) in result.output
 
     def test_infinite_price_exits_2(self, runner, tmp_path, fixture_csv):
+        # a price that is not positive and finite is named with its line
         lines = fixture_csv.read_text().splitlines()
         stamp = lines[5].split(",")[0]
-        lines[5] = f"{stamp},inf"
-        data = tmp_path / "inf.csv"
-        data.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
-                                      "10", "--train-days", "8", "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "prices must be positive and finite" in result.output
+        for price in ("inf", "0", "-1"):
+            lines[5] = f"{stamp},{price}"
+            data = tmp_path / "bad_price.csv"
+            data.write_text("\n".join(lines) + "\n")
+            result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
+                                          "10", "--train-days", "8", "--out", str(tmp_path)])
+            assert result.exit_code == 2, result.output
+            assert f"line 6: price '{price}' must be positive and finite" in result.output
 
     @pytest.mark.parametrize("args, cfg_line", [(["--seed", "-1"], ""),
                                                 ([], "seed = 1.7\n"),

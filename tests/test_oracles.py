@@ -295,9 +295,12 @@ class TestThreadDeterminism:
 
 class TestExponentialScanAgreement:
     def test_mc_scan_tracks_quadrature_cells(self, study_spec):
-        # independent Monte-Carlo route to the exponential-family minimizers;
-        # the jump-inclusive cell carries a visible finite-step bias (the value
-        # jumps scale like e^{2X}), hence the looser tolerance
+        # independent Monte-Carlo route to the exponential-family minimizers.
+        # The jump-inclusive (mstde) cell is heavy-tailed, hence its looser
+        # tolerance: its value jumps scale like e^{2X}, and 0.1% of the paths
+        # carry 55% of its sample sum, so estimates at practical path counts
+        # scatter below the exact argmin. The finite-step bias is small by
+        # comparison: 7e-5 at 1000 steps.
         grid = build_grid(1.0, 1000)
         quadrature = reference_minimizers()
         est = mc_argmin(ExponentialValue(), "msbve", study_spec, grid, 20_000,

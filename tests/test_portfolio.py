@@ -487,6 +487,33 @@ class TestIngestion:
         with pytest.raises(IngestionError):
             PriceSeries(stamps, np.array([1.0, 2.0]), 1)
 
+    @pytest.mark.parametrize("seconds", [[-2**63 + 1, 0, 2**63 - 1],
+                                         [-(2**62) - 7, 2**62 + 2**61],
+                                         [0, 253402300800],
+                                         [-62135596801, 0]],
+                             ids=["int64-limits", "gap-above-2^63", "year-10000", "year-0"])
+    def test_rejects_timestamps_outside_years_1_to_9999(self, seconds):
+        # neither an ascending check by differences nor a day partition may
+        # see these: both would wrap in int64
+        stamps = np.array(seconds, dtype="int64").astype("datetime64[s]")
+        with pytest.raises(IngestionError, match="outside the years 1 to 9999 UTC"):
+            build_price_series(stamps, np.ones(len(seconds)), 1)
+
+    def test_rejects_not_a_time_and_other_units(self):
+        stamps = np.array(["2021-01-01T09:00", "NaT"], dtype="datetime64[s]")
+        with pytest.raises(IngestionError, match="row 1: timestamp NaT is outside"):
+            build_price_series(stamps, np.ones(2), 1)
+        with pytest.raises(IngestionError, match=r"datetime64\[s\], got datetime64\[ns\]"):
+            build_price_series(stamps[:1].repeat(2).astype("datetime64[ns]")
+                               + np.array([0, 1], dtype="timedelta64[ns]"), np.ones(2), 1)
+
+    def test_first_and_last_accepted_seconds_partition_in_order(self):
+        stamps = np.array([-62135596800, -62135596799, 253402300798, 253402300799],
+                          dtype="int64").astype("datetime64[s]")
+        series = build_price_series(stamps, np.ones(4), 1)
+        assert [(date, sl.start, sl.stop) for date, sl in series.day_partition] == [
+            ("0001-01-01", 0, 2), ("9999-12-31", 2, 4)]
+
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(IngestionError):
             tiny_series([1.0, -2.0, 3.0])

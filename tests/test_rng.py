@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -84,6 +85,55 @@ class TestPhiloxKeys:
         want = [np.random.SeedSequence(2**70 + 11, spawn_key=(*prefix, first + i))
                 .generate_state(2, np.uint64).tolist() for i in range(5)]
         assert keys.tolist() == want
+
+
+    def test_cached_path_terms_stay_unwritten(self):
+        # each batch mixes its pool into cached per-run hashes; writing to the
+        # returned keys must not reach the cache
+        keys = philox_keys(9, (0,), 5, 4)
+        want = keys.copy()
+        keys[...] = 0
+        np.testing.assert_array_equal(philox_keys(9, (0,), 5, 4), want)
+        np.testing.assert_array_equal(philox_keys(10, (0,), 5, 4), [
+            np.random.SeedSequence(10, spawn_key=(0, 5 + i)).generate_state(2, np.uint64)
+            for i in range(4)])
+
+    def test_concurrent_batches_match_reference(self):
+        # more distinct runs than the cache holds, so worker threads evict and
+        # refill cached hashes under one another; every episode shares them
+        runs = [(7, episode, first, count) for episode in range(6)
+                for first in (0, 3, 2**32 - 2) for count in range(1, 8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda r: philox_keys(r[0], (r[1],), r[2], r[3]).tolist(),
+                                    runs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        want = [[np.random.SeedSequence(m, spawn_key=(e, first + i))
+                 .generate_state(2, np.uint64).tolist() for i in range(count)]
+                for m, e, first, count in runs]
+        assert got == want
+
+    # (master seed, prefix, first, count): a desk batch, and runs straddling 2^32 and 2^64
+    PINNED = {
+        "desk-32": (20240101, (7,), 0, 32),
+        "straddling-2^32": (2**70 + 11, (20240101,), 2**32 - 64, 128),
+        "straddling-2^64": (3, (2**33, 5), 2**64 - 5, 10),
+    }
+    # sha256 of each run's key bytes, recorded with numpy 2.4 on x86-64
+    DIGESTS = {
+        "desk-32": "b3d0e994ec9b6b0368d3340fb7b02eba6a6d07146f4203a335c95ca551edaed1",
+        "straddling-2^32": "b31a3c977b6738a842370aecead4d3e5f3ea5b4402b40ba5604cb74f8960ea22",
+        "straddling-2^64": "dcaa5602fee52f2c061483bc5d692115583108fb1b351f1e833d9bc61fd72fa4",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_keys_match_recorded_digest(self, case):
+        keys = philox_keys(*self.PINNED[case])
+        assert keys.dtype == np.uint64 and keys.shape == (self.PINNED[case][3], 2)
+        assert hashlib.sha256(keys.tobytes()).hexdigest() == self.DIGESTS[case]
 
 
 class TestThreadGenerator:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -8,8 +9,8 @@ from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
-                        SingleUniformJump, build_grid, path_to_csv, sample_single_jump_time,
-                        simulate_batch)
+                        SingleUniformJump, build_grid, doubling_jump_spec, path_to_csv,
+                        sample_single_jump_time, simulate_batch)
 from conftest import jump_ledger
 
 
@@ -378,6 +379,69 @@ class TestWorkspace:
             with pytest.raises(ConfigurationError, match=r"cannot allocate a batch of "
                                r"n_paths = 1152921504606846976 x n_steps = 100: "):
                 simulate_batch(study_spec, grid_100, 1, 0, 2**60, workspace=workspace)
+
+
+def batch_digest(batch) -> str:
+    """sha256 over the name, dtype, shape and bytes of every PathBatch array."""
+    digest = hashlib.sha256()
+    for name in BATCH_ARRAYS:
+        array = np.ascontiguousarray(getattr(batch, name))
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+# (spec, n_steps, master seed, episode, n_paths, path offset)
+PINNED_BATCHES = {
+    "doubling-32x100": (doubling_jump_spec(), 100, 20240101, 7, 32, 0),
+    "doubling-128x1000-offset128": (doubling_jump_spec(), 1000, 31415, 3, 128, 128),
+    "doubling-straddling-2^32": (doubling_jump_spec(), 100, 5, 1, 16, 2**32 - 8),
+    "poisson-0-to-many": (JumpDiffusionSpec(drift=-0.2, diffusion=0.9,
+                                            jump_size=lambda t, x: 0.5 - x * t,
+                                            jump_law=PoissonRate(rate=2.0), x0=0.3),
+                          100, 97, 2, 12, 0),
+    "no-jumps": (JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
+                                   jump_law=NoJumps(), x0=0.2), 100, 13, 0, 8, 0),
+    "callable-single": (BATCH_SPECS[1], 200, 2**40 + 3, 7, 6, 2**33),
+    "callable-poisson": (JumpDiffusionSpec(drift=lambda t, x: 0.1 - x, diffusion=lambda t, x: 1.3,
+                                           jump_size=lambda t, x: -0.5 * x,
+                                           jump_law=PoissonRate(rate=8.0), x0=1.0),
+                         200, 79, 2, 6, 0),
+    "negative-zero-x0": (JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: 1.0,
+                                           jump_law=SingleUniformJump(), x0=-0.0),
+                         50, 89, 0, 8, 0),
+}
+
+
+class TestPinnedBits:
+    """Every array of these batches is pinned bit for bit while the random
+    streams stay as they are; the digests were recorded with numpy 2.4 on x86-64."""
+
+    DIGESTS = {
+        "callable-poisson": "bcfee41c47939b23878accb1b3426bc75edf23e0c998e32bbbdae4be8ebf1a10",
+        "callable-single": "8442d1ccebb17a33b33e14aea4fc58f67d859bbeab23556a2c81abf61c38be70",
+        "doubling-128x1000-offset128":
+            "7f23ee0ec5126a67663d73a76205602c730862212aaf37ca94d9ddba33b10247",
+        "doubling-32x100": "cecba93455470da8942302d254d2fdb474c3ef356f4f8ab2091ebb5924f70843",
+        "doubling-straddling-2^32":
+            "7f1dbe25ce06fecbeb31c5e84c84b9ee4a04878f7c60f62dc61fed6e8c6514c0",
+        "negative-zero-x0": "35b431cb92400ca0b3afa254c7c0450f45a065a10c0e34c1ececa46a1e18090b",
+        "no-jumps": "9c6f498a527c729d2a1c2f3866fa235b0484a9d2538a7019518c5c1f65417e89",
+        "poisson-0-to-many": "59320f531f084b56f7a905e776169ec790276a571407b0eb40a005c7de8b3b36",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
+    def test_batch_arrays_match_recorded_digest(self, case):
+        spec, n_steps, seed, episode, n_paths, offset = PINNED_BATCHES[case]
+        grid = build_grid(1.0, n_steps)
+        batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
+        assert batch_digest(batch) == self.DIGESTS[case]
+        # the same bits from a workspace left dirty by a larger batch
+        workspace = PathWorkspace()
+        simulate_batch(spec, grid, seed + 1, episode, n_paths + 3, workspace=workspace)
+        batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset,
+                               workspace=workspace)
+        assert batch_digest(batch) == self.DIGESTS[case]
 
 
 class TestCsvExport:
