@@ -8,10 +8,10 @@ portfolio backtest on intraday prices.
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError, JumprlError,
                      NonConvexError, SimulationOverflowError, SingularParameterError)
-from .estimators import (TrainConfig, TrainResult, jump_robustness_ratio,
-                         msbve_grad, msbve_loss, mstde_grad, mstde_loss, train)
+from .estimators import (TrainConfig, TrainResult, grads_by_row, jump_robustness_ratio,
+                         losses_by_row, msbve_loss, mstde_loss, train)
 from .models import (CustomValue, ExponentialValue, LinearValue, MeanVarianceValue,
-                     QuadraticValue, family_by_name, path_values)
+                     QuadraticValue, family_by_name)
 from .oracles import (MinimizerTable, QuadraticObjective, argmin_quadratic,
                       closed_form_objective, mc_argmin, reference_minimizers)
 from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sigma2,

@@ -20,7 +20,7 @@ import click
 from . import oracles
 from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
                      SingularParameterError)
-from .estimators import TrainConfig, train
+from .estimators import TrainConfig, trace_rows, train
 from .models import family_by_name
 from .portfolio import BacktestConfig, read_price_csv, rolling_backtest
 from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
@@ -293,7 +293,7 @@ def cmd_train(**flags):
                 "error": str(exc),
                 "episode": exc.episode,
                 "last_theta": exc.last_theta,
-                "trace": [[e, th, None] for e, th in exc.theta_trace],
+                "trace": trace_rows(exc.theta_trace, exc.loss_trace),
             }
             write_json(partial, directory / "train_result.json")
             click.echo(f"divergence: {exc}", err=True)

@@ -20,28 +20,23 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
-from .models import LinearValue, path_values
+from .models import LinearValue
 from .rng import stream
-from .sde import (JumpDiffusionSpec, PathBatch, PathWorkspace, TimeGrid, build_grid,
-                  simulate_batch)
+from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, build_grid, simulate_batch
 
-LOSS_KINDS = ("mstde", "msbve")
+# the fewest fitted values per path each loss is defined on
+_MIN_POINTS = {"mstde": 2, "msbve": 3}
+LOSS_KINDS = tuple(_MIN_POINTS)
 
 
 def mstde_loss(values) -> float:
     """Sum of squared consecutive differences; needs at least 2 values."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise InsufficientDataError(f"mstde needs >= 2 values, got {v.size}")
-    return float(losses_by_row("mstde", v[None, :])[0])
+    return float(losses_by_row("mstde", np.asarray(values, dtype=float)[None, ...])[0])
 
 
 def msbve_loss(values) -> float:
     """Sum of adjacent products of absolute differences; needs at least 3 values."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 3:
-        raise InsufficientDataError(f"msbve needs >= 3 values, got {v.size}")
-    return float(losses_by_row("msbve", v[None, :])[0])
+    return float(losses_by_row("msbve", np.asarray(values, dtype=float)[None, ...])[0])
 
 
 def _shifted(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,57 +58,50 @@ def _shifted(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(kind: str, values) -> np.ndarray:
+    """values as a C-contiguous (paths, points) matrix, once kind is a loss
+    kind and each path has the points that loss needs."""
+    if kind not in _MIN_POINTS:
+        raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    v = np.ascontiguousarray(values)
+    if v.ndim != 2 or v.shape[1] < _MIN_POINTS[kind]:
+        raise InsufficientDataError(
+            f"{kind} needs a (paths, points) matrix with >= {_MIN_POINTS[kind]} points "
+            f"per path, got shape {v.shape}")
+    return v
+
+
 def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:
     """Per-row loss for a (paths, n+1) matrix of fitted values."""
-    v = np.ascontiguousarray(values)
+    v = _rows(kind, values)
     d = _shifted(np.subtract, v, v)
     cols = d.shape[1]
     if kind == "mstde":
         d *= d
         return np.sum(d[:, :cols - 1], axis=1)
-    if kind == "msbve":
-        np.abs(d, out=d)
-        return np.sum(_shifted(np.multiply, d, d)[:, :cols - 2], axis=1)
-    raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    np.abs(d, out=d)
+    return np.sum(_shifted(np.multiply, d, d)[:, :cols - 2], axis=1)
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     """Per-row theta-gradient for matrices of values and their theta-derivatives."""
-    v, dv = np.ascontiguousarray(values), np.ascontiguousarray(dvalues)
+    v, dv = _rows(kind, values), np.ascontiguousarray(dvalues)
     d = _shifted(np.subtract, v, v)
     g = _shifted(np.subtract, dv, dv)
     cols = d.shape[1]
     if kind == "mstde":
         d *= g
         return 2.0 * np.sum(d[:, :cols - 1], axis=1)
-    if kind == "msbve":
-        # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
-        # sign-symmetric rounding the two orders give the same bits
-        s = np.sign(d)
-        g *= s
-        np.abs(d, out=d)
-        term = _shifted(np.multiply, g, d)
-        # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
-        np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
-        term += s
-        return np.sum(term[:, :cols - 2], axis=1)
-    raise ConfigurationError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-
-
-def mstde_grad(model, theta: float, batch: PathBatch) -> np.ndarray:
-    """Exact gradient of each row's mstde_loss(values) with respect to theta."""
-    if batch.observed.shape[1] < 2:
-        raise InsufficientDataError("mstde gradient needs paths with >= 2 points")
-    dJ = model.dvalue_dtheta(theta, batch.grid.times, batch.observed)
-    return grads_by_row("mstde", path_values(model, theta, batch), np.asarray(dJ, dtype=float))
-
-
-def msbve_grad(model, theta: float, batch: PathBatch) -> np.ndarray:
-    """Subgradient of each row's msbve_loss(values) with sgn(0) = 0."""
-    if batch.observed.shape[1] < 3:
-        raise InsufficientDataError("msbve gradient needs paths with >= 3 points")
-    dJ = model.dvalue_dtheta(theta, batch.grid.times, batch.observed)
-    return grads_by_row("msbve", path_values(model, theta, batch), np.asarray(dJ, dtype=float))
+    # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
+    # sign-symmetric rounding the two orders give the same bits
+    s = np.sign(d)
+    g *= s
+    np.abs(d, out=d)
+    term = _shifted(np.multiply, g, d)
+    # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
+    np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
+    term += s
+    return np.sum(term[:, :cols - 2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -150,6 +138,13 @@ class TrainConfig:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
 
+def trace_rows(theta_trace: list, loss_trace: list) -> list:
+    """[episode, theta, batch-mean loss] per recorded theta, with None where
+    no loss was recorded (episode 0, and an early stop off the record)."""
+    losses = dict(loss_trace)
+    return [[e, th, losses.get(e)] for e, th in theta_trace]
+
+
 @dataclass
 class TrainResult:
     theta_final: float
@@ -160,21 +155,17 @@ class TrainResult:
     episodes_run: int = 0
 
     def to_json_dict(self) -> dict:
-        losses = dict(self.loss_trace)
-        trace = [[e, th, losses.get(e)] for e, th in self.theta_trace]
         return {
             "theta_final": self.theta_final,
-            "trace": trace,
+            "trace": trace_rows(self.theta_trace, self.loss_trace),
             "clip_events": self.clip_events,
             "episodes_run": self.episodes_run,
             "config": asdict(self.config),
         }
 
     def trace_csv(self) -> str:
-        losses = dict(self.loss_trace)
         lines = ["episode,theta,loss"]
-        for e, th in self.theta_trace:
-            loss = losses.get(e)
+        for e, th, loss in trace_rows(self.theta_trace, self.loss_trace):
             lines.append(f"{e},{th:.17g},{'' if loss is None else format(loss, '.17g')}")
         return "\n".join(lines) + "\n"
 
@@ -239,9 +230,16 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, theta: float = 0.5,
     Pairs of paths share Brownian increments on a grid of step dt over [0, 1];
     the jump path additionally gains +1 from the midpoint grid index onward.
     Returns mean(msbve inflation) / mean(mstde inflation) over the seeds,
-    using the linear family at the given theta.
+    using the linear family at the given theta. Raises ConfigurationError,
+    before any path is drawn, unless dt leaves 2 or more steps on [0, 1] and
+    n_seeds >= 1.
     """
-    n = round(1.0 / dt)
+    # 0 steps for a dt that is not positive, nan, or so small that 1/dt overflows
+    n = round(1.0 / dt) if 0 < dt and 1.0 / dt < math.inf else 0
+    if n < 2:
+        raise ConfigurationError(f"dt must leave at least 2 grid steps on [0, 1], got {dt}")
+    if n_seeds < 1:
+        raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
     grid = build_grid(1.0, n)
     model = LinearValue()
     k = n // 2

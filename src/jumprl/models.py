@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SingularParameterError
-from .sde import PathBatch
 
 
 def _scalar_if_0d(out: np.ndarray):
@@ -226,24 +225,3 @@ def family_by_name(name: str, *, z: float | None = None, x0: float | None = None
             raise ValueError("mean_variance requires z, x0 and horizon")
         return MeanVarianceValue(z=z, x0=x0, horizon=horizon)
     raise ValueError(f"unknown value family {name!r}; expected one of {BUILTIN_FAMILIES}")
-
-
-def path_values(model, theta: float, batch: PathBatch) -> np.ndarray:
-    """model.value along each row of a batch; shape (paths, n_steps + 1).
-
-    A failing evaluation re-raises the original exception, type and fields
-    intact, with the first failing grid point added to its message.
-    """
-    times = batch.grid.times
-    try:
-        return np.asarray(model.value(theta, times, batch.observed), dtype=float)
-    except SingularParameterError:
-        raise
-    except Exception as exc:
-        for i, t in enumerate(times):
-            try:
-                model.value(theta, t, batch.observed[:, i])
-            except Exception:
-                exc.args = (f"{exc} (at path index {i}, t={t:.6g})",)
-                break
-        raise

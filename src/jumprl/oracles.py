@@ -45,10 +45,6 @@ class QuadraticObjective:
     def __call__(self, theta):
         return self.a * theta * theta + self.b * theta + self.c
 
-    @property
-    def argmin(self) -> float:
-        return argmin_quadratic(self)
-
 
 def argmin_quadratic(obj: QuadraticObjective) -> float:
     """-b / 2a; requires a > 0."""

@@ -18,10 +18,9 @@ reference. The path simulator builds none per path:
   run of paths, and each call mixes its pool into them in one round of
   wrapping uint32 NumPy arithmetic over all rows. A path index of 2^32 or
   more takes one more round per higher word, for the rows that have it.
-  `philox_key` is the one-row case.
 - `thread_generator` holds one Philox generator per thread, and `path_rng`
-  re-points it to each path's stream (derived key, zero counter, empty
-  buffer); its draws then equal the fresh stream's bit for bit.
+  re-points it to a path's stream (its key from `philox_keys`, zero counter,
+  empty buffer); its draws then equal the fresh stream's bit for bit.
 """
 
 from __future__ import annotations
@@ -170,12 +169,6 @@ def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.n
     return pool.astype("<u4", copy=False).view("<u8")
 
 
-def philox_key(master_seed: int, *key: int) -> tuple[int, int]:
-    """The Philox key that `stream(master_seed, *key)` uses; key must be non-empty."""
-    low, high = philox_keys(master_seed, key[:-1], int(key[-1]), 1)[0].tolist()
-    return low, high
-
-
 def thread_generator() -> np.random.Generator:
     """This thread's Philox generator, for `path_rng` to re-point.
 
@@ -190,19 +183,15 @@ def thread_generator() -> np.random.Generator:
 
 
 def path_rng(master_seed: int, episode: int, path: int,
-             reuse: np.random.Generator | None = None, key=None) -> np.random.Generator:
-    """Generator for one simulated path, keyed by (seed, episode, path).
+             reuse: np.random.Generator, key) -> np.random.Generator:
+    """Re-point the Philox generator `reuse` to the stream of one simulated
+    path, keyed by (seed, episode, path), and return it.
 
-    Without `reuse` this is a fresh `stream(master_seed, episode, path)`.
-    With a caller-owned Philox generator, that generator is re-pointed to the
-    same stream (derived key, zero counter, empty buffer) and returned; its
-    draws then equal the fresh stream's bit for bit. `key` is the stream's
-    Philox key when the caller has derived it already (`philox_keys`).
+    `key` is that stream's Philox key, a row of `philox_keys`; the first three
+    arguments only name the stream, for a tracer that wraps this call. The
+    generator gets the key, a zero counter and an empty buffer, so its draws
+    equal those of `stream(master_seed, episode, path)` bit for bit.
     """
-    if reuse is None:
-        return stream(master_seed, episode, path)
-    if key is None:
-        key = philox_key(master_seed, episode, path)
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS4, "key": key},

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 
 from jumprl.portfolio import build_price_series
-from jumprl.sde import PathBatch, TimeGrid, build_grid, doubling_jump_spec
-
-
-def synthetic_path(times, observed) -> PathBatch:
-    """One-row PathBatch with prescribed grid points and observations, no jumps."""
-    times = np.asarray(times, dtype=float)
-    observed = np.asarray(observed, dtype=float)[None, :]
-    grid = TimeGrid(horizon=float(times[-1]), n_steps=times.size - 1,
-                    dt=float(times[1] - times[0]), times=times)
-    steps, values = np.empty(0, dtype=int), np.empty(0)
-    return PathBatch(grid=grid, observed=observed, continuous=observed.copy(),
-                     pre_jump=observed.copy(), jump_path=steps, jump_step=steps,
-                     jump_time=values, jump_pre=values, jump_size=values)
+from jumprl.sde import build_grid, doubling_jump_spec
 
 
 def assert_same_bits(got, ref):

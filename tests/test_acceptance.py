@@ -15,10 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from jumprl.estimators import (TrainConfig, jump_robustness_ratio, msbve_grad,
-                               msbve_loss, mstde_grad, mstde_loss, train)
+from jumprl.estimators import (TrainConfig, grads_by_row, jump_robustness_ratio,
+                               losses_by_row, msbve_loss, mstde_loss, train)
 from jumprl.models import (ExponentialValue, LinearValue, MeanVarianceValue,
-                           QuadraticValue, path_values, target_anchor)
+                           QuadraticValue, target_anchor)
 from jumprl.oracles import closed_form_objective, mc_argmin, reference_minimizers
 from jumprl.portfolio import (BacktestConfig, bipower_sigma2, rolling_backtest,
                               synthetic_gbm_jump_series, threshold_series)
@@ -215,19 +215,20 @@ def test_criterion_7_gradient_oracles():
     rng = stream(707)
     worst_loss = 0.0
     models = [LinearValue(), QuadraticValue(), ExponentialValue()]
+    times = DESK_GRID.times[None, :]
     for idx in range(200):
         model = models[idx % 3]
-        path = simulate_batch(STUDY_SPEC, DESK_GRID, 909, 0, 1, path_offset=idx)
+        x = simulate_batch(STUDY_SPEC, DESK_GRID, 909, 0, 1, path_offset=idx).observed
         theta = float(rng.uniform(-1.5, 1.5))
-        fd = (mstde_loss(path_values(model, theta + h, path)[0])
-              - mstde_loss(path_values(model, theta - h, path)[0])) / (2 * h)
-        err = abs(mstde_grad(model, theta, path)[0] - fd) / (1 + abs(fd))
+        J = model.value(theta, times, x)
+        dJ = model.dvalue_dtheta(theta, times, x)
+        up, down = model.value(theta + h, times, x), model.value(theta - h, times, x)
+        fd = (losses_by_row("mstde", up)[0] - losses_by_row("mstde", down)[0]) / (2 * h)
+        err = abs(grads_by_row("mstde", J, dJ)[0] - fd) / (1 + abs(fd))
         worst_loss = max(worst_loss, err)
-        J = path_values(model, theta, path)[0]
-        if np.abs(np.diff(J)).min() > 1e-8:
-            fd2 = (msbve_loss(path_values(model, theta + h, path)[0])
-                   - msbve_loss(path_values(model, theta - h, path)[0])) / (2 * h)
-            err2 = abs(msbve_grad(model, theta, path)[0] - fd2) / (1 + abs(fd2))
+        if np.abs(np.diff(J[0])).min() > 1e-8:
+            fd2 = (losses_by_row("msbve", up)[0] - losses_by_row("msbve", down)[0]) / (2 * h)
+            err2 = abs(grads_by_row("msbve", J, dJ)[0] - fd2) / (1 + abs(fd2))
             worst_loss = max(worst_loss, err2)
     worst_model = 0.0
     families = models + [MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]

@@ -103,10 +103,18 @@ class TestTrain:
                                           "--loss", "mstde", "--episodes", "50",
                                           "--paths", "4", "--alpha", "1e30",
                                           "--dt", "0.05", "--seed", "5",
-                                          "--out", str(tmp_path)])
+                                          "--record-every", "1", "--out", str(tmp_path)])
         assert result.exit_code == 3
         doc = read_json(tmp_path / "train_result.json")
         assert "error" in doc
+        # every episode before the divergence at 11 is recorded with its loss.
+        # Episode 0 has none, and from episode 6 the batch loss overflows to
+        # inf, which JSON writes as null
+        assert doc["episode"] == 11
+        assert [row[0] for row in doc["trace"]] == list(range(11))
+        losses = [row[2] for row in doc["trace"]]
+        assert losses[0] is None and losses[6:] == [None] * 5
+        assert all(isinstance(loss, float) for loss in losses[1:6])
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

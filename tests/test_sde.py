@@ -54,13 +54,13 @@ class TestSingleJumpTime:
         assert 0.0 < u < 1.0
 
     def test_deterministic(self):
-        a = sample_single_jump_time(path_rng(5, 0, 0))
-        b = sample_single_jump_time(path_rng(5, 0, 0))
+        a = sample_single_jump_time(stream(5, 0, 0))
+        b = sample_single_jump_time(stream(5, 0, 0))
         assert a == b
 
     def test_mean_near_half(self):
         # law of large numbers oracle: sample mean of Uniform(0,1)
-        rng = path_rng(17, 0, 0)
+        rng = stream(17, 0, 0)
         draws = np.array([sample_single_jump_time(rng) for _ in range(100_000)])
         assert abs(draws.mean() - 0.5) < 0.005
 
@@ -315,16 +315,19 @@ class TestTraceContract:
         # when the module loads (an alias, a default argument) hides every row
         calls = []
 
-        def counting(master_seed, episode, path, **kwargs):
-            calls.append((master_seed, episode, path))
-            return path_rng(master_seed, episode, path, **kwargs)
+        def counting(master_seed, episode, path, reuse, key):
+            calls.append((master_seed, episode, path, list(key)))
+            return path_rng(master_seed, episode, path, reuse, key)
 
         monkeypatch.setattr(sde, "path_rng", counting)
         grid = build_grid(1.0, 200)
         for offset, n_paths in ((0, 5), (2**32 - 2, 4)):
             calls.clear()
             simulate_batch(spec, grid, 29, 3, n_paths, path_offset=offset)
-            assert calls == [(29, 3, offset + i) for i in range(n_paths)]
+            # in row order, each row re-pointed to its own stream's key
+            assert calls == [
+                (29, 3, offset + i, np.random.SeedSequence(29, spawn_key=(3, offset + i))
+                 .generate_state(2, np.uint64).tolist()) for i in range(n_paths)]
 
 
 class TestWorkspace:
