@@ -11,7 +11,6 @@ configuration, ingestion or singular-parameter error, 3 numerical divergence.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .estimators import TrainConfig, trace_rows, train
 from .models import family_by_name
 from .portfolio import BacktestConfig, read_price_csv, rolling_backtest
 from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                  build_grid, doubling_jump_spec, path_to_csv, simulate_batch)
+                  build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
 HORIZON = 1.0  # of every training run and oracle scan
@@ -247,16 +246,7 @@ def _nearest_reference(family: str, theta_final: float):
 def _training(v: dict, loss: str):
     """The doubling-jump spec, the grid that dt leaves on HORIZON, and the
     TrainConfig of one training run."""
-    step = v["dt"]
-    if not 0 < step < math.inf:
-        raise ConfigurationError(f"dt must be positive and finite, got {step}")
-    n_steps = HORIZON / step  # inf for a subnormal dt, which build_grid rejects
-    if n_steps < math.inf:
-        n_steps = round(n_steps)
-    if n_steps < 2:
-        raise ConfigurationError(
-            f"dt must leave at least 2 grid steps on the horizon {HORIZON}, got {step}")
-    grid = build_grid(HORIZON, n_steps)
+    grid = grid_for_step(HORIZON, v["dt"])
     spec = doubling_jump_spec(v["x0"])
     return spec, grid, TrainConfig(
         loss_kind=loss, learning_rate=v["alpha"], episodes=v["episodes"],

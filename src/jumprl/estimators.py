@@ -22,11 +22,13 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
 from .models import LinearValue
 from .rng import stream
-from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, build_grid, simulate_batch
+from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, grid_for_step, simulate_batch
 
 # the fewest fitted values per path each loss is defined on
 _MIN_POINTS = {"mstde": 2, "msbve": 3}
 LOSS_KINDS = tuple(_MIN_POINTS)
+RATIO_THETA = 0.5  # jump_robustness_ratio: the linear family's theta
+RATIO_X0 = 0.1     # and the paths' start
 
 
 def mstde_loss(values) -> float:
@@ -84,8 +86,18 @@ def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
-    """Per-row theta-gradient for matrices of values and their theta-derivatives."""
+    """Per-row theta-gradient for a matrix of values and their theta-derivatives.
+
+    dvalues is broadcast to the values' shape, so a derivative that does not
+    depend on the path, such as a (1, n+1) row, applies to every path.
+    """
     v, dv = _rows(kind, values), np.ascontiguousarray(dvalues)
+    if dv.shape != v.shape:
+        try:
+            dv = np.ascontiguousarray(np.broadcast_to(dv, v.shape))
+        except ValueError:
+            raise ConfigurationError(f"dvalues of shape {dv.shape} do not broadcast to "
+                                     f"the values' shape {v.shape}") from None
     d = _shifted(np.subtract, v, v)
     g = _shifted(np.subtract, dv, dv)
     cols = d.shape[1]
@@ -223,40 +235,33 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
                        config=config, clip_events=clip_events, episodes_run=episodes_run)
 
 
-def jump_robustness_ratio(dt: float, n_seeds: int = 200, theta: float = 0.5,
-                          master_seed: int = 0, x0: float = 0.1) -> float:
+def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -> float:
     """Ratio of the msbve to mstde loss inflation caused by one injected jump.
 
     Pairs of paths share Brownian increments on a grid of step dt over [0, 1];
     the jump path additionally gains +1 from the midpoint grid index onward.
     Returns mean(msbve inflation) / mean(mstde inflation) over the seeds,
-    using the linear family at the given theta. Raises ConfigurationError,
-    before any path is drawn, unless dt leaves 2 or more steps on [0, 1] and
-    n_seeds >= 1.
+    using the linear family at theta = RATIO_THETA on paths from RATIO_X0.
+    Raises ConfigurationError, before any path is drawn, unless dt leaves 2
+    or more steps on [0, 1] and n_seeds >= 1.
     """
-    # 0 steps for a dt that is not positive, nan, or so small that 1/dt overflows
-    n = round(1.0 / dt) if 0 < dt and 1.0 / dt < math.inf else 0
-    if n < 2:
-        raise ConfigurationError(f"dt must leave at least 2 grid steps on [0, 1], got {dt}")
+    grid = grid_for_step(1.0, dt)
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
-    grid = build_grid(1.0, n)
     model = LinearValue()
-    k = n // 2
+    n = grid.n_steps
     sq = math.sqrt(grid.dt)
-    sums = {"mstde_c": 0.0, "mstde_j": 0.0, "msbve_c": 0.0, "msbve_j": 0.0}
+    x = np.empty((2, n + 1))  # the continuous path, then the jump path
+    x[:, 0] = RATIO_X0
+    totals = {kind: np.zeros(2) for kind in LOSS_KINDS}  # continuous, jump
     for s in range(n_seeds):
         z = stream(master_seed, s).standard_normal(n)
-        xc = np.empty(n + 1)
-        xc[0] = x0
-        np.cumsum(sq * z, out=xc[1:])
-        xc[1:] += x0
-        xj = xc.copy()
-        xj[k:] += 1.0
-        Jc = model.value(theta, grid.times, xc)
-        Jj = model.value(theta, grid.times, xj)
-        sums["mstde_c"] += mstde_loss(Jc)
-        sums["mstde_j"] += mstde_loss(Jj)
-        sums["msbve_c"] += msbve_loss(Jc)
-        sums["msbve_j"] += msbve_loss(Jj)
-    return (sums["msbve_j"] - sums["msbve_c"]) / (sums["mstde_j"] - sums["mstde_c"])
+        np.cumsum(sq * z, out=x[0, 1:])
+        x[0, 1:] += RATIO_X0
+        x[1] = x[0]
+        x[1, n // 2:] += 1.0
+        J = model.value(RATIO_THETA, grid.times, x)
+        for kind, total in totals.items():
+            total += losses_by_row(kind, J)
+    (mstde_c, mstde_j), (msbve_c, msbve_j) = totals["mstde"], totals["msbve"]
+    return float((msbve_j - msbve_c) / (mstde_j - mstde_c))

@@ -8,7 +8,7 @@ Each family exposes a scalar parameter theta and three vectorized evaluations:
 
 The three study families (linear, quadratic, exponential) anchor the terminal
 value at t = 1 independently of theta. The mean-variance family is singular at
-theta = 0 and rejects parameters below a configurable magnitude floor.
+theta = 0 and rejects parameters with |theta| below THETA_FLOOR.
 
 The built-in evaluations never write into their arguments and return a fresh
 array (a numpy scalar for scalar inputs). Those formed in place keep the
@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularParameterError
+
+THETA_FLOOR = 1e-6  # the smallest |theta| the mean-variance anchor accepts
+_FD_STEP = 1e-6     # CustomValue's central-difference step
 
 
 def _scalar_if_0d(out: np.ndarray):
@@ -51,7 +54,7 @@ def _offset(x, w, t_shaped) -> np.ndarray:
 class LinearValue:
     """value = (theta (1 - t) + 1) x"""
 
-    name: str = "linear"
+    name: ClassVar[str] = "linear"
 
     def value(self, theta, t, x):
         return (theta * (1.0 - t) + 1.0) * x
@@ -69,7 +72,7 @@ class LinearValue:
 class QuadraticValue:
     """value = theta (1 - t) x^2 + x"""
 
-    name: str = "quadratic"
+    name: ClassVar[str] = "quadratic"
 
     def value(self, theta, t, x):
         return theta * (1.0 - t) * x * x + x
@@ -87,7 +90,7 @@ class QuadraticValue:
 class ExponentialValue:
     """value = theta (1 - t) e^x + x"""
 
-    name: str = "exponential"
+    name: ClassVar[str] = "exponential"
 
     def value(self, theta, t, x):
         return theta * (1.0 - t) * np.exp(x) + x
@@ -103,16 +106,15 @@ class ExponentialValue:
         return out
 
 
-def target_anchor(theta: float, z: float, x0: float, horizon: float,
-                  floor: float = 1e-6) -> float:
+def target_anchor(theta: float, z: float, x0: float, horizon: float) -> float:
     """w(theta) = (z e^{theta^2 T} - x0) / (e^{theta^2 T} - 1).
 
     Evaluated in the overflow-safe form z + (z - x0)/expm1(theta^2 T).
-    Raises SingularParameterError when |theta| falls below the floor.
+    Raises SingularParameterError when |theta| falls below THETA_FLOOR.
     """
-    if abs(theta) < floor:
+    if abs(theta) < THETA_FLOOR:
         raise SingularParameterError(
-            f"|theta| = {abs(theta):.3g} below singularity floor {floor:.3g}")
+            f"|theta| = {abs(theta):.3g} below singularity floor {THETA_FLOOR:.3g}")
     with np.errstate(over="ignore"):  # expm1 -> inf collapses w to z, by design
         return z + (z - x0) / np.expm1(theta * theta * horizon)
 
@@ -133,8 +135,7 @@ class MeanVarianceValue:
     z: float
     x0: float
     horizon: float
-    theta_floor: float = 1e-6
-    name: str = "mean_variance"
+    name: ClassVar[str] = "mean_variance"
 
     def __post_init__(self):
         for name in ("z", "x0"):
@@ -144,7 +145,7 @@ class MeanVarianceValue:
             raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
 
     def anchor(self, theta):
-        return target_anchor(theta, self.z, self.x0, self.horizon, self.theta_floor)
+        return target_anchor(theta, self.z, self.x0, self.horizon)
 
     def value(self, theta, t, x):
         w = self.anchor(theta)
@@ -183,44 +184,43 @@ class MeanVarianceValue:
 class CustomValue:
     """User-supplied family: value callable plus optional analytic gradients.
 
-    Missing gradients fall back to central finite differences with h = 1e-6.
+    Missing gradients fall back to central finite differences with step 1e-6.
     Built-in invariants (terminal anchoring etc.) are not implied.
     """
 
     value_fn: Callable
     dtheta_fn: Optional[Callable] = None
     dx_fn: Optional[Callable] = None
-    name: str = "custom"
+    name: ClassVar[str] = "custom"
 
     def value(self, theta, t, x):
         return self.value_fn(theta, t, x)
 
-    def dvalue_dtheta(self, theta, t, x, h: float = 1e-6):
+    def dvalue_dtheta(self, theta, t, x):
         if self.dtheta_fn is not None:
             return self.dtheta_fn(theta, t, x)
+        h = _FD_STEP
         return (self.value_fn(theta + h, t, x) - self.value_fn(theta - h, t, x)) / (2 * h)
 
-    def dvalue_dx(self, theta, t, x, h: float = 1e-6):
+    def dvalue_dx(self, theta, t, x):
         if self.dx_fn is not None:
             return self.dx_fn(theta, t, x)
+        h = _FD_STEP
         x = np.asarray(x, dtype=float)
         return (self.value_fn(theta, t, x + h) - self.value_fn(theta, t, x - h)) / (2 * h)
 
 
-BUILTIN_FAMILIES = ("linear", "quadratic", "exponential", "mean_variance")
+_STUDY_FAMILIES = {cls.name: cls for cls in (LinearValue, QuadraticValue, ExponentialValue)}
+BUILTIN_FAMILIES = (*_STUDY_FAMILIES, MeanVarianceValue.name)
 
 
 def family_by_name(name: str, *, z: float | None = None, x0: float | None = None,
                    horizon: float | None = None):
     """Resolve a family from its config-file name."""
     key = name.strip().lower()
-    if key == "linear":
-        return LinearValue()
-    if key == "quadratic":
-        return QuadraticValue()
-    if key == "exponential":
-        return ExponentialValue()
-    if key == "mean_variance":
+    if key in _STUDY_FAMILIES:
+        return _STUDY_FAMILIES[key]()
+    if key == MeanVarianceValue.name:
         if z is None or x0 is None or horizon is None:
             raise ValueError("mean_variance requires z, x0 and horizon")
         return MeanVarianceValue(z=z, x0=x0, horizon=horizon)

@@ -9,7 +9,7 @@ Three routes that never touch the SGD estimators:
     coarse theta scan refined by golden section.
 
 The limit functional estimated from paths is the Riemann sum of
-|dJ/dx(t_i, X_i) sigma(t_i, X_i)|^2 dt over left endpoints, with X_i taken as
+|dJ/dx(t_i, X_i) sigma|^2 dt over left endpoints, with X_i taken as
 the pre-jump (left limit) state, optionally plus the summed squared value jumps
 (J(t_k, X_post) - J(t_k, X_pre))^2 over the path's jump ledger. Evaluating the
 same sum at the latent continuous states instead gives the oracle objective.
@@ -143,7 +143,7 @@ def reference_minimizers() -> MinimizerTable:
 
 
 def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
-                      spec: JumpDiffusionSpec, scratch: np.ndarray) -> np.ndarray:
+                      sigma: float, scratch: np.ndarray) -> np.ndarray:
     """Per-path objective values for each theta; shape (len(thetas), paths).
 
     scratch is a writable (paths, n) array that the squared gradient terms are
@@ -154,10 +154,6 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
     states = batch.pre_jump if state == "pre_jump" else batch.continuous
     left = states[:, :-1]
     t_left = grid.times[:-1][None, :]
-    if callable(spec.diffusion):
-        sigma = np.vectorize(spec.diffusion)(np.broadcast_to(t_left, left.shape), left)
-    else:
-        sigma = float(spec.diffusion)
     t_jump = grid.times[batch.jump_step] if batch.jump_step.size else None
     out = np.empty((len(thetas), states.shape[0]))
     for j, theta in enumerate(thetas):
@@ -201,8 +197,8 @@ def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths:
         batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo,
                                workspace=workspace)
         # the normals are dead once the batch is built
-        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term, spec,
-                                        workspace.z[:hi - lo]))
+        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term,
+                                        float(spec.diffusion), workspace.z[:hi - lo]))
 
     starts = range(0, n_paths, chunk)
     workers = thread_cap()

@@ -30,6 +30,13 @@ from .models import MeanVarianceValue, target_anchor
 from .rng import stream
 
 THRESHOLD_MODES = ("raw", "thresholded")
+HORIZON = 1.0          # one trading day, the time unit of the wealth paths
+ANNUALIZATION = 252.0  # trading days per year, for the Sharpe ratio
+_GBM_DRIFT = 0.10    # synthetic_gbm_jump_series: annual drift
+_GBM_VOL = 0.20      # its annual volatility
+_GBM_JUMP = 5.0      # its jump size, in daily standard deviations of log return
+_GBM_S0 = 100.0      # its first price
+_GBM_START = np.datetime64("2020-01-01", "s")  # and its first day
 # the accepted timestamps, in epoch seconds: 0001-01-01 up to 10000-01-01 UTC
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 
@@ -274,22 +281,17 @@ class BacktestConfig:
     learning: TrainConfig
     train_days: int = 126
     steps_per_day: int = 79
-    horizon: float = 1.0
     target_wealth: float = 1.01
     initial_wealth: float = 1.0
     risk_free_daily: float = 0.0
     threshold_mode: str = "raw"
-    warm_start: bool = True
     theta_min: float = 0.01
     theta_max: float = 10.0
-    annualization: float = 252.0
 
     def __post_init__(self):
         for name in ("target_wealth", "initial_wealth", "risk_free_daily"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.train_days < 2:
             raise ConfigurationError(f"train_days must be >= 2, got {self.train_days}")
         if self.steps_per_day < 1:
@@ -359,7 +361,7 @@ def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: st
     wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
     for step in range(config.learning.episodes):
         _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
-                       config.initial_wealth, config.horizon, out=wealth)
+                       config.initial_wealth, HORIZON, out=wealth)
         J = np.asarray(model.value(theta, times, wealth), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, wealth), dtype=float)
         grad = float(np.mean(grads_by_row(loss_kind, J, dJ)))
@@ -400,16 +402,14 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
             f"each day needs at least 3 prices (2 bars) for the bipower variance; "
             f"the days have {matrix.shape[1]} at bars per day = {series.bars_per_day}")
     m = matrix.shape[1] - 1
-    dt = config.horizon / m
-    times = np.linspace(0.0, config.horizon, m + 1)[None, :]
+    dt = HORIZON / m
+    times = np.linspace(0.0, HORIZON, m + 1)[None, :]
     model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth,
-                              horizon=config.horizon)
+                              horizon=HORIZON)
 
     theta = config.learning.theta0
     days_out, wealth_out, return_out, theta_out = [], [], [], []
     for d in range(config.train_days, len(partition)):
-        if not config.warm_start:
-            theta = config.learning.theta0
         window = matrix[d - config.train_days:d]
         sigma2_price = _daily_bipower(window, log_scale=False)
         tau = jump_threshold(math.sqrt(sigma2_price), 1.0 / config.steps_per_day)
@@ -436,7 +436,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
 
         terminal = simulate_wealth(theta, sigma_hat, matrix[d], config.target_wealth,
                                    config.initial_wealth, config.risk_free_daily,
-                                   dt, config.horizon)
+                                   dt, HORIZON)
         days_out.append(partition[d][0])
         wealth_out.append(terminal)
         return_out.append((terminal - config.initial_wealth) / config.initial_wealth
@@ -444,7 +444,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
         theta_out.append(theta)
 
     try:
-        ratio = sharpe(return_out, config.annualization)
+        ratio = sharpe(return_out, ANNUALIZATION)
         degenerate = False
     except (DegenerateSeriesError, InsufficientDataError):  # one test day has no spread
         ratio = None
@@ -456,39 +456,35 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
 
 
 def synthetic_gbm_jump_series(n_days: int, bars_per_day: int = 79,
-                              annual_drift: float = 0.10, annual_vol: float = 0.20,
                               jump_prob_per_day: float = 0.1,
-                              jump_size_sigmas: float = 5.0, seed: int = 0,
-                              s0: float = 100.0,
-                              start: str = "2020-01-01") -> PriceSeries:
+                              seed: int = 0) -> PriceSeries:
     """Intraday geometric Brownian bars with occasional one-bar log jumps.
 
-    Each day holds bars_per_day + 1 prices opening at the prior close; with
-    probability jump_prob_per_day one uniformly placed bar gains an extra
-    jump_size_sigmas DAILY standard deviations of log return. Sized in daily
-    units so the default jumps clear the detection threshold
-    4 sigma dt^0.47 (about 0.51 daily sigmas at 79 bars per day).
+    Bars run from 2020-01-01 at 10% annual drift and 20% annual volatility
+    from a price of 100. Each day holds bars_per_day + 1 prices opening at the
+    prior close; with probability jump_prob_per_day one uniformly placed bar
+    gains an extra 5 DAILY standard deviations of log return. Sized in daily
+    units so the jumps clear the detection threshold 4 sigma dt^0.47 (about
+    0.51 daily sigmas at 79 bars per day).
     """
     rng = stream(seed)
     dt_years = 1.0 / (252.0 * bars_per_day)
-    bar_vol = annual_vol * math.sqrt(dt_years)
-    daily_vol = annual_vol / math.sqrt(252.0)
-    bar_drift = (annual_drift - 0.5 * annual_vol ** 2) * dt_years
-    day0 = np.datetime64(start, "s")
-    bar_offsets = (np.datetime64(start, "s") + np.arange(bars_per_day + 1) * 300
-                   - day0).astype("timedelta64[s]")
+    bar_vol = _GBM_VOL * math.sqrt(dt_years)
+    daily_vol = _GBM_VOL / math.sqrt(252.0)
+    bar_drift = (_GBM_DRIFT - 0.5 * _GBM_VOL ** 2) * dt_years
+    bar_offsets = np.arange(bars_per_day + 1) * np.timedelta64(300, "s")
     open_time = np.timedelta64(9 * 3600 + 30 * 60, "s")
 
     stamps = []
     prices = []
-    level = math.log(s0)
+    level = math.log(_GBM_S0)
     for d in range(n_days):
         log_inc = bar_drift + bar_vol * rng.standard_normal(bars_per_day)
         if rng.random() < jump_prob_per_day:
-            log_inc[rng.integers(bars_per_day)] += jump_size_sigmas * daily_vol
+            log_inc[rng.integers(bars_per_day)] += _GBM_JUMP * daily_vol
         levels = level + np.concatenate([[0.0], np.cumsum(log_inc)])
         level = levels[-1]
-        day_start = day0 + np.timedelta64(d, "D").astype("timedelta64[s]") + open_time
+        day_start = _GBM_START + np.timedelta64(d, "D").astype("timedelta64[s]") + open_time
         stamps.append(day_start + bar_offsets)
         prices.append(np.exp(levels))
     return build_price_series(np.concatenate(stamps), np.concatenate(prices),

@@ -2,7 +2,7 @@
 
 Paths are generated by the Euler recursion
 
-    X(i+1) = X(i) + b(t_i, X_i) dt + sigma(t_i, X_i) sqrt(dt) Z_i
+    X(i+1) = X(i) + b dt + sigma sqrt(dt) Z_i
 
 with an optional jump component. A path's jump time is snapped to the first
 grid point at or after it, and the jump is applied after that step's diffusion
@@ -10,23 +10,22 @@ increment. Alongside the observed path we retain the jump-free accumulation of
 the same realized increments (the latent continuous component), which downstream
 oracle computations evaluate in place of the observed states.
 
-Drift and diffusion may be plain floats (the common case, simulated fully
-vectorized) or callables (t, x) -> value, simulated with a per-step loop with
-coefficients evaluated at the observed pre-jump state.
+Drift and diffusion are constants, so every path's increments come from one
+vectorized pass; only the jump size is a function, of the jump time and the
+pre-jump state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, SimulationOverflowError
 from .rng import path_rng, philox_keys, thread_generator
-
-Coefficient = Union[float, Callable[[float, float], float]]
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def build_grid(horizon: float, n_steps: int) -> TimeGrid:
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    if not (n_steps == math.inf or n_steps >= 2 and int(n_steps) == n_steps):
+    if not (2 <= n_steps < math.inf and int(n_steps) == n_steps):
         raise ConfigurationError(f"n_steps must be an integer >= 2, got {n_steps}")
     try:
         n_steps = int(n_steps)
@@ -60,6 +59,25 @@ def build_grid(horizon: float, n_steps: int) -> TimeGrid:
             f"n_steps = {n_steps:.6g} is too large to allocate a grid") from exc
     return TimeGrid(horizon=float(horizon), n_steps=n_steps,
                     dt=float(horizon) / n_steps, times=times)
+
+
+def grid_for_step(horizon: float, dt: float) -> TimeGrid:
+    """The uniform grid on [0, horizon] with round(horizon / dt) steps.
+
+    Raises ConfigurationError for a dt that is not positive and finite, that
+    is so small that horizon / dt overflows, or that leaves fewer than 2 steps.
+    """
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    n_steps = horizon / dt
+    if n_steps == math.inf:
+        raise ConfigurationError(
+            f"dt must leave a finite number of grid steps on the horizon {horizon}, got {dt}")
+    n_steps = round(n_steps)
+    if n_steps < 2:
+        raise ConfigurationError(
+            f"dt must leave at least 2 grid steps on the horizon {horizon}, got {dt}")
+    return build_grid(horizon, n_steps)
 
 
 @dataclass(frozen=True)
@@ -90,8 +108,8 @@ JumpLaw = Union[NoJumps, SingleUniformJump, PoissonRate]
 class JumpDiffusionSpec:
     """Coefficients, jump law, and initial state of a scalar jump diffusion."""
 
-    drift: Coefficient
-    diffusion: Coefficient
+    drift: float
+    diffusion: float
     jump_size: Callable[[float, float], float]  # (time, pre-jump state) -> size
     jump_law: JumpLaw
     x0: float
@@ -101,14 +119,12 @@ class JumpDiffusionSpec:
             raise ConfigurationError(f"x0 must be finite, got {self.x0}")
         for name in ("drift", "diffusion"):
             value = getattr(self, name)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigurationError(f"constant {name} must be finite, got {value}")
-        if isinstance(self.diffusion, (int, float)) and self.diffusion < 0:
+        if self.diffusion < 0:
             raise ConfigurationError(f"constant diffusion must be >= 0, got {self.diffusion}")
-
-    @property
-    def has_constant_coefficients(self) -> bool:
-        return isinstance(self.drift, (int, float)) and isinstance(self.diffusion, (int, float))
 
 
 def sample_single_jump_time(rng: np.random.Generator) -> float:
@@ -149,43 +165,6 @@ def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
             return hits.size
         return poisson
     raise ConfigurationError(f"unknown jump law {law!r}")
-
-
-def _simulate_looped(spec: JumpDiffusionSpec, grid: TimeGrid, z: np.ndarray,
-                     schedule: list[tuple[int, float]], observed: np.ndarray,
-                     cont: np.ndarray):
-    """Fill one row's observed and continuous states; return its jumps' (pres, sizes)."""
-    jumps_at = {}
-    for k, t_evt in schedule:
-        jumps_at.setdefault(k, []).append(t_evt)
-    drift = spec.drift if callable(spec.drift) else (lambda t, x: spec.drift)
-    diff = spec.diffusion if callable(spec.diffusion) else (lambda t, x: spec.diffusion)
-    n = grid.n_steps
-    sq = math.sqrt(grid.dt)
-    observed[0] = cont[0] = spec.x0
-    x = xc = spec.x0
-    pres, sizes = [], []  # per schedule entry, as the schedule is in time order
-    for i in range(n):
-        t = grid.times[i]
-        s = diff(t, x)
-        if s < 0:
-            raise ConfigurationError(f"diffusion({t!r}, {x!r}) = {s} < 0")
-        step = drift(t, x) * grid.dt + s * sq * z[i]
-        x += step
-        xc += step
-        for t_evt in jumps_at.get(i + 1, ()):
-            pre = x
-            size = float(spec.jump_size(t_evt, pre))
-            x += size
-            pres.append(pre)
-            sizes.append(size)
-        if not math.isfinite(x):
-            raise SimulationOverflowError(
-                f"state became non-finite at step {i + 1} (t={grid.times[i + 1]:.6g})",
-                step_index=i + 1)
-        observed[i + 1] = x
-        cont[i + 1] = xc
-    return pres, sizes
 
 
 class PathWorkspace:
@@ -298,43 +277,37 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     jump_size = np.empty(jump_time.size)
     starts = np.cumsum(counts) - counts
 
-    if spec.has_constant_coefficients:
-        # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
-        z *= float(spec.diffusion) * math.sqrt(grid.dt)
-        z += float(spec.drift) * grid.dt
-        # x0 + cumsum, with column 0 formed as -0.0 + x0 == x0, so that one
-        # contiguous pass adds x0 to every column
-        cont[:, 0] = -0.0
-        np.add.accumulate(z, axis=1, out=cont[:, 1:])  # np.cumsum's sum, less call overhead
-        cont += spec.x0
-        observed[...] = cont
-        # round r applies the r-th jump of every row that has one, adding to
-        # the row's columns from its jump step on and writing no other element,
-        # so each element gets the additions of a per-jump loop in its order
-        cols = np.arange(n + 1)
-        for r in range(n_rounds):
-            rows = None if r < every_row else np.flatnonzero(counts > r)
-            sel = starts + r if rows is None else starts[rows] + r
-            pre = observed.reshape(-1)[landing[sel]]
-            jump_pre[sel] = pre
-            jump_size[sel] = [float(spec.jump_size(t, x))
-                              for t, x in zip(jump_time[sel].tolist(), pre.tolist())]
-            if rows is None:
-                first, size = jump_step[sel], jump_size[sel]
-            else:  # rows without an r-th jump get none
-                first, size = np.full(n_paths, n + 1), np.zeros(n_paths)
-                first[rows], size[rows] = jump_step[sel], jump_size[sel]
-            np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
-        if not np.isfinite(observed).all():
-            bad = np.argwhere(~np.isfinite(observed))[0]
-            raise SimulationOverflowError(
-                f"path {path_offset + bad[0]} became non-finite at step {bad[1]}",
-                step_index=int(bad[1]))
-    else:
-        for i, (lo, hi) in enumerate(zip(starts.tolist(), (starts + counts).tolist())):
-            schedule = list(zip(jump_step[lo:hi].tolist(), jump_time[lo:hi].tolist()))
-            jump_pre[lo:hi], jump_size[lo:hi] = _simulate_looped(
-                spec, grid, z[i], schedule, observed[i], cont[i])
+    # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
+    z *= float(spec.diffusion) * math.sqrt(grid.dt)
+    z += float(spec.drift) * grid.dt
+    # x0 + cumsum, with column 0 formed as -0.0 + x0 == x0, so that one
+    # contiguous pass adds x0 to every column
+    cont[:, 0] = -0.0
+    np.add.accumulate(z, axis=1, out=cont[:, 1:])  # np.cumsum's sum, less call overhead
+    cont += spec.x0
+    observed[...] = cont
+    # round r applies the r-th jump of every row that has one, adding to
+    # the row's columns from its jump step on and writing no other element,
+    # so each element gets the additions of a per-jump loop in its order
+    cols = np.arange(n + 1)
+    for r in range(n_rounds):
+        rows = None if r < every_row else np.flatnonzero(counts > r)
+        sel = starts + r if rows is None else starts[rows] + r
+        pre = observed.reshape(-1)[landing[sel]]
+        jump_pre[sel] = pre
+        jump_size[sel] = [float(spec.jump_size(t, x))
+                          for t, x in zip(jump_time[sel].tolist(), pre.tolist())]
+        if rows is None:
+            first, size = jump_step[sel], jump_size[sel]
+        else:  # rows without an r-th jump get none
+            first, size = np.full(n_paths, n + 1), np.zeros(n_paths)
+            first[rows], size[rows] = jump_step[sel], jump_size[sel]
+        np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
+    if not np.isfinite(observed).all():
+        bad = np.argwhere(~np.isfinite(observed))[0]
+        raise SimulationOverflowError(
+            f"path {path_offset + bad[0]} became non-finite at step {bad[1]}",
+            step_index=int(bad[1]))
 
     pre_jump[...] = observed
     # back out sizes at landing points only; earlier jumps stay folded in

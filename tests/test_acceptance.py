@@ -326,7 +326,7 @@ def test_criterion_9_backtest_direction():
             config = BacktestConfig(
                 learning=TrainConfig("msbve", 1500.0, 20, 1, 0.5, master_seed=0),
                 train_days=40, steps_per_day=79, threshold_mode=mode,
-                warm_start=True, theta_min=0.3, theta_max=3.0, target_wealth=1.01)
+                theta_min=0.3, theta_max=3.0, target_wealth=1.01)
             for loss in ("mstde", "msbve"):
                 cell[(loss, mode)] = rolling_backtest(series, config, loss).sharpe_annualized
         if cell[("msbve", "raw")] >= cell[("mstde", "raw")]:

@@ -7,7 +7,7 @@ from jumprl.errors import ConfigurationError, DivergenceError, InsufficientDataE
 from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
                                jump_robustness_ratio, losses_by_row, msbve_loss,
                                mstde_loss, train)
-from jumprl.models import ExponentialValue, LinearValue, QuadraticValue
+from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
 from jumprl.rng import stream
 from jumprl.sde import simulate_batch
 from conftest import assert_same_bits
@@ -124,6 +124,32 @@ MIN_WIDTH_EXAMPLES = {
     "msbve": ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 1.0, 1.0),
 }
 MIN_POINTS = {"mstde": 2, "msbve": 3}
+
+
+class TestDerivativeBroadcast:
+    """A theta-derivative that does not depend on the path may come back as
+    one (1, n+1) row; grads_by_row broadcasts it to the values' shape."""
+
+    @staticmethod
+    def value(theta, t, x):
+        return theta * (1.0 - t) + x
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_row_derivative_trains_as_the_full_one(self, kind, study_spec, grid_100):
+        row = CustomValue(value_fn=self.value, dtheta_fn=lambda theta, t, x: 1.0 - t)
+        full = CustomValue(value_fn=self.value, dtheta_fn=lambda theta, t, x:
+                           np.broadcast_to(1.0 - t, np.shape(x)).copy())
+        config = TrainConfig(kind, 0.01, 3, 4, 0.5, master_seed=11, record_every=1)
+        got, want = (train(model, study_spec, grid_100, config) for model in (row, full))
+        assert got.theta_trace == want.theta_trace
+        assert got.loss_trace == want.loss_trace
+        assert len(got.theta_trace) == 4 and got.theta_final != 0.5
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_shape_that_cannot_broadcast_names_both(self, kind):
+        with pytest.raises(ConfigurationError, match=r"^dvalues of shape \(4, 10\) do not "
+                                                     r"broadcast to the values' shape \(4, 11\)$"):
+            grads_by_row(kind, np.zeros((4, 11)), np.zeros((4, 10)))
 
 
 class TestKernelBoundaries:

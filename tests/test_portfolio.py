@@ -11,9 +11,9 @@ from jumprl.errors import (ConfigurationError, DegenerateSeriesError, Divergence
                            SingularParameterError)
 from jumprl.estimators import TrainConfig, grads_by_row
 from jumprl.models import MeanVarianceValue, target_anchor
-from jumprl.portfolio import (LOSS_RATE_SCALE, BacktestConfig, BacktestResult, PriceSeries,
-                              _daily_bipower, _excess_returns, _fit_theta,
-                              _wealth_matrix, bipower_sigma2, build_price_series,
+from jumprl.portfolio import (ANNUALIZATION, HORIZON, LOSS_RATE_SCALE, BacktestConfig,
+                              BacktestResult, PriceSeries, _daily_bipower, _excess_returns,
+                              _fit_theta, _wealth_matrix, bipower_sigma2, build_price_series,
                               jump_threshold, read_price_csv, rolling_backtest,
                               sharpe, simulate_wealth, synthetic_gbm_jump_series,
                               threshold_series, write_price_csv)
@@ -109,10 +109,10 @@ def backtest_by_series(series, config, loss_kind):
 
     partition, matrix, T = series.day_partition, stacked(series), config.train_days
     m = matrix.shape[1] - 1
-    dt = config.horizon / m
-    times = np.linspace(0.0, config.horizon, m + 1)[None, :]
+    dt = HORIZON / m
+    times = np.linspace(0.0, HORIZON, m + 1)[None, :]
     model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth,
-                              horizon=config.horizon)
+                              horizon=HORIZON)
     theta, rows = config.learning.theta0, []
     for d in range(T, len(partition)):
         window = matrix[d - T:d]
@@ -127,12 +127,12 @@ def backtest_by_series(series, config, loss_kind):
         theta = _fit_theta(theta, window, sigma_hat, loss_kind, config, model, times, dt)
         terminal = simulate_wealth(theta, sigma_hat, matrix[d], config.target_wealth,
                                    config.initial_wealth, config.risk_free_daily, dt,
-                                   config.horizon)
+                                   HORIZON)
         rows.append((partition[d][0], terminal, (terminal - config.initial_wealth)
                      / config.initial_wealth - config.risk_free_daily, theta))
     days, wealth, returns, thetas = (list(col) for col in zip(*rows))
     return BacktestResult(loss_kind=loss_kind, threshold_mode=config.threshold_mode,
-                          sharpe_annualized=sharpe(returns, config.annualization),
+                          sharpe_annualized=sharpe(returns, ANNUALIZATION),
                           degenerate=False, test_days=days, terminal_wealth=wealth,
                           daily_return=returns, theta_per_day=thetas)
 
@@ -583,10 +583,13 @@ class TestRollingBacktest:
         wiggle = np.concatenate([[0.0], np.tile([0.001, -0.001], (bars + 1) // 2)])
         pattern = 100.0 + np.cumsum(wiggle[:bars + 1])
         series = self._repeated_day_series(6, bars, pattern)
-        # re-initialized theta sees the same window every day: equal returns
-        config = BacktestConfig(learning=learning(steps=2), train_days=4,
-                                steps_per_day=bars, warm_start=False)
+        # a step far past the bound holds theta at theta_max every day, and
+        # every day trades the same prices: equal returns
+        config = BacktestConfig(learning=learning(steps=2, alpha=1e12, theta0=10.0),
+                                train_days=4, steps_per_day=bars)
         result = rolling_backtest(series, config, "msbve")
+        assert result.theta_per_day == [config.theta_max] * 2
+        assert result.daily_return[0] == result.daily_return[1]
         assert result.degenerate
         assert result.sharpe_annualized is None
 
@@ -715,8 +718,7 @@ class TestRollingBacktest:
 
     @pytest.mark.parametrize("field, value", [
         ("target_wealth", np.nan), ("target_wealth", np.inf), ("initial_wealth", -np.inf),
-        ("risk_free_daily", np.inf), ("risk_free_daily", np.nan), ("horizon", np.inf),
-        ("horizon", np.nan), ("horizon", 0.0)])
+        ("risk_free_daily", np.inf), ("risk_free_daily", np.nan)])
     def test_rejects_non_finite_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             BacktestConfig(learning=learning(), **{field: value})

@@ -9,8 +9,8 @@ from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
-                        SingleUniformJump, build_grid, doubling_jump_spec, path_to_csv,
-                        sample_single_jump_time, simulate_batch)
+                        SingleUniformJump, build_grid, doubling_jump_spec, grid_for_step,
+                        path_to_csv, sample_single_jump_time, simulate_batch)
 from conftest import jump_ledger
 
 
@@ -34,18 +34,40 @@ class TestBuildGrid:
         gaps = np.diff(grid.times)
         assert np.all(np.abs(gaps - grid.dt) <= np.spacing(grid.horizon))
 
-    @pytest.mark.parametrize("horizon,n", [(0.0, 10), (-1.0, 10), (1.0, 1), (1.0, 0)])
+    @pytest.mark.parametrize("horizon,n", [(0.0, 10), (-1.0, 10), (1.0, 1), (1.0, 0),
+                                           (1.0, math.inf)])
     def test_rejects_bad_arguments(self, horizon, n):
         with pytest.raises(ConfigurationError):
             build_grid(horizon, n)
 
-    @pytest.mark.parametrize("n, shown", [(10**300, "1e+300"), (math.inf, "inf")],
-                             ids=["1e300", "inf"])
+    @pytest.mark.parametrize("n, shown", [(10**300, "1e+300")], ids=["1e300"])
     def test_unallocatable_step_count_names_n_steps(self, n, shown):
-        # both sizes are refused before anything is allocated
+        # refused before anything is allocated
         with pytest.raises(ConfigurationError) as info:
             build_grid(1.0, n)
         assert f"n_steps = {shown} is too large to allocate a grid" in str(info.value)
+
+
+class TestGridForStep:
+    @pytest.mark.parametrize("dt, n_steps", [(0.01, 100), (0.001, 1000), (0.3, 3), (0.5, 2),
+                                             (1 / 79, 79)])
+    def test_rounds_horizon_over_dt(self, dt, n_steps):
+        grid = grid_for_step(1.0, dt)
+        assert grid.n_steps == n_steps
+        np.testing.assert_array_equal(grid.times, build_grid(1.0, n_steps).times)
+
+    @pytest.mark.parametrize("dt, message", [
+        (0.0, "dt must be positive and finite, got 0.0"),
+        (-0.1, "dt must be positive and finite, got -0.1"),
+        (math.nan, "dt must be positive and finite, got nan"),
+        (math.inf, "dt must be positive and finite, got inf"),
+        (0.7, "dt must leave at least 2 grid steps on the horizon 1.0, got 0.7"),
+        (5e-324, "dt must leave a finite number of grid steps on the horizon 1.0, got 5e-324"),
+        (1e-300, "n_steps = 1e+300 is too large to allocate a grid")])
+    def test_bad_step_names_the_rule(self, dt, message):
+        with pytest.raises(ConfigurationError) as info:
+            grid_for_step(1.0, dt)
+        assert str(info.value) == message
 
 
 class TestSingleJumpTime:
@@ -101,26 +123,11 @@ class TestSimulatePath:
         assert jump_ledger(a) == jump_ledger(b)
 
     def test_overflow_reports_step(self, grid_100):
-        for spec in [
-            JumpDiffusionSpec(drift=lambda t, x: x * 1e8, diffusion=lambda t, x: 0.0,
-                              jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e300),
-            JumpDiffusionSpec(drift=1e308, diffusion=0.0,
-                              jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e308),
-        ]:
-            with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
-                simulate_batch(spec, grid_100, 0, 0, 1)
-            assert err.value.step_index >= 1
-
-    def test_callable_coefficients_match_constants(self, grid_100):
-        const = JumpDiffusionSpec(drift=0.3, diffusion=0.7,
-                                  jump_size=lambda t, x: x,
-                                  jump_law=SingleUniformJump(), x0=0.1)
-        called = JumpDiffusionSpec(drift=lambda t, x: 0.3, diffusion=lambda t, x: 0.7,
-                                   jump_size=lambda t, x: x,
-                                   jump_law=SingleUniformJump(), x0=0.1)
-        a = simulate_batch(const, grid_100, 21, 0, 1)
-        b = simulate_batch(called, grid_100, 21, 0, 1)
-        np.testing.assert_allclose(a.observed, b.observed, rtol=1e-12)
+        spec = JumpDiffusionSpec(drift=1e308, diffusion=0.0,
+                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e308)
+        with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
+            simulate_batch(spec, grid_100, 0, 0, 1)
+        assert err.value.step_index >= 1
 
     @pytest.mark.parametrize("drift,sigma", [(0.0, 1.0), (0.3, 0.7), (-2.5, 1e-3)])
     def test_constant_recursion_matches_reference(self, drift, sigma):
@@ -195,14 +202,36 @@ class TestPoissonRate:
         assert abs(mean_count - rate) < 0.1
 
 
+class TestSpecCheck:
+    @pytest.mark.parametrize("field", ["drift", "diffusion"])
+    @pytest.mark.parametrize("value", [lambda t, x: 0.5, True, "0.5", None],
+                             ids=["callable", "bool", "str", "None"])
+    def test_coefficient_that_is_not_a_number_names_the_field(self, field, value):
+        fields = dict(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
+                      jump_law=NoJumps(), x0=0.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a real number, got "):
+            JumpDiffusionSpec(**fields)
+
+    def test_numpy_and_integer_coefficients_give_the_float_bits(self, grid_100):
+        def batch(drift, diffusion):
+            spec = JumpDiffusionSpec(drift=drift, diffusion=diffusion, jump_size=lambda t, x: x,
+                                     jump_law=SingleUniformJump(), x0=0.1)
+            return simulate_batch(spec, grid_100, 21, 0, 3)
+
+        want = batch(0.3, 2.0)
+        for drift, diffusion in ((np.float64(0.3), np.int64(2)), (0.3, 2)):
+            got = batch(drift, diffusion)
+            for name in BATCH_ARRAYS:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 BATCH_ARRAYS = ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
                 "jump_time", "jump_pre", "jump_size")
-# constant coefficients, callable coefficients (the looped branch), several jumps per row
+# one jump per row, and several jumps per row
 BATCH_SPECS = [
     JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
                       jump_law=SingleUniformJump(), x0=0.2),
-    JumpDiffusionSpec(drift=lambda t, x: -x, diffusion=lambda t, x: 0.5 + t,
-                      jump_size=lambda t, x: 0.25, jump_law=SingleUniformJump(), x0=0.5),
     JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
                       jump_law=PoissonRate(rate=8.0), x0=1.0),
 ]
@@ -250,7 +279,7 @@ class TestBatch:
         np.testing.assert_array_equal(whole.observed,
                                       np.vstack([left.observed, right.observed]))
 
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
     def test_rows_match_seeded_paths_at_offset(self, spec):
         grid = build_grid(1.0, 200)
         offset = 2**33 + 5
@@ -308,7 +337,7 @@ class TestBatch:
 
 
 class TestTraceContract:
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
     def test_path_rng_called_through_module_once_per_row(self, spec, monkeypatch):
         # the benchmark's tracer rebinds sde.path_rng and counts one stream per
         # call, so each row must call it through that global: a binding taken
@@ -331,7 +360,7 @@ class TestTraceContract:
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "callable", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
     def test_batch_equals_fresh_batch_and_is_read_only(self, spec):
         grid, workspace = build_grid(1.0, 200), PathWorkspace()
         # a larger batch first, so the second uses the leading rows of dirty arrays
@@ -405,11 +434,6 @@ PINNED_BATCHES = {
                           100, 97, 2, 12, 0),
     "no-jumps": (JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
                                    jump_law=NoJumps(), x0=0.2), 100, 13, 0, 8, 0),
-    "callable-single": (BATCH_SPECS[1], 200, 2**40 + 3, 7, 6, 2**33),
-    "callable-poisson": (JumpDiffusionSpec(drift=lambda t, x: 0.1 - x, diffusion=lambda t, x: 1.3,
-                                           jump_size=lambda t, x: -0.5 * x,
-                                           jump_law=PoissonRate(rate=8.0), x0=1.0),
-                         200, 79, 2, 6, 0),
     "negative-zero-x0": (JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: 1.0,
                                            jump_law=SingleUniformJump(), x0=-0.0),
                          50, 89, 0, 8, 0),
@@ -421,8 +445,6 @@ class TestPinnedBits:
     streams stay as they are; the digests were recorded with numpy 2.4 on x86-64."""
 
     DIGESTS = {
-        "callable-poisson": "bcfee41c47939b23878accb1b3426bc75edf23e0c998e32bbbdae4be8ebf1a10",
-        "callable-single": "8442d1ccebb17a33b33e14aea4fc58f67d859bbeab23556a2c81abf61c38be70",
         "doubling-128x1000-offset128":
             "7f23ee0ec5126a67663d73a76205602c730862212aaf37ca94d9ddba33b10247",
         "doubling-32x100": "cecba93455470da8942302d254d2fdb474c3ef356f4f8ab2091ebb5924f70843",

@@ -9,6 +9,8 @@ import jumprl
 
 MODULES = sorted(p for p in Path(jumprl.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+SKIPS = {"skip", "skipif", "xfail"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,38 @@ def test_module_reads_every_name_it_imports(path):
 def test_unused_import_is_found():
     source = "import os\nfrom math import inf, pi\n\nprint(os.sep, pi)\n"
     assert unused_imports(source) == ["line 2: inf"]
+
+
+def skips(source: str) -> list[str]:
+    """Every skip, skipif or xfail a module's code names through pytest:
+    `pytest.mark.<name>` markers, `pytest.<name>(...)` calls, and names
+    imported from pytest or pytest.mark."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SKIPS:
+            base = node.value
+            if isinstance(base, ast.Attribute) and base.attr == "mark":
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in ("pytest", "mark"):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("pytest", "pytest.mark"):
+            found += [(node.lineno, f"from {node.module} import {alias.name}")
+                      for alias in node.names if alias.name in SKIPS]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.stem)
+def test_test_module_skips_nothing(path):
+    # every criterion runs: a test that cannot pass fails, it is never skipped
+    assert skips(path.read_text()) == []
+
+
+def test_skip_is_found():
+    source = ("import pytest\nfrom pytest import xfail\n\n"
+              "@pytest.mark.skipif(True, reason='r')\ndef test_a():\n    pytest.skip('r')\n\n"
+              "@pytest.mark.xfail\ndef test_b():\n    assert 'pytest.skip'\n\n"
+              "@pytest.mark.parametrize('x', [1])\ndef test_c(x):\n    pass\n")
+    assert skips(source) == ["line 2: from pytest import xfail",
+                             "line 4: pytest.mark.skipif",
+                             "line 6: pytest.skip",
+                             "line 8: pytest.mark.xfail"]
