@@ -16,8 +16,8 @@ from .oracles import (MinimizerTable, QuadraticObjective, argmin_quadratic,
                       closed_form_objective, mc_argmin, reference_minimizers)
 from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sigma2,
                         build_price_series, jump_threshold, read_price_csv,
-                        rolling_backtest, sharpe, simulate_wealth,
-                        synthetic_gbm_jump_series, threshold_series, write_price_csv)
+                        rolling_backtest, sharpe, synthetic_gbm_jump_series,
+                        threshold_series, write_price_csv)
 from .sde import (JumpDiffusionSpec, NoJumps, PathBatch, PoissonRate,
                   SingleUniformJump, TimeGrid, build_grid, doubling_jump_spec,
                   path_to_csv, sample_single_jump_time, simulate_batch)

@@ -19,14 +19,12 @@ import click
 from . import oracles
 from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
                      SingularParameterError)
-from .estimators import TrainConfig, trace_rows, train
-from .models import family_by_name
-from .portfolio import BacktestConfig, read_price_csv, rolling_backtest
+from .estimators import LOSS_KINDS, TrainConfig, trace_rows, train
+from .models import BUILTIN_FAMILIES, HORIZON, family_by_name
+from .portfolio import THRESHOLD_MODES, BacktestConfig, read_price_csv, rolling_backtest
 from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                   build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
-
-HORIZON = 1.0  # of every training run and oracle scan
 
 _TRAINING = {  # keys train and compare share
     "seed": ("seed", None), "out": ("str", "out"), "x0": ("float", 0.1),
@@ -257,9 +255,8 @@ def _training(v: dict, loss: str):
 @main.command("train")
 @_shared_options
 @click.option("--preset", default=None, help=f"One of {sorted(TRAIN_PRESETS)}.")
-@click.option("--family", default=None,
-              type=click.Choice(["linear", "quadratic", "exponential", "mean_variance"]))
-@click.option("--loss", default=None, type=click.Choice(["mstde", "msbve"]))
+@click.option("--family", default=None, type=click.Choice(BUILTIN_FAMILIES))
+@click.option("--loss", default=None, type=click.Choice(LOSS_KINDS))
 @click.option("--episodes", type=int, default=None)
 @click.option("--paths", type=int, default=None)
 @click.option("--alpha", type=float, default=None)
@@ -270,8 +267,7 @@ def cmd_train(**flags):
     """Run one SGD estimation and report the fitted parameter."""
     def body(v):
         try:
-            model = family_by_name(v["family"], z=v["z"], x0=v["wealth_x0"],
-                                   horizon=HORIZON)
+            model = family_by_name(v["family"], z=v["z"], x0=v["wealth_x0"])
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
         spec, grid, train_config = _training(v, v["loss"])
@@ -331,7 +327,7 @@ def cmd_compare(**flags):
             for family_name in names:
                 model = family_by_name(family_name)
                 cell: dict = {}
-                for loss_kind in ("mstde", "msbve"):
+                for loss_kind in LOSS_KINDS:
                     spec, grid, train_config = _training(v, loss_kind)
                     try:
                         result = train(model, spec, grid, train_config)
@@ -349,7 +345,7 @@ def cmd_compare(**flags):
                 cell["oracle_reference"] = table.get(family_name, "oracle")
                 if flags["oracle_scan"]:
                     cell["oracle_scan"] = oracles.mc_argmin(
-                        model, "oracle", doubling_jump_spec(),
+                        model, "oracle", spec,
                         build_grid(HORIZON, v["scan_steps"]), v["scan_paths"], master)
                 report["families"][family_name] = cell
         write_json(report, directory / "compare_report.json")
@@ -361,9 +357,8 @@ def cmd_compare(**flags):
 @main.command("backtest")
 @_shared_options
 @click.option("--data", type=click.Path(), default=None, required=False)
-@click.option("--mode", default=None,
-              type=click.Choice(["raw", "thresholded", "both"]))
-@click.option("--loss", default=None, type=click.Choice(["mstde", "msbve", "both"]))
+@click.option("--mode", default=None, type=click.Choice([*THRESHOLD_MODES, "both"]))
+@click.option("--loss", default=None, type=click.Choice([*LOSS_KINDS, "both"]))
 @click.option("--train-days", type=int, default=None)
 @click.option("--bars-per-day", type=int, default=None)
 @click.option("--z", type=float, default=None)
@@ -379,8 +374,8 @@ def cmd_backtest(**flags):
             raise ConfigurationError("--data (or config `data`) is required")
         series = read_price_csv(v["data"], v["bars_per_day"])
         directory = _out_dir(v["out"])
-        modes = ["raw", "thresholded"] if v["mode"] == "both" else [v["mode"]]
-        losses = ["mstde", "msbve"] if v["loss"] == "both" else [v["loss"]]
+        modes = THRESHOLD_MODES if v["mode"] == "both" else [v["mode"]]
+        losses = LOSS_KINDS if v["loss"] == "both" else [v["loss"]]
         learning = TrainConfig(
             loss_kind="msbve", learning_rate=v["alpha"], episodes=v["steps_per_update"],
             paths_per_episode=1, theta0=v["theta0"], master_seed=v["seed"])

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InsufficientDataError
-from .models import LinearValue
+from .models import HORIZON, LinearValue
 from .rng import stream
 from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, grid_for_step, simulate_batch
 
@@ -163,8 +163,8 @@ class TrainResult:
     theta_trace: list  # [(episode, theta)], first entry (0, theta0)
     loss_trace: list   # [(episode, batch-mean loss)]
     config: TrainConfig
-    clip_events: int = 0
-    episodes_run: int = 0
+    clip_events: int
+    episodes_run: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,7 +245,7 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -
     Raises ConfigurationError, before any path is drawn, unless dt leaves 2
     or more steps on [0, 1] and n_seeds >= 1.
     """
-    grid = grid_for_step(1.0, dt)
+    grid = grid_for_step(HORIZON, dt)
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
     model = LinearValue()

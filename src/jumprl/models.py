@@ -6,9 +6,10 @@ Each family exposes a scalar parameter theta and three vectorized evaluations:
     dvalue_dtheta(theta, t, x)  exact derivative in theta
     dvalue_dx(theta, t, x)      exact derivative in x (used by oracle objectives)
 
-The three study families (linear, quadratic, exponential) anchor the terminal
-value at t = 1 independently of theta. The mean-variance family is singular at
-theta = 0 and rejects parameters with |theta| below THETA_FLOOR.
+Every family lives on [0, T] with T = HORIZON = 1, bound here and nowhere
+else. The three study families (linear, quadratic, exponential) anchor the
+terminal value at t = 1 independently of theta. The mean-variance family is
+singular at theta = 0 and rejects parameters with |theta| below THETA_FLOOR.
 
 The built-in evaluations never write into their arguments and return a fresh
 array (a numpy scalar for scalar inputs). Those formed in place keep the
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularParameterError
 
+HORIZON = 1.0       # T: the end of every value function's time interval
 THETA_FLOOR = 1e-6  # the smallest |theta| the mean-variance anchor accepts
 _FD_STEP = 1e-6     # CustomValue's central-difference step
 
@@ -106,7 +108,7 @@ class ExponentialValue:
         return out
 
 
-def target_anchor(theta: float, z: float, x0: float, horizon: float) -> float:
+def target_anchor(theta: float, z: float, x0: float) -> float:
     """w(theta) = (z e^{theta^2 T} - x0) / (e^{theta^2 T} - 1).
 
     Evaluated in the overflow-safe form z + (z - x0)/expm1(theta^2 T).
@@ -116,40 +118,37 @@ def target_anchor(theta: float, z: float, x0: float, horizon: float) -> float:
         raise SingularParameterError(
             f"|theta| = {abs(theta):.3g} below singularity floor {THETA_FLOOR:.3g}")
     with np.errstate(over="ignore"):  # expm1 -> inf collapses w to z, by design
-        return z + (z - x0) / np.expm1(theta * theta * horizon)
+        return z + (z - x0) / np.expm1(theta * theta * HORIZON)
 
 
-def _anchor_slope(theta: float, z: float, x0: float, horizon: float) -> float:
+def _anchor_slope(theta: float, z: float, x0: float) -> float:
     """d w / d theta in the overflow-safe form 2 theta T (x0-z) e^{-a} / expm1(-a)^2."""
-    a = theta * theta * horizon
-    return 2.0 * theta * horizon * (x0 - z) * np.exp(-a) / np.expm1(-a) ** 2
+    a = theta * theta * HORIZON
+    return 2.0 * theta * HORIZON * (x0 - z) * np.exp(-a) / np.expm1(-a) ** 2
 
 
 @dataclass(frozen=True)
 class MeanVarianceValue:
     """value = (x - w)^2 e^{theta^2 (t - T)} - (w - z)^2 with w = w(theta).
 
-    Static parameters: target wealth z, initial wealth x0, horizon T.
+    Static parameters: target wealth z and initial wealth x0; T = HORIZON.
     """
 
     z: float
     x0: float
-    horizon: float
     name: ClassVar[str] = "mean_variance"
 
     def __post_init__(self):
         for name in ("z", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
 
     def anchor(self, theta):
-        return target_anchor(theta, self.z, self.x0, self.horizon)
+        return target_anchor(theta, self.z, self.x0)
 
     def value(self, theta, t, x):
         w = self.anchor(theta)
-        decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - self.horizon))
+        decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - HORIZON))
         out = _offset(x, w, decay)
         np.square(out, out=out)
         out *= decay
@@ -158,15 +157,15 @@ class MeanVarianceValue:
 
     def dvalue_dtheta(self, theta, t, x):
         w = self.anchor(theta)
-        dw = _anchor_slope(theta, self.z, self.x0, self.horizon)
+        dw = _anchor_slope(theta, self.z, self.x0)
         t = np.asarray(t, dtype=float)
-        decay = np.exp(theta * theta * (t - self.horizon))
+        decay = np.exp(theta * theta * (t - HORIZON))
         out = _offset(x, w, decay)
         curv = np.square(out)  # (x - w)^2 decay 2 theta (t - T)
         curv *= decay
         curv *= 2.0
         curv *= theta
-        curv *= t - self.horizon
+        curv *= t - HORIZON
         out *= -2.0            # -2 (x - w) dw decay
         out *= dw
         out *= decay
@@ -176,7 +175,7 @@ class MeanVarianceValue:
 
     def dvalue_dx(self, theta, t, x):
         w = self.anchor(theta)
-        decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - self.horizon))
+        decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - HORIZON))
         return 2.0 * (x - w) * decay
 
 
@@ -214,14 +213,13 @@ _STUDY_FAMILIES = {cls.name: cls for cls in (LinearValue, QuadraticValue, Expone
 BUILTIN_FAMILIES = (*_STUDY_FAMILIES, MeanVarianceValue.name)
 
 
-def family_by_name(name: str, *, z: float | None = None, x0: float | None = None,
-                   horizon: float | None = None):
+def family_by_name(name: str, *, z: float | None = None, x0: float | None = None):
     """Resolve a family from its config-file name."""
     key = name.strip().lower()
     if key in _STUDY_FAMILIES:
         return _STUDY_FAMILIES[key]()
     if key == MeanVarianceValue.name:
-        if z is None or x0 is None or horizon is None:
-            raise ValueError("mean_variance requires z, x0 and horizon")
-        return MeanVarianceValue(z=z, x0=x0, horizon=horizon)
+        if z is None or x0 is None:
+            raise ValueError("mean_variance requires z and x0")
+        return MeanVarianceValue(z=z, x0=x0)
     raise ValueError(f"unknown value family {name!r}; expected one of {BUILTIN_FAMILIES}")

@@ -8,8 +8,9 @@ days, then trade the next day with the policy
 
     a_i = -(theta / sigma_hat) (X_i - w(theta))
 
-and record the terminal wealth. Daily excess returns are summarized by the
-annualized Sharpe ratio.
+and record the terminal wealth. One trading day is the time unit: its m bars
+split the value functions' horizon [0, HORIZON] into steps of HORIZON / m.
+Daily excess returns are summarized by the annualized Sharpe ratio.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError)
 from .estimators import LOSS_KINDS, TrainConfig, grads_by_row
-from .models import MeanVarianceValue, target_anchor
+from .models import HORIZON, MeanVarianceValue, target_anchor
 from .rng import stream
 
 THRESHOLD_MODES = ("raw", "thresholded")
-HORIZON = 1.0          # one trading day, the time unit of the wealth paths
 ANNUALIZATION = 252.0  # trading days per year, for the Sharpe ratio
 _GBM_DRIFT = 0.10    # synthetic_gbm_jump_series: annual drift
 _GBM_VOL = 0.20      # its annual volatility
@@ -231,7 +231,7 @@ def _excess_returns(day_matrix: np.ndarray, r_f_daily: float, dt: float) -> np.n
 
 
 def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
-                   z: float, x0: float, horizon: float,
+                   z: float, x0: float,
                    start_wealth: float | None = None,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Wealth paths (days, m+1) from replaying each day's excess returns.
@@ -248,7 +248,7 @@ def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
     """
     if not sigma_hat > 0:
         raise ConfigurationError(f"sigma_hat must be > 0, got {sigma_hat}")
-    w = target_anchor(theta, z, x0, horizon)
+    w = target_anchor(theta, z, x0)
     k = theta / sigma_hat
     start = x0 if start_wealth is None else start_wealth
     wealth = np.empty((excess.shape[0], excess.shape[1] + 1)) if out is None else out
@@ -262,18 +262,6 @@ def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
     if not np.isfinite(wealth).all():
         raise DivergenceError("wealth path became non-finite", episode=0, last_theta=theta)
     return wealth
-
-
-def simulate_wealth(theta: float, sigma_hat: float, day_prices, z: float, x0: float,
-                    r_f_daily: float = 0.0, dt: float = 1.0 / 79,
-                    horizon: float = 1.0) -> float:
-    """Terminal wealth from trading one day of prices under the policy."""
-    prices = np.asarray(day_prices, dtype=float)
-    if prices.ndim != 1 or prices.size < 2:
-        raise InsufficientDataError("a trading day needs at least 2 prices")
-    excess = _excess_returns(prices[None, :], r_f_daily, dt)
-    wealth = _wealth_matrix(theta, sigma_hat, excess, z, x0, horizon)
-    return float(wealth[0, -1])
 
 
 @dataclass(frozen=True)
@@ -361,7 +349,7 @@ def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: st
     wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
     for step in range(config.learning.episodes):
         _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
-                       config.initial_wealth, HORIZON, out=wealth)
+                       config.initial_wealth, out=wealth)
         J = np.asarray(model.value(theta, times, wealth), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, wealth), dtype=float)
         grad = float(np.mean(grads_by_row(loss_kind, J, dJ)))
@@ -404,8 +392,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
     m = matrix.shape[1] - 1
     dt = HORIZON / m
     times = np.linspace(0.0, HORIZON, m + 1)[None, :]
-    model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth,
-                              horizon=HORIZON)
+    model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth)
 
     theta = config.learning.theta0
     days_out, wealth_out, return_out, theta_out = [], [], [], []
@@ -434,9 +421,9 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
         theta = _fit_theta(theta, train_view, sigma_hat, loss_kind, config,
                            model, times, dt)
 
-        terminal = simulate_wealth(theta, sigma_hat, matrix[d], config.target_wealth,
-                                   config.initial_wealth, config.risk_free_daily,
-                                   dt, HORIZON)
+        excess = _excess_returns(matrix[d:d + 1], config.risk_free_daily, dt)
+        terminal = float(_wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
+                                        config.initial_wealth)[0, -1])
         days_out.append(partition[d][0])
         wealth_out.append(terminal)
         return_out.append((terminal - config.initial_wealth) / config.initial_wealth

@@ -231,7 +231,7 @@ def test_criterion_7_gradient_oracles():
             err2 = abs(grads_by_row("msbve", J, dJ)[0] - fd2) / (1 + abs(fd2))
             worst_loss = max(worst_loss, err2)
     worst_model = 0.0
-    families = models + [MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]
+    families = models + [MeanVarianceValue(z=2.0, x0=1.0)]
     for model in families:
         for _ in range(100):
             theta = float(rng.uniform(0.05, 2.0)) * (1 if rng.random() < 0.5 else -1)
@@ -278,10 +278,10 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         theta = float(rng.uniform(0.2, 3.0))
         z = float(rng.uniform(1.001, 1.1))
-        anchor = target_anchor(theta, z, 1.0, 1.0)
+        anchor = target_anchor(theta, z, 1.0)
         day = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, 12)))[None, :]
         wealth = _wealth_matrix(theta, 0.5, _excess_returns(day, 0.0, 1.0 / 11), z, 1.0,
-                                1.0, start_wealth=anchor)
+                                start_wealth=anchor)
         assert np.all(wealth == anchor)
     # determinism: simulate
     small_grid = build_grid(1.0, 50)

@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from jumprl import cli
 from jumprl.cli import main
 from jumprl.errors import IngestionError
+from jumprl.models import QuadraticValue
+from jumprl.oracles import mc_argmin
 from jumprl.portfolio import read_price_csv, synthetic_gbm_jump_series, write_price_csv
+from jumprl.sde import build_grid, doubling_jump_spec
 from conftest import falling_after_jump_series
 
 
@@ -283,6 +286,22 @@ class TestCompare:
         doc = read_json(tmp_path / "compare_report.json")
         # small-sample scan still lands in the right neighborhood
         assert doc["families"]["linear"]["oracle_scan"] == pytest.approx(-1.5, abs=0.15)
+
+    def test_oracle_scan_follows_config_x0(self, runner, tmp_path):
+        # the scan runs on the spec the two losses train on, from the configured x0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 0.3\n")
+        result = runner.invoke(main, ["compare", "--families", "quadratic", "--config", str(cfg),
+                                      "--episodes", "1", "--paths", "2", "--dt", "0.1",
+                                      "--oracle-scan", "--scan-paths", "400",
+                                      "--scan-steps", "100",
+                                      "--seed", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        scan = read_json(tmp_path / "compare_report.json")["families"]["quadratic"]["oracle_scan"]
+        grid = build_grid(1.0, 100)
+        assert scan == mc_argmin(QuadraticValue(), "oracle", doubling_jump_spec(0.3),
+                                 grid, 400, 4)
+        assert scan != mc_argmin(QuadraticValue(), "oracle", doubling_jump_spec(), grid, 400, 4)
 
 
     @pytest.mark.parametrize("dt", list(BAD_DT))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from jumprl.errors import SingularParameterError
-from jumprl.models import (CustomValue, ExponentialValue, LinearValue,
+from jumprl.models import (HORIZON, CustomValue, ExponentialValue, LinearValue,
                            MeanVarianceValue, QuadraticValue, _anchor_slope,
                            family_by_name, target_anchor)
 from jumprl.rng import stream
 from conftest import assert_same_bits
 
 FAMILIES = [LinearValue(), QuadraticValue(), ExponentialValue(),
-            MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)]
+            MeanVarianceValue(z=2.0, x0=1.0)]
 
 
 class TestValueFormulas:
@@ -74,23 +74,23 @@ class TestStateGradients:
 
 class TestMeanVariance:
     def test_anchor_limit_at_large_theta(self):
-        assert target_anchor(10.0, z=2.0, x0=1.0, horizon=1.0) == pytest.approx(2.0, abs=1e-8)
+        assert target_anchor(10.0, z=2.0, x0=1.0) == pytest.approx(2.0, abs=1e-8)
 
     def test_anchor_closed_form(self):
         # theta^2 T = ln 2 makes e^{theta^2 T} = 2, so w = (2z - x0)/(2 - 1)
         theta = math.sqrt(math.log(2.0))
-        assert target_anchor(theta, z=2.0, x0=1.0, horizon=1.0) == pytest.approx(3.0)
+        assert target_anchor(theta, z=2.0, x0=1.0) == pytest.approx(3.0)
 
     def test_anchor_identity_when_target_equals_start(self):
-        assert target_anchor(0.7, z=1.5, x0=1.5, horizon=1.0) == pytest.approx(1.5)
+        assert target_anchor(0.7, z=1.5, x0=1.5) == pytest.approx(1.5)
 
     def test_singularity_floor(self):
-        model = MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)
+        model = MeanVarianceValue(z=2.0, x0=1.0)
         with pytest.raises(SingularParameterError):
             model.value(1e-9, 0.5, 1.0)
 
     def test_huge_theta_stays_finite(self):
-        model = MeanVarianceValue(z=2.0, x0=1.0, horizon=1.0)
+        model = MeanVarianceValue(z=2.0, x0=1.0)
         v = model.value(50.0, 0.5, 1.3)
         g = model.dvalue_dtheta(50.0, 0.5, 1.3)
         assert math.isfinite(v) and math.isfinite(g)
@@ -124,7 +124,7 @@ class TestCustomAndRegistry:
         assert family_by_name("linear").name == "linear"
         assert family_by_name("quadratic").name == "quadratic"
         assert family_by_name("exponential").name == "exponential"
-        mv = family_by_name("mean_variance", z=1.01, x0=1.0, horizon=1.0)
+        mv = family_by_name("mean_variance", z=1.01, x0=1.0)
         assert mv.name == "mean_variance"
         with pytest.raises(ValueError):
             family_by_name("cubic")
@@ -134,17 +134,17 @@ class TestCustomAndRegistry:
 
 def _mean_variance_value(model, theta, t, x):
     w = model.anchor(theta)
-    decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - model.horizon))
+    decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - HORIZON))
     return (x - w) ** 2 * decay - (w - model.z) ** 2
 
 
 def _mean_variance_dtheta(model, theta, t, x):
     w = model.anchor(theta)
-    dw = _anchor_slope(theta, model.z, model.x0, model.horizon)
+    dw = _anchor_slope(theta, model.z, model.x0)
     t = np.asarray(t, dtype=float)
-    decay = np.exp(theta * theta * (t - model.horizon))
+    decay = np.exp(theta * theta * (t - HORIZON))
     return (-2.0 * (x - w) * dw * decay
-            + (x - w) ** 2 * decay * 2.0 * theta * (t - model.horizon)
+            + (x - w) ** 2 * decay * 2.0 * theta * (t - HORIZON)
             - 2.0 * (w - model.z) * dw)
 
 

@@ -10,12 +10,12 @@ from jumprl.errors import (ConfigurationError, DegenerateSeriesError, Divergence
                            IngestionError, InsufficientDataError,
                            SingularParameterError)
 from jumprl.estimators import TrainConfig, grads_by_row
-from jumprl.models import MeanVarianceValue, target_anchor
-from jumprl.portfolio import (ANNUALIZATION, HORIZON, LOSS_RATE_SCALE, BacktestConfig,
+from jumprl.models import HORIZON, MeanVarianceValue, target_anchor
+from jumprl.portfolio import (ANNUALIZATION, LOSS_RATE_SCALE, BacktestConfig,
                               BacktestResult, PriceSeries, _daily_bipower, _excess_returns,
                               _fit_theta, _wealth_matrix, bipower_sigma2, build_price_series,
                               jump_threshold, read_price_csv, rolling_backtest,
-                              sharpe, simulate_wealth, synthetic_gbm_jump_series,
+                              sharpe, synthetic_gbm_jump_series,
                               threshold_series, write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
@@ -39,11 +39,10 @@ def random_window(rng, days, bars):
     return 100.0 * np.exp(np.cumsum(steps, axis=1))
 
 
-def wealth_by_loop(theta, sigma_hat, day_matrix, z, x0, r_f_daily, dt, horizon,
-                   start_wealth=None):
+def wealth_by_loop(theta, sigma_hat, day_matrix, z, x0, r_f_daily, dt, start_wealth=None):
     """The policy's wealth recursion stepped bar by bar: the reference for the
     closed form in `_wealth_matrix`."""
-    w = target_anchor(theta, z, x0, horizon)
+    w = target_anchor(theta, z, x0)
     excess = day_matrix[:, 1:] / day_matrix[:, :-1] - 1.0 - r_f_daily * dt
     k = theta / sigma_hat
     m = excess.shape[1]
@@ -55,9 +54,9 @@ def wealth_by_loop(theta, sigma_hat, day_matrix, z, x0, r_f_daily, dt, horizon,
     return wealth
 
 
-def wealth_exact(theta, sigma_hat, excess, z, x0, horizon):
+def wealth_exact(theta, sigma_hat, excess, z, x0):
     """The same recursion in exact rational arithmetic on the same floats."""
-    w = Fraction(target_anchor(theta, z, x0, horizon))
+    w = Fraction(target_anchor(theta, z, x0))
     k = Fraction(theta) / Fraction(sigma_hat)
     out = np.empty((excess.shape[0], excess.shape[1] + 1))
     for r, row in enumerate(excess):
@@ -69,11 +68,11 @@ def wealth_exact(theta, sigma_hat, excess, z, x0, horizon):
     return out
 
 
-def wealth_strided(theta, sigma_hat, excess, z, x0, horizon, start_wealth=None):
+def wealth_strided(theta, sigma_hat, excess, z, x0, start_wealth=None):
     """`_wealth_matrix`'s closed form with the growth factors and their
     cumulative product formed in the strided view of columns 1..m: the
     bit-for-bit reference for the whole-row form."""
-    w = target_anchor(theta, z, x0, horizon)
+    w = target_anchor(theta, z, x0)
     k = theta / sigma_hat
     start = x0 if start_wealth is None else start_wealth
     wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
@@ -111,8 +110,7 @@ def backtest_by_series(series, config, loss_kind):
     m = matrix.shape[1] - 1
     dt = HORIZON / m
     times = np.linspace(0.0, HORIZON, m + 1)[None, :]
-    model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth,
-                              horizon=HORIZON)
+    model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth)
     theta, rows = config.learning.theta0, []
     for d in range(T, len(partition)):
         window = matrix[d - T:d]
@@ -125,9 +123,9 @@ def backtest_by_series(series, config, loss_kind):
             window = stacked(thresholded(sub, tau))[:, :m + 1]
         sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
         theta = _fit_theta(theta, window, sigma_hat, loss_kind, config, model, times, dt)
-        terminal = simulate_wealth(theta, sigma_hat, matrix[d], config.target_wealth,
-                                   config.initial_wealth, config.risk_free_daily, dt,
-                                   HORIZON)
+        excess = _excess_returns(matrix[d:d + 1], config.risk_free_daily, dt)
+        terminal = float(_wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
+                                        config.initial_wealth)[0, -1])
         rows.append((partition[d][0], terminal, (terminal - config.initial_wealth)
                      / config.initial_wealth - config.risk_free_daily, theta))
     days, wealth, returns, thetas = (list(col) for col in zip(*rows))
@@ -263,45 +261,50 @@ class TestThresholdSeries:
 class TestAnchor:
     def test_closed_form_at_log2(self):
         theta = math.sqrt(math.log(2.0))
-        assert target_anchor(theta, 2.0, 1.0, 1.0) == pytest.approx(3.0)
+        assert target_anchor(theta, 2.0, 1.0) == pytest.approx(3.0)
 
     def test_limit(self):
-        assert target_anchor(10.0, 2.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-8)
+        assert target_anchor(10.0, 2.0, 1.0) == pytest.approx(2.0, abs=1e-8)
 
     def test_equal_target_identity(self):
-        assert target_anchor(0.8, 1.5, 1.5, 1.0) == pytest.approx(1.5)
+        assert target_anchor(0.8, 1.5, 1.5) == pytest.approx(1.5)
 
     def test_singular_near_zero(self):
         with pytest.raises(SingularParameterError):
-            target_anchor(1e-9, 2.0, 1.0, 1.0)
+            target_anchor(1e-9, 2.0, 1.0)
 
 
 class TestSimulateWealth:
+    """One trading day replayed through `_wealth_matrix`, as `rolling_backtest`
+    trades its test day: a one-row excess matrix."""
+
     def test_flat_prices_keep_initial_wealth(self):
-        terminal = simulate_wealth(1.0, 0.1, np.full(80, 100.0), z=1.01, x0=1.0)
+        excess = _excess_returns(np.full((1, 80), 100.0), 0.0, 1.0 / 79)
+        terminal = _wealth_matrix(1.0, 0.1, excess, z=1.01, x0=1.0)[0, -1]
         assert terminal == 1.0
 
     def test_one_bar_day_closed_form(self):
         # w(theta) = 3 via z = 2 - x0 adjustments: pick z, x0 with known anchor
         theta = math.sqrt(math.log(2.0))  # w = (2z - x0)
         z, x0 = 2.0, 1.0                  # w = 3
-        terminal = simulate_wealth(theta, 1.0, np.array([100.0, 101.0]), z=z, x0=x0,
-                                   r_f_daily=0.0, dt=1.0)
+        excess = _excess_returns(np.array([[100.0, 101.0]]), 0.0, 1.0)
+        terminal = _wealth_matrix(theta, 1.0, excess, z=z, x0=x0)[0, -1]
         exposure = -theta * (x0 - 3.0)
         assert terminal == pytest.approx(x0 + exposure * 0.01, rel=1e-12)
 
     def test_policy_fixed_point(self):
         # wealth equal to the anchor zeroes the exposure, exactly and forever
         theta = math.sqrt(math.log(2.0))
-        anchor = target_anchor(theta, 2.0, 1.0, 1.0)
+        anchor = target_anchor(theta, 2.0, 1.0)
         prices = 100.0 * np.exp(np.cumsum(stream(3).normal(0, 0.001, 60)))[None, :]
         wealth = _wealth_matrix(theta, 0.5, _excess_returns(prices, 0.0, 1 / 59),
-                                z=2.0, x0=1.0, horizon=1.0, start_wealth=anchor)
+                                z=2.0, x0=1.0, start_wealth=anchor)
         np.testing.assert_array_equal(wealth, np.full_like(wealth, anchor))
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ConfigurationError):
-            simulate_wealth(1.0, 0.0, np.array([1.0, 2.0]), z=1.01, x0=1.0)
+            _wealth_matrix(1.0, 0.0, _excess_returns(np.array([[1.0, 2.0]]), 0.0, 1.0 / 79),
+                           z=1.01, x0=1.0)
 
     def test_matches_reference_loop(self):
         rng = stream(31)
@@ -310,9 +313,9 @@ class TestSimulateWealth:
             prices = random_window(rng, 1, bars)
             theta = float(rng.uniform(0.01, 3.0)) * (1 if trial % 2 else -1)
             r_f = float(rng.uniform(-1e-3, 1e-3))
-            ref = wealth_by_loop(theta, 0.0126, prices, 1.01, 1.0, r_f, 1.0 / bars, 1.0)
-            terminal = simulate_wealth(theta, 0.0126, prices[0], 1.01, 1.0, r_f,
-                                       1.0 / bars, 1.0)
+            ref = wealth_by_loop(theta, 0.0126, prices, 1.01, 1.0, r_f, 1.0 / bars)
+            terminal = _wealth_matrix(theta, 0.0126, _excess_returns(prices, r_f, 1.0 / bars),
+                                      1.01, 1.0)[0, -1]
             assert abs(terminal - ref[0, -1]) <= 1e-12 * np.abs(ref).max()
 
 
@@ -328,10 +331,10 @@ class TestWealthMatrix:
             z = float(rng.uniform(1.001, 1.1))
             start = float(rng.uniform(0.9, 1.1)) if trial % 3 == 0 else None
             ref = wealth_by_loop(theta, sigma_hat, prices, z, 1.0, r_f, 1.0 / bars,
-                                 1.0, start_wealth=start)
+                                 start_wealth=start)
             wealth = _wealth_matrix(theta, sigma_hat,
                                     _excess_returns(prices, r_f, 1.0 / bars), z, 1.0,
-                                    1.0, start_wealth=start)
+                                    start_wealth=start)
             np.testing.assert_array_equal(wealth[:, 0], ref[:, 0])
             assert_within_row_scale(wealth, ref, 1e-12)
 
@@ -345,18 +348,19 @@ class TestWealthMatrix:
             sigma_hat = math.sqrt(_daily_bipower(prices, log_scale=True))
             theta = float(rng.uniform(3.0, 10.0)) * (1 if trial % 2 else -1)
             excess = _excess_returns(prices, float(rng.uniform(-1e-3, 1e-3)), 1.0 / 79)
-            wealth = _wealth_matrix(theta, sigma_hat, excess, 1.01, 1.0, 1.0)
+            wealth = _wealth_matrix(theta, sigma_hat, excess, 1.01, 1.0)
             assert_within_row_scale(wealth, wealth_exact(theta, sigma_hat, excess,
-                                                         1.01, 1.0, 1.0), 1e-12)
+                                                         1.01, 1.0), 1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises_divergence(self):
         prices = random_window(stream(41), 3, 79)
         with pytest.raises(DivergenceError, match="non-finite"):
             _wealth_matrix(10.0, 1e-9, _excess_returns(prices, 0.0, 1.0 / 79),
-                           1.01, 1.0, 1.0)
+                           1.01, 1.0)
         with pytest.raises(DivergenceError, match="non-finite"):
-            simulate_wealth(-10.0, 1e-9, prices[0], 1.01, 1.0)
+            _wealth_matrix(-10.0, 1e-9, _excess_returns(prices[:1], 0.0, 1.0 / 79),
+                           1.01, 1.0)
 
     def test_out_buffer_gets_the_fresh_result(self):
         rng = stream(43)
@@ -365,9 +369,9 @@ class TestWealthMatrix:
             excess = _excess_returns(random_window(rng, days, bars), 1e-4, 1.0 / bars)
             theta = float(rng.uniform(0.01, 10.0)) * (1 if trial % 2 else -1)
             start = 1.02 if trial % 3 == 0 else None
-            fresh = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, 1.0, start)
+            fresh = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, start)
             buf = np.full((days, bars + 1), np.nan)
-            got = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, 1.0, start, out=buf)
+            got = _wealth_matrix(theta, 0.0126, excess, 1.01, 1.0, start, out=buf)
             assert got is buf
             np.testing.assert_array_equal(buf, fresh)
 
@@ -383,11 +387,11 @@ class TestWealthMatrix:
             sigma_hat = float(rng.uniform(0.005, 0.05))
             z = float(rng.uniform(1.001, 1.1))
             start = float(rng.uniform(0.9, 1.1)) if trial % 3 == 0 else None
-            ref = wealth_strided(theta, sigma_hat, excess, z, 1.0, 1.0, start)
-            assert_same_bits(_wealth_matrix(theta, sigma_hat, excess, z, 1.0, 1.0, start), ref)
+            ref = wealth_strided(theta, sigma_hat, excess, z, 1.0, start)
+            assert_same_bits(_wealth_matrix(theta, sigma_hat, excess, z, 1.0, start), ref)
             dirty = rng.uniform(-1e300, 1e300, (days, bars + 1))
             dirty[:, ::3] = np.nan
-            got = _wealth_matrix(theta, sigma_hat, excess, z, 1.0, 1.0, start, out=dirty)
+            got = _wealth_matrix(theta, sigma_hat, excess, z, 1.0, start, out=dirty)
             assert got is dirty
             assert_same_bits(dirty, ref)
 
@@ -408,7 +412,7 @@ class TestFitTheta:
     step past zero leaves a negative market price of risk (README)."""
 
     def test_sign_of_last_step_within_bounds(self):
-        model = MeanVarianceValue(z=1.01, x0=1.0, horizon=1.0)
+        model = MeanVarianceValue(z=1.01, x0=1.0)
         times = np.linspace(0.0, 1.0, 21)[None, :]
         negative = flipped = 0
         for seed in range(4):
@@ -426,7 +430,7 @@ class TestFitTheta:
                                      for config in configs)
                     wealth = _wealth_matrix(before, sigma_hat,
                                             _excess_returns(window, 0.0, 1.0 / 20),
-                                            1.01, 1.0, 1.0)
+                                            1.01, 1.0)
                     J = np.asarray(model.value(before, times, wealth), dtype=float)
                     dJ = np.asarray(model.dvalue_dtheta(before, times, wealth), dtype=float)
                     grad = float(np.mean(grads_by_row(loss, J, dJ)))
@@ -443,7 +447,7 @@ class TestFitTheta:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_window_raises_with_last_theta(self):
         window = random_window(stream(47), 5, 79)
-        model = MeanVarianceValue(z=1.01, x0=1.0, horizon=1.0)
+        model = MeanVarianceValue(z=1.01, x0=1.0)
         config = BacktestConfig(learning=TrainConfig("msbve", 1e-3, 20, 1, 7.5,
                                                      master_seed=0),
                                 train_days=5)
@@ -687,6 +691,24 @@ class TestRollingBacktest:
                 reports[mode, loss] = got
         # the threshold binds on these series, so the thresholded route is exercised
         assert reports["raw", "msbve"] != reports["thresholded", "msbve"]
+
+    def test_test_day_wealth_matches_bar_loop(self):
+        series = synthetic_gbm_jump_series(14, bars_per_day=12, seed=8,
+                                           jump_prob_per_day=0.5)
+        matrix = np.stack([series.prices[sl] for _, sl in series.day_partition])
+        config = BacktestConfig(learning=learning(steps=20), train_days=9,
+                                steps_per_day=12, risk_free_daily=1e-4)
+        T = config.train_days
+        for loss in ("mstde", "msbve"):
+            result = rolling_backtest(series, config, loss)
+            assert len(result.terminal_wealth) == len(matrix) - T
+            for i, d in enumerate(range(T, len(matrix))):
+                sigma_hat = math.sqrt(_daily_bipower(matrix[d - T:d], log_scale=True))
+                ref = wealth_by_loop(result.theta_per_day[i], sigma_hat, matrix[d:d + 1],
+                                     config.target_wealth, config.initial_wealth,
+                                     config.risk_free_daily, 1.0 / 12)
+                assert (abs(result.terminal_wealth[i] - ref[0, -1])
+                        <= 1e-12 * np.abs(ref).max())
 
     def test_trimming_warns_once_per_backtest(self):
         series = mixed_day_series(14, 12, seed=8)

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ MODULES = sorted(p for p in Path(jumprl.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 SKIPS = {"skip", "skipif", "xfail"}
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +39,37 @@ def test_module_reads_every_name_it_imports(path):
 def test_unused_import_is_found():
     source = "import os\nfrom math import inf, pi\n\nprint(os.sep, pi)\n"
     assert unused_imports(source) == ["line 2: inf"]
+
+
+def double_bindings(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Module-level UPPER_CASE names that more than one module assigns, with
+    the modules that assign them. Importing a name does not bind it anew."""
+    where: dict[str, set] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                        where.setdefault(name.id, set()).add(module)
+    return {name: sorted(mods) for name, mods in sorted(where.items()) if len(mods) > 1}
+
+
+def test_each_constant_is_bound_in_one_module():
+    # a second binding can drift from the first; other modules import the one
+    assert double_bindings({p.stem: p.read_text() for p in MODULES}) == {}
+
+
+def test_double_binding_is_found():
+    sources = {"a": "X = 1\n_Y: int = 2\nlower = 3\n",
+               "b": "from a import X, _Y\nX = 2\nP, Q = 1, 2\n",
+               "c": "P = 0\nlower = 1\n\ndef f():\n    _Y = 3\n"}
+    assert double_bindings(sources) == {"P": ["b", "c"], "X": ["a", "b"]}
 
 
 def skips(source: str) -> list[str]:
