@@ -231,10 +231,19 @@ def cmd_simulate(**flags):
     _run("simulate", flags, body)
 
 
-def _nearest_reference(family: str, theta_final: float):
+def _reference_minimizers(x0: float):
+    """The closed-form reference minimizers, or None when the study process
+    starts at an x0 they do not assume."""
+    return oracles.reference_minimizers() if x0 == oracles.CLOSED_FORM_X0 else None
+
+
+def _no_reference(x0: float) -> str:
+    return f"no closed-form reference for x0 = {x0}"
+
+
+def _nearest_reference(table, family: str, theta_final: float):
     cells = [(abs(theta_final - v), fam, method, v)
-             for (fam, method), v in oracles.reference_minimizers().entries.items()
-             if fam == family]
+             for (fam, method), v in table.entries.items() if fam == family]
     if not cells:
         return None
     gap, fam, method, ref = min(cells)
@@ -287,8 +296,11 @@ def cmd_train(**flags):
         write_json(result.to_json_dict(), directory / "train_result.json")
         (directory / "trace.csv").write_text(result.trace_csv())
         click.echo(f"theta_final = {result.theta_final:.6f}")
-        near = _nearest_reference(model.name, result.theta_final)
-        if near is None:
+        table = _reference_minimizers(v["x0"])
+        near = table and _nearest_reference(table, model.name, result.theta_final)
+        if table is None:
+            click.echo(_no_reference(v["x0"]))
+        elif near is None:
             click.echo("no reference minimizer for this family")
         else:
             click.echo(f"nearest reference: {near['family']}/{near['method']} "
@@ -322,8 +334,10 @@ def cmd_compare(**flags):
         report = {"families": {}}
         if names:
             master = _require_seed(v["seed"])
-            table = oracles.reference_minimizers()
-            report["reference_minimizers"] = table.to_json_dict()
+            table = _reference_minimizers(v["x0"])
+            if table is None:
+                click.echo(_no_reference(v["x0"]), err=True)  # stdout carries the report
+            report["reference_minimizers"] = table and table.to_json_dict()
             for family_name in names:
                 model = family_by_name(family_name)
                 cell: dict = {}
@@ -331,18 +345,18 @@ def cmd_compare(**flags):
                     spec, grid, train_config = _training(v, loss_kind)
                     try:
                         result = train(model, spec, grid, train_config)
-                        ref = table.get(family_name, loss_kind)
+                        ref = table and table.get(family_name, loss_kind)
                         cell[loss_kind] = {
                             "theta_final": result.theta_final,
                             "theta_reference": ref,
-                            "gap": abs(result.theta_final - ref),
+                            "gap": None if ref is None else abs(result.theta_final - ref),
                         }
                         trace_name = f"trace_{family_name}_{loss_kind}.csv"
                         (directory / trace_name).write_text(result.trace_csv())
                         cell[loss_kind]["trace_csv"] = trace_name
                     except DivergenceError as exc:
                         cell[loss_kind] = {"error": str(exc)}
-                cell["oracle_reference"] = table.get(family_name, "oracle")
+                cell["oracle_reference"] = table and table.get(family_name, "oracle")
                 if flags["oracle_scan"]:
                     cell["oracle_scan"] = oracles.mc_argmin(
                         model, "oracle", spec,

@@ -31,6 +31,7 @@ from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, simulate_batch
 
 FAMILIES = ("linear", "quadratic", "exponential")
 METHODS = ("mstde", "msbve", "oracle")
+CLOSED_FORM_X0 = 0.1  # the study process's start, which every closed form assumes
 _local = threading.local()  # each thread's path workspace, see _thread_workspace
 
 

@@ -9,15 +9,22 @@ results.
 `stream` builds the generator through `np.random.SeedSequence` and is the
 reference. The path simulator builds none per path:
 
-- `philox_keys` derives the Philox keys of a run of consecutive paths at once.
-  It follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
-  then `generate_state(2, uint64)`). The words every row shares (the master
-  seed, whose pool is cached, and the prefix, such as the episode) are mixed
-  in plain Python ints. Only the path index differs from row to row. The
-  hashes of its low words do not depend on the pool, so they are cached per
-  run of paths, and each call mixes its pool into them in one round of
-  wrapping uint32 NumPy arithmetic over all rows. A path index of 2^32 or
-  more takes one more round per higher word, for the rows that have it.
+- `philox_keys` derives the Philox keys of a run of consecutive paths. It
+  follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
+  then `generate_state(2, uint64)`), and keys are a pure function of the
+  stream key, so it derives a whole block of episodes at once and caches it.
+  A block holds P consecutive values of the prefix's last entry (the
+  episode), with P the largest power of two at most 2048 // count, and
+  starts at a multiple of P; so its episodes share every word above the low
+  one. The words every row shares (the master seed's, whose pool is cached,
+  and the rest of the prefix) are mixed in plain Python ints. The episode's
+  and the path's low words differ from row to row: each is hashed and mixed
+  into all rows at once, in wrapping uint32 NumPy arithmetic, and the path
+  words' hashes, which do not depend on the pool, are cached per run of
+  paths. An index of 2^32 or more takes one more round per higher word.
+  Blocks are read-only and kept in a bounded LRU cache of 8, at most
+  8 x 2048 rows x 16 B = 256 KiB; each call returns a fresh copy of its
+  episode's rows.
 - `thread_generator` holds one Philox generator per thread, and `path_rng`
   re-points it to a path's stream (its key from `philox_keys`, zero counter,
   empty buffer); its draws then equal the fresh stream's bit for bit.
@@ -40,6 +47,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _ZEROS4 = (0, 0, 0, 0)
+_BLOCK_ROWS = 2048    # rows (episodes x paths) of one cached key block, at most
+_CACHED_BLOCKS = 8    # blocks kept: at most 8 x 2048 rows x 16 B = 256 KiB
 
 
 _POWERS_A = np.array([pow(_MULT_A, j, 1 << 32) for j in range(_POOL_SIZE + 1)],
@@ -117,56 +126,122 @@ def _seed_pool(master_seed: int) -> tuple[tuple, int]:
     return tuple(pool), hash_const
 
 
-@functools.lru_cache(maxsize=32)
-def _path_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
-    """The path words' side of _mix for the rows of a run: _MIX_MULT_R times
-    the hashes of each row's low word (low_first + i, wrapping), read-only.
-
-    They depend on the hash constant and the run, not on the pool, so batches
-    that differ only in the prefix (the episode) share them. Nothing writes
-    to a cached array, so threads may share it.
-    """
+def _word_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
+    """The hashed words' side of _mix for a run of words: _MIX_MULT_R times
+    the hashes of each low word low_first + i (i < count, wrapping), as a
+    (count, 4) uint32 array."""
     low = np.arange(count, dtype=np.uint32) + np.uint32(low_first)
     consts = hash_const * _POWERS_A
     terms = (low[:, None] ^ consts[:-1]) * consts[1:]
     terms ^= terms >> 16
     terms *= np.uint32(_MIX_MULT_R)
+    return terms
+
+
+@functools.lru_cache(maxsize=32)
+def _path_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
+    """_word_terms of a run of path words, read-only.
+
+    They depend on the hash constant and the run, not on the pool, so blocks
+    that differ only in the prefix share them. Nothing writes to a cached
+    array, so threads may share it.
+    """
+    terms = _word_terms(hash_const, low_first, count)
     terms.setflags(write=False)
     return terms
+
+
+def _mix_run(pools: np.ndarray, hash_const: int, first: int, count: int,
+             terms=_word_terms) -> tuple[np.ndarray, int]:
+    """Mix the key entries first + i (i < count) into pools, an (..., 4)
+    uint32 array: (the (..., count, 4) pools, the hash constant after row 0's
+    entry).
+
+    The low word differs from row to row, so it is mixed into all rows at
+    once; uint32 arithmetic wraps as SeedSequence's does. count < 2^32, so
+    the words above it are those of first >> 32, or of one more in the rows
+    from `split` on, where the low word carried; every row of a group absorbs
+    the same words.
+    """
+    low = first & _MASK32
+    pools = pools[..., None, :] * np.uint32(_MIX_MULT_L) - terms(hash_const, low, count)
+    pools ^= pools >> 16
+    hash_const = hash_const * int(_POWERS_A[-1]) & _MASK32
+    split = min(count, (1 << 32) - low)
+    after = []
+    for rows, high in ((pools[..., :split, :], first >> 32),
+                       (pools[..., split:, :], (first >> 32) + 1)):
+        row_const = hash_const
+        for word in _words(high) if high else []:  # raises for a negative first
+            hashes, row_const = _hashed(word, row_const)
+            rows[...] = _mix(rows, np.array(hashes, dtype=np.uint32))
+        after.append(row_const)
+    return pools, after[0]
+
+
+def _derive(master_seed: int, head: tuple, start, span: int, first: int,
+            count: int) -> np.ndarray:
+    """Keys of the streams (master_seed, *head, start + j, first + i), for
+    j < span and i < count, as a (span, count, 2) uint64 array; with start
+    None, of (master_seed, *head, first + i), as a (1, count, 2) array.
+
+    The words every row shares (the master seed's, whose pool is cached, and
+    the head's) are mixed in plain Python ints. The block's entries start + j
+    must share their words above the low one: philox_keys aligns a block of
+    a power-of-two span at most 2^32 so that they do, and every row then
+    reaches the path entry with one hash constant.
+    """
+    pool, hash_const = _seed_pool(master_seed)
+    pool, hash_const = _absorb(pool, hash_const, [w for k in head for w in _words(k)])
+    pools = np.array(pool, dtype=np.uint32)
+    if start is None:
+        pools = pools[None]
+    else:
+        pools, hash_const = _mix_run(pools, hash_const, start, span)
+    keys, _ = _mix_run(pools, hash_const, first, count, _path_terms)
+    keys ^= _OUTPUT_XOR
+    keys *= _OUTPUT_MULT
+    keys ^= keys >> 16
+    # word pairs (low, high) of each row; '<u4' words read as '<u8' are low | high << 32
+    return keys.astype("<u4", copy=False).view("<u8")
+
+
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _key_block(master_seed: int, head: tuple, start: int, span: int, first: int,
+               count: int) -> np.ndarray:
+    """_derive's block of `span` episodes from `start`, read-only, so that
+    threads may share it."""
+    block = _derive(master_seed, head, start, span, first, count)
+    block.setflags(write=False)
+    return block
+
+
+def _block_span(count: int) -> int:
+    """Episodes per cached block of runs of `count` paths: the largest power of
+    two at most _BLOCK_ROWS // count, or 0 for a run of no rows or of more
+    rows than a block holds."""
+    if not 0 < count <= _BLOCK_ROWS:
+        return 0
+    return 1 << (_BLOCK_ROWS // count).bit_length() - 1
 
 
 def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.ndarray:
     """Philox keys of the streams (master_seed, *prefix, first + i), i < count.
 
-    Returns a (count, 2) uint64 array whose row i is the key that
-    `stream(master_seed, *prefix, first + i)` uses.
+    Returns a fresh (count, 2) uint64 array whose row i is the key that
+    `stream(master_seed, *prefix, first + i)` uses. It is one episode's rows
+    of the block of episodes that the prefix's last entry falls in; the
+    block is derived once and cached.
     """
-    pool, hash_const = _seed_pool(operator.index(master_seed))
-    pool, hash_const = _absorb(pool, hash_const, [w for k in prefix for w in _words(int(k))])
-    # row i's last key word is first + i. Its low word differs from row to
-    # row, so it is mixed into all rows at once; uint32 arithmetic wraps as
-    # SeedSequence's does.
-    first = operator.index(first)
-    pool = (np.array([_MIX_MULT_L * x & _MASK32 for x in pool], dtype=np.uint32)
-            - _path_terms(hash_const, first & _MASK32, count))
-    pool ^= pool >> 16
-    # count < 2^32, so the words above the low word are those of first >> 32,
-    # or of one more in the rows from `split` on, where the low word carried;
-    # every row of a group absorbs the same words
-    split = min(count, (1 << 32) - (first & _MASK32))
-    for rows, high in ((pool[:split], first >> 32), (pool[split:], (first >> 32) + 1)):
-        upper = _words(high) if high else []  # raises for a negative first
-        if not rows.size:
-            continue
-        row_const = hash_const * int(_POWERS_A[-1]) & _MASK32
-        for word in upper:
-            hashes, row_const = _hashed(word, row_const)
-            rows[...] = _mix(rows, np.array(hashes, dtype=np.uint32))
-    pool ^= _OUTPUT_XOR
-    pool *= _OUTPUT_MULT
-    pool ^= pool >> 16
-    # word pairs (low, high) of each row; '<u4' words read as '<u8' are low | high << 32
-    return pool.astype("<u4", copy=False).view("<u8")
+    master_seed, first = operator.index(master_seed), operator.index(first)
+    prefix = tuple(map(int, prefix))
+    span = _block_span(count)
+    if not (prefix and span):
+        # no episode to share a block with, or more rows than a block holds
+        return _derive(master_seed, prefix, None, 1, first, count)[0]
+    episode = prefix[-1]
+    start = episode - episode % span
+    return _key_block(master_seed, prefix[:-1], start, span, first, count)[episode - start].copy()
 
 
 def thread_generator() -> np.random.Generator:

@@ -144,6 +144,17 @@ class TestTrain:
         assert f"nearest reference: {family}/" in result.output
         assert "no reference minimizer" not in result.output
 
+    def test_other_x0_has_no_closed_form_reference(self, runner, tmp_path):
+        # the closed forms assume the study process starts at 0.1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 0.3\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--family", "quadratic",
+                                      "--episodes", "2", "--paths", "2", "--dt", "0.1",
+                                      "--seed", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "no closed-form reference for x0 = 0.3" in result.output
+        assert "nearest reference" not in result.output
+
     def test_negative_seed_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["train", "--episodes", "1", "--seed", "-1",
                                       "--out", str(tmp_path)])
@@ -303,6 +314,34 @@ class TestCompare:
                                  grid, 400, 4)
         assert scan != mc_argmin(QuadraticValue(), "oracle", doubling_jump_spec(), grid, 400, 4)
 
+
+    def test_other_x0_writes_null_references(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 0.3\n")
+        result = runner.invoke(main, ["compare", "--families", "quadratic", "--config", str(cfg),
+                                      "--episodes", "2", "--paths", "2", "--dt", "0.1",
+                                      "--seed", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "no closed-form reference for x0 = 0.3" in result.stderr
+        assert json.loads(result.stdout) == read_json(tmp_path / "compare_report.json")
+        doc = read_json(tmp_path / "compare_report.json")
+        assert doc["reference_minimizers"] is None
+        cell = doc["families"]["quadratic"]
+        assert cell["oracle_reference"] is None
+        for loss in ("mstde", "msbve"):
+            assert cell[loss]["theta_reference"] is None and cell[loss]["gap"] is None
+            assert isinstance(cell[loss]["theta_final"], float)
+
+    def test_default_x0_keeps_references(self, runner, tmp_path):
+        result = runner.invoke(main, ["compare", "--families", "quadratic",
+                                      "--episodes", "2", "--paths", "2", "--dt", "0.1",
+                                      "--seed", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        cell = read_json(tmp_path / "compare_report.json")["families"]["quadratic"]
+        assert cell["oracle_reference"] == pytest.approx(-15 / 52)
+        assert cell["msbve"]["gap"] == pytest.approx(
+            abs(cell["msbve"]["theta_final"] - cell["msbve"]["theta_reference"]))
 
     @pytest.mark.parametrize("dt", list(BAD_DT))
     def test_bad_dt_exits_2(self, runner, tmp_path, dt):

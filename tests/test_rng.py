@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jumprl import rng
 from jumprl.errors import ConfigurationError
 from jumprl.rng import path_rng, philox_keys, stream, thread_cap, thread_generator
 
@@ -134,6 +136,73 @@ class TestPhiloxKeys:
         keys = philox_keys(*self.PINNED[case])
         assert keys.dtype == np.uint64 and keys.shape == (self.PINNED[case][3], 2)
         assert hashlib.sha256(keys.tobytes()).hexdigest() == self.DIGESTS[case]
+
+
+def reference_keys(master, prefix, first, count):
+    return [np.random.SeedSequence(master, spawn_key=(*prefix, first + i))
+            .generate_state(2, np.uint64).tolist() for i in range(count)]
+
+
+def block_span(count):
+    # episodes per cached block: the largest power of two at most 2048 // count
+    return 1 << (2048 // count).bit_length() - 1
+
+
+class TestKeyBlocks:
+    """philox_keys reads one episode's rows out of a cached block of episodes."""
+
+    @pytest.mark.parametrize("count", [3, 12, 2047])
+    @pytest.mark.parametrize("episode", ["P-1", "P", 2**32 - 1, 2**32, 2**33 + 5])
+    def test_block_rows_equal_seed_sequence_state(self, episode, count):
+        # the last episode of a block, the first of the next, and episodes on
+        # either side of a 2^32 word boundary, in blocks of 512, 128 and 1
+        span = block_span(count)
+        assert span == {3: 512, 12: 128, 2047: 1}[count]
+        episode = {"P-1": span - 1, "P": span}.get(episode, episode)
+        for e in (episode, max(episode - 1, 0), episode + 1):  # a block and its neighbours
+            assert philox_keys(11, (e,), 7, count).tolist() == reference_keys(11, (e,), 7, count)
+
+    @pytest.mark.parametrize("first", [2**32 - 2, 2**64 - 3])
+    @pytest.mark.parametrize("episode", [0, 63, 64, 2**32 + 1])
+    def test_first_straddling_word_boundary(self, episode, first):
+        # path words of 2 and 3 words in one run, in a block of 64 episodes
+        assert philox_keys(2**40 + 1, (episode,), first, 32).tolist() == reference_keys(
+            2**40 + 1, (episode,), first, 32)
+
+    def test_run_longer_than_a_block(self):
+        # 2049 rows exceed a block: derived with no cache, the same way
+        assert philox_keys(5, (3,), 1, 2049).tolist() == reference_keys(5, (3,), 1, 2049)
+
+    def test_block_stays_unwritten(self):
+        keys = philox_keys(9, (3,), 0, 32)
+        want = keys.copy()
+        keys[...] = 0
+        np.testing.assert_array_equal(philox_keys(9, (3,), 0, 32), want)
+        assert philox_keys(9, (4,), 0, 32).tolist() == reference_keys(9, (4,), 0, 32)
+
+    def test_concurrent_seeds_evict_blocks(self):
+        # twelve seeds against eight cached blocks, interleaved, so worker
+        # threads evict and refill blocks under one another
+        runs = [(seed, episode) for episode in (0, 1, 63, 64, 65, 127)
+                for seed in range(100, 112)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda r: philox_keys(r[0], (r[1],), 0, 32).tolist(),
+                                    runs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [reference_keys(seed, (episode,), 0, 32) for seed, episode in runs]
+
+    def test_cached_blocks_stay_within_256_kib(self):
+        counts = [1, 3, 12, 32, 1000, 2047, 2048]
+        for run in range(100):
+            philox_keys(run, (run,), run, counts[run % len(counts)])
+        blocks = [a for a in gc.get_referents(rng._key_block) if isinstance(a, np.ndarray)]
+        assert 0 < len(blocks) <= 8
+        assert all(block.shape[0] * block.shape[1] <= 2048 for block in blocks)
+        assert sum(block.nbytes for block in blocks) <= 256 * 1024
 
 
 class TestThreadGenerator:

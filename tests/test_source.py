@@ -105,3 +105,67 @@ def test_skip_is_found():
                              "line 4: pytest.mark.skipif",
                              "line 6: pytest.skip",
                              "line 8: pytest.mark.xfail"]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Every functools.lru_cache or functools.cache a module applies without
+    a finite integer maxsize: an int literal, or a module-level name bound to
+    one. A bare lru_cache is reported too, since its bound is not written."""
+    tree = ast.parse(source)
+    ints = {target.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for alias in node.names}
+
+    def cache_kind(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            return node.attr if node.attr in ("lru_cache", "cache") else None
+        if isinstance(node, ast.Name) and aliases.get(node.id) in ("lru_cache", "cache"):
+            return aliases[node.id]
+        return None
+
+    def bound(call):
+        args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+        if not args:
+            return None
+        value = args[0]
+        if isinstance(value, ast.Name):
+            return ints.get(value.id)
+        if isinstance(value, ast.Constant) and type(value.value) is int:
+            return value.value
+        return None
+
+    found = []
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and cache_kind(node.func):
+            # lru_cache(n) or lru_cache(maxsize=n); cache(f) has no bound at all
+            limit = bound(node) if cache_kind(node.func) == "lru_cache" else None
+            if limit is None or limit < 1:
+                found.append((node.lineno, ast.unparse(node)))
+        elif cache_kind(node) and id(node) not in calls:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_cache_is_bounded(path):
+    # a cache without a bound grows with every distinct call, and so does peak RSS
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_unbounded_cache_is_found():
+    source = ("import functools\nfrom functools import cache, lru_cache as lru\n\nN = 8\n\n"
+              "@functools.lru_cache(maxsize=N)\ndef a(x):\n    return x\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef b(x):\n    return x\n\n"
+              "@cache\ndef c(x):\n    return x\n\n"
+              "@functools.lru_cache\ndef d(x):\n    return x\n\n"
+              "e = lru(4)(abs)\nf = functools.cache(abs)\ng = lru(maxsize=M)(abs)\n")
+    assert unbounded_caches(source) == ["line 10: functools.lru_cache(maxsize=None)",
+                                        "line 14: cache",
+                                        "line 18: functools.lru_cache",
+                                        "line 23: functools.cache(abs)",
+                                        "line 24: lru(maxsize=M)"]
