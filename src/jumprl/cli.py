@@ -162,9 +162,7 @@ def _build_spec(x0, drift, sigma, law, poisson_rate) -> JumpDiffusionSpec:
     }
     if law not in laws:
         raise ConfigurationError(f"unknown jump law {law!r}; expected {sorted(laws)}")
-    return JumpDiffusionSpec(drift=drift, diffusion=sigma,
-                             jump_size=lambda t, x_pre: x_pre,
-                             jump_law=laws[law](), x0=x0)
+    return JumpDiffusionSpec(drift=drift, diffusion=sigma, jump_law=laws[law](), x0=x0)
 
 
 def _spec_echo(x0, drift, sigma, law, poisson_rate) -> dict:

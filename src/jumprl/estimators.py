@@ -19,7 +19,8 @@ from typing import Optional
 import math
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InsufficientDataError
+from .errors import (ConfigurationError, DivergenceError, InsufficientDataError,
+                     SimulationOverflowError)
 from .models import HORIZON, LinearValue
 from .rng import stream
 from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, grid_for_step, simulate_batch
@@ -187,7 +188,8 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
 
     Episode e simulates paths with streams (master_seed, e, path index),
     averages the per-path gradient over the batch, and takes one step. Every
-    episode is simulated into the same workspace.
+    episode is simulated into the same workspace. A non-finite update, or a
+    simulated state that overflows, raises DivergenceError with the trace so far.
     """
     theta = float(config.theta0)
     theta_trace = [(0, theta)]
@@ -199,8 +201,14 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     workspace = PathWorkspace()
 
     for e in range(1, config.episodes + 1):
-        batch = simulate_batch(spec, grid, config.master_seed, e - 1,
-                               config.paths_per_episode, workspace=workspace)
+        try:
+            batch = simulate_batch(spec, grid, config.master_seed, e - 1,
+                                   config.paths_per_episode, workspace=workspace)
+        except SimulationOverflowError as exc:
+            raise DivergenceError(
+                f"simulated state overflowed at episode {e} (last finite theta {theta:.6g}): "
+                f"{exc}", episode=e, last_theta=theta,
+                theta_trace=theta_trace, loss_trace=loss_trace) from exc
         J = np.asarray(model.value(theta, times, batch.observed), dtype=float)
         dJ = np.asarray(model.dvalue_dtheta(theta, times, batch.observed), dtype=float)
         # batch means, with np.mean's bits and without its dispatch

@@ -1,6 +1,6 @@
 """Parametric value-function families with analytic parameter and state gradients.
 
-Each family exposes a scalar parameter theta and three vectorized evaluations:
+Each family exposes a scalar parameter theta and vectorized evaluations:
 
     value(theta, t, x)          the family formula
     dvalue_dtheta(theta, t, x)  exact derivative in theta
@@ -8,8 +8,10 @@ Each family exposes a scalar parameter theta and three vectorized evaluations:
 
 Every family lives on [0, T] with T = HORIZON = 1, bound here and nowhere
 else. The three study families (linear, quadratic, exponential) anchor the
-terminal value at t = 1 independently of theta. The mean-variance family is
-singular at theta = 0 and rejects parameters with |theta| below THETA_FLOOR.
+terminal value at t = 1 independently of theta; they and the custom family
+have all three evaluations. The mean-variance family, which only the
+backtest trains, has no dvalue_dx. It is singular at theta = 0 and rejects
+parameters with |theta| below THETA_FLOOR.
 
 The built-in evaluations never write into their arguments and return a fresh
 array (a numpy scalar for scalar inputs). Those formed in place keep the
@@ -172,11 +174,6 @@ class MeanVarianceValue:
         out += curv
         out -= 2.0 * (w - self.z) * dw
         return _scalar_if_0d(out)
-
-    def dvalue_dx(self, theta, t, x):
-        w = self.anchor(theta)
-        decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - HORIZON))
-        return 2.0 * (x - w) * decay
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
         np.multiply(scratch, scratch, out=scratch)
         vals = np.sum(scratch, axis=1) * grid.dt
         if include_jump_term and batch.jump_step.size:
-            post = np.asarray(model.value(theta, t_jump, batch.jump_pre + batch.jump_size),
+            post = np.asarray(model.value(theta, t_jump, batch.jump_pre + batch.jump_pre),
                               dtype=float)
             pre = np.asarray(model.value(theta, t_jump, batch.jump_pre), dtype=float)
             np.add.at(vals, batch.jump_path, (post - pre) ** 2)

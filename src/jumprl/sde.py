@@ -4,15 +4,15 @@ Paths are generated by the Euler recursion
 
     X(i+1) = X(i) + b dt + sigma sqrt(dt) Z_i
 
-with an optional jump component. A path's jump time is snapped to the first
-grid point at or after it, and the jump is applied after that step's diffusion
-increment. Alongside the observed path we retain the jump-free accumulation of
-the same realized increments (the latent continuous component), which downstream
-oracle computations evaluate in place of the observed states.
+with an optional jump component, dX = b dt + sigma dW + X- dN: every jump adds
+the pre-jump state, so the state doubles. A path's jump time is snapped to the
+first grid point at or after it, and the jump is applied after that step's
+diffusion increment. Alongside the observed path we retain the jump-free
+accumulation of the same realized increments (the latent continuous component),
+which downstream oracle computations evaluate in place of the observed states.
 
 Drift and diffusion are constants, so every path's increments come from one
-vectorized pass; only the jump size is a function, of the jump time and the
-pre-jump state.
+vectorized pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -106,11 +106,11 @@ JumpLaw = Union[NoJumps, SingleUniformJump, PoissonRate]
 
 @dataclass(frozen=True)
 class JumpDiffusionSpec:
-    """Coefficients, jump law, and initial state of a scalar jump diffusion."""
+    """Coefficients, jump law, and initial state of a scalar jump diffusion
+    whose every jump adds the pre-jump state."""
 
     drift: float
     diffusion: float
-    jump_size: Callable[[float, float], float]  # (time, pre-jump state) -> size
     jump_law: JumpLaw
     x0: float
 
@@ -223,12 +223,11 @@ class PathBatch:
     jump_path: np.ndarray   # (events,) path row of each jump
     jump_step: np.ndarray   # (events,) grid index of each jump
     jump_time: np.ndarray   # (events,) drawn jump time, before snapping to the grid
-    jump_pre: np.ndarray    # (events,) pre-jump state
-    jump_size: np.ndarray   # (events,) jump size
+    jump_pre: np.ndarray    # (events,) pre-jump state, which is also the jump's size
 
     def __post_init__(self):
         for array in (self.observed, self.continuous, self.pre_jump, self.jump_path,
-                      self.jump_step, self.jump_time, self.jump_pre, self.jump_size):
+                      self.jump_step, self.jump_time, self.jump_pre):
             array.setflags(write=False)
 
     @property
@@ -274,7 +273,6 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     # C-contiguous (fresh, or a workspace's leading rows), so reshape(-1) is a view
     landing = jump_path * (n + 1) + jump_step
     jump_pre = np.empty(jump_time.size)
-    jump_size = np.empty(jump_time.size)
     starts = np.cumsum(counts) - counts
 
     # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
@@ -293,15 +291,13 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     for r in range(n_rounds):
         rows = None if r < every_row else np.flatnonzero(counts > r)
         sel = starts + r if rows is None else starts[rows] + r
-        pre = observed.reshape(-1)[landing[sel]]
-        jump_pre[sel] = pre
-        jump_size[sel] = [float(spec.jump_size(t, x))
-                          for t, x in zip(jump_time[sel].tolist(), pre.tolist())]
+        # a jump adds the state it lands on
+        pre = jump_pre[sel] = observed.reshape(-1)[landing[sel]]
         if rows is None:
-            first, size = jump_step[sel], jump_size[sel]
+            first, size = jump_step[sel], pre
         else:  # rows without an r-th jump get none
             first, size = np.full(n_paths, n + 1), np.zeros(n_paths)
-            first[rows], size[rows] = jump_step[sel], jump_size[sel]
+            first[rows], size[rows] = jump_step[sel], pre
         np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
     if not np.isfinite(observed).all():
         bad = np.argwhere(~np.isfinite(observed))[0]
@@ -311,21 +307,19 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
 
     pre_jump[...] = observed
     # back out sizes at landing points only; earlier jumps stay folded in
-    np.subtract.at(pre_jump.reshape(-1), landing, jump_size)
+    np.subtract.at(pre_jump.reshape(-1), landing, jump_pre)
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
                      jump_path=jump_path, jump_step=jump_step, jump_time=jump_time,
-                     jump_pre=jump_pre, jump_size=jump_size)
+                     jump_pre=jump_pre)
 
 
 def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:
     """Standard Brownian state that doubles at one uniformly placed jump.
 
-    dX = dW + X dN with a single uniform jump time: the jump size equals the
-    pre-jump state. This is the process driving the simulation study.
+    dX = dW + X dN with a single uniform jump time. This is the process
+    driving the simulation study.
     """
-    return JumpDiffusionSpec(drift=0.0, diffusion=1.0,
-                             jump_size=lambda t, x_pre: x_pre,
-                             jump_law=SingleUniformJump(), x0=x0)
+    return JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=SingleUniformJump(), x0=x0)
 
 
 def path_to_csv(batch: PathBatch, row: int, destination) -> None:

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from jumprl.portfolio import build_price_series
-from jumprl.sde import build_grid, doubling_jump_spec
+from jumprl.sde import PathBatch, build_grid, doubling_jump_spec
+
+# every array of a PathBatch, in field order
+BATCH_ARRAYS = tuple(f.name for f in dataclasses.fields(PathBatch) if f.name != "grid")
 
 
 def assert_same_bits(got, ref):
@@ -32,10 +37,10 @@ def falling_after_jump_series():
 
 
 def jump_ledger(batch) -> list:
-    """The batch's jumps as (row, step, time, pre-jump state, size) tuples."""
+    """The batch's jumps as (row, step, time, pre-jump state) tuples; each
+    jump's size is its pre-jump state."""
     return list(zip(batch.jump_path.tolist(), batch.jump_step.tolist(),
-                    batch.jump_time.tolist(), batch.jump_pre.tolist(),
-                    batch.jump_size.tolist()))
+                    batch.jump_time.tolist(), batch.jump_pre.tolist()))
 
 
 def exponential_quadratic_by_gauss_legendre(method, nodes=200):

@@ -152,8 +152,7 @@ def test_criterion_5_bipower_consistency():
     "Printed values that do not reproduce"), so the clause checks that the
     observed shift lies within 4 standard errors of the analytic mean.
     """
-    spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                             jump_law=NoJumps(), x0=0.0)
+    spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
     grid = build_grid(1.0, 10_000)
     k = grid.n_steps // 2
     estimates, shifts, qv_shifts = [], [], []

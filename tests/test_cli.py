@@ -119,6 +119,23 @@ class TestTrain:
         assert losses[0] is None and losses[6:] == [None] * 5
         assert all(isinstance(loss, float) for loss in losses[1:6])
 
+    def test_state_overflow_exits_3_with_partial_trace(self, runner, tmp_path):
+        # the first jump doubles a state near the float maximum
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 1e308\n")
+        with np.errstate(over="ignore"):
+            result = runner.invoke(main, ["train", "--config", str(cfg), "--family", "linear",
+                                          "--episodes", "3", "--paths", "2", "--dt", "0.1",
+                                          "--theta0", "0.25", "--seed", "1",
+                                          "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "became non-finite" in result.output
+        doc = read_json(tmp_path / "train_result.json")
+        assert "became non-finite" in doc["error"]
+        assert (doc["episode"], doc["last_theta"]) == (1, 0.25)
+        assert doc["trace"] == [[0, 0.25, None]]
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = linear\nloss = msbve\nepisodes = 5\n"
@@ -342,6 +359,23 @@ class TestCompare:
         assert cell["oracle_reference"] == pytest.approx(-15 / 52)
         assert cell["msbve"]["gap"] == pytest.approx(
             abs(cell["msbve"]["theta_final"] - cell["msbve"]["theta_reference"]))
+
+    def test_state_overflow_writes_error_per_cell(self, runner, tmp_path):
+        # an overflow is recorded per cell, as a divergence is, and the report is written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 1e308\n")
+        with np.errstate(over="ignore"):
+            result = runner.invoke(main, ["compare", "--families", "linear,quadratic",
+                                          "--config", str(cfg), "--episodes", "2",
+                                          "--paths", "2", "--dt", "0.1", "--seed", "4",
+                                          "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        doc = read_json(tmp_path / "compare_report.json")
+        for family in ("linear", "quadratic"):
+            for loss in ("mstde", "msbve"):
+                cell = doc["families"][family][loss]
+                assert list(cell) == ["error"] and "became non-finite" in cell["error"]
+        assert not list(tmp_path.glob("trace_*.csv"))
 
     @pytest.mark.parametrize("dt", list(BAD_DT))
     def test_bad_dt_exits_2(self, runner, tmp_path, dt):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumprl import estimators
-from jumprl.errors import ConfigurationError, DivergenceError, InsufficientDataError
+from jumprl.errors import (ConfigurationError, DivergenceError, InsufficientDataError,
+                           SimulationOverflowError)
 from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
                                jump_robustness_ratio, losses_by_row, msbve_loss,
                                mstde_loss, train)
 from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
 from jumprl.rng import stream
-from jumprl.sde import simulate_batch
+from jumprl.sde import doubling_jump_spec, simulate_batch
 from conftest import assert_same_bits
 
 value_lists = st.lists(st.floats(min_value=-100, max_value=100,
@@ -322,6 +323,15 @@ class TestTrain:
             train(ExponentialValue(), study_spec, grid_100, cfg)
         assert err.value.episode >= 1
         assert np.isfinite(err.value.last_theta)
+
+    def test_state_overflow_raises_divergence_with_context(self, grid_100):
+        # a jump doubles a state near the float maximum, so the first batch overflows
+        cfg = TrainConfig("mstde", 1e-3, 5, 4, 0.5, master_seed=0)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            train(LinearValue(), doubling_jump_spec(1e308), grid_100, cfg)
+        assert isinstance(err.value.__cause__, SimulationOverflowError)
+        assert (err.value.episode, err.value.last_theta) == (1, 0.5)
+        assert (err.value.theta_trace, err.value.loss_trace) == ([(0, 0.5)], [])
 
     def test_plateau_stop(self, study_spec, grid_100):
         cfg = TrainConfig("mstde", 1e-10, 5000, 4, 0.5, master_seed=0,

@@ -14,7 +14,7 @@ from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace
                             reference_minimizers)
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch)
-from conftest import exponential_quadratic_by_gauss_legendre
+from conftest import BATCH_ARRAYS, exponential_quadratic_by_gauss_legendre
 
 
 class TestArgminQuadratic:
@@ -145,8 +145,7 @@ class TestMcObjectives:
     def test_linear_no_jump_matches_integral(self, grid_1000):
         # deterministic integrand: one path suffices; left Riemann sum of
         # (theta (1-t) + 1)^2 over [0, 1]
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                                 jump_law=NoJumps(), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
         got = np.mean(mc_objective_samples(LinearValue(), -1.5, spec, grid_1000, 1, seed=0))
         assert got == pytest.approx(0.25, abs=1e-3)
 
@@ -165,8 +164,7 @@ class TestMcObjectives:
         assert abs(samples.mean() - expected) < 2 * stderr + 2e-3
 
     def test_oracle_equals_limit_without_jumps(self, grid_100):
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                                 jump_law=NoJumps(), x0=0.1)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.1)
         a = np.mean(mc_objective_samples(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5))
         b = np.mean(mc_objective_samples(QuadraticValue(), 0.3, spec, grid_100, 64, seed=5,
                                          state="continuous"))
@@ -288,8 +286,7 @@ class TestThreadDeterminism:
         finally:
             sys.setswitchinterval(interval)
         for want, got in zip(sequential, concurrent):
-            for name in ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
-                         "jump_time", "jump_pre", "jump_size"):
+            for name in BATCH_ARRAYS:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 

@@ -173,8 +173,7 @@ class TestBipower:
 
     def test_consistency_on_brownian_paths(self):
         # (pi/2) * bipower converges to the integrated variance, here 1
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                                 jump_law=NoJumps(), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
         grid = build_grid(1.0, 10_000)
         batch = simulate_batch(spec, grid, 13, 0, 50)
         estimates = [bipower_sigma2(np.diff(row)) for row in batch.observed]
@@ -185,8 +184,7 @@ class TestBipower:
         # seed obeys the sharp bound (pi/2) |s| (|d_left| + |d_right|), and the
         # mean shift sits near its analytic value (pi/2) * 2 sqrt(2 dt / pi),
         # about 2.5% of the base at dt = 1e-4
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                                 jump_law=NoJumps(), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
         grid = build_grid(1.0, 10_000)
         batch = simulate_batch(spec, grid, 29, 0, 100)
         k = grid.n_steps // 2

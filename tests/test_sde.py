@@ -11,7 +11,7 @@ from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
                         SingleUniformJump, build_grid, doubling_jump_spec, grid_for_step,
                         path_to_csv, sample_single_jump_time, simulate_batch)
-from conftest import jump_ledger
+from conftest import BATCH_ARRAYS, jump_ledger
 
 
 class TestBuildGrid:
@@ -95,21 +95,33 @@ class TestSimulatePath:
         k = int(np.searchsorted(grid_1000.times, path.jump_time[0]))
         assert path.jump_step[0] == k
         np.testing.assert_array_equal(path.observed[0, :k], path.continuous[0, :k])
-        np.testing.assert_allclose(path.observed[0, k:],
-                                   path.continuous[0, k:] + pre_state,
-                                   rtol=1e-12)
-        assert path.observed[0, k] == pytest.approx(2 * pre_state, rel=1e-12)
+        np.testing.assert_array_equal(path.observed[0, k:], path.continuous[0, k:] + pre_state)
+        assert path.observed[0, k] == 2 * pre_state
+        # under every law, each landing holds twice its pre-jump state and its
+        # left limit is that state, both exactly; elsewhere the left limits
+        # are the observed states. The Poisson rows have 0 to 3+ jumps.
+        for law, n_paths, fewest, most in ((SingleUniformJump(), 16, 1, 1),
+                                           (PoissonRate(rate=2.0), 12, 0, 3),
+                                           (NoJumps(), 4, 0, 0)):
+            spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9, jump_law=law, x0=0.3)
+            batch = simulate_batch(spec, build_grid(1.0, 100), 97, 2, n_paths)
+            rows, steps = batch.jump_path, batch.jump_step
+            np.testing.assert_array_equal(batch.observed[rows, steps], 2 * batch.jump_pre)
+            np.testing.assert_array_equal(batch.pre_jump[rows, steps], batch.jump_pre)
+            off = np.ones(batch.observed.shape, dtype=bool)
+            off[rows, steps] = False
+            np.testing.assert_array_equal(batch.pre_jump[off], batch.observed[off])
+            counts = np.bincount(rows, minlength=n_paths)
+            assert (counts.min(), min(counts.max(), 3)) == (fewest, most)
 
     def test_degenerate_constant_path(self, grid_100):
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=0.0,
-                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=0.1)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=0.0, jump_law=NoJumps(), x0=0.1)
         path = simulate_batch(spec, grid_100, 3, 0, 1)
         np.testing.assert_array_equal(path.observed[0], np.full(101, 0.1))
 
     def test_terminal_variance_of_brownian(self):
         # Var(W_1) = 1; oracle is the sample variance over seeded paths
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0,
-                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
         grid = build_grid(1.0, 200)
         batch = simulate_batch(spec, grid, 11, 0, 10_000)
         var = batch.observed[:, -1].var()
@@ -123,8 +135,7 @@ class TestSimulatePath:
         assert jump_ledger(a) == jump_ledger(b)
 
     def test_overflow_reports_step(self, grid_100):
-        spec = JumpDiffusionSpec(drift=1e308, diffusion=0.0,
-                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=1e308)
+        spec = JumpDiffusionSpec(drift=1e308, diffusion=0.0, jump_law=NoJumps(), x0=1e308)
         with np.errstate(over="ignore"), pytest.raises(SimulationOverflowError) as err:
             simulate_batch(spec, grid_100, 0, 0, 1)
         assert err.value.step_index >= 1
@@ -132,10 +143,11 @@ class TestSimulatePath:
     @pytest.mark.parametrize("drift,sigma", [(0.0, 1.0), (0.3, 0.7), (-2.5, 1e-3)])
     def test_constant_recursion_matches_reference(self, drift, sigma):
         # reference: x0 + cumsum(b dt + sigma sqrt(dt) z) on stream (seed, e, p), then
-        # the jump drawn from the same generator at its exact, off-grid time
+        # the jump drawn from the same generator at its exact, off-grid time,
+        # adding the state at the grid point it snaps to
         grid = build_grid(2.0, 137)
-        spec = JumpDiffusionSpec(drift=drift, diffusion=sigma, jump_size=lambda t, x: t - x,
-                                 jump_law=SingleUniformJump(), x0=0.4)
+        spec = JumpDiffusionSpec(drift=drift, diffusion=sigma, jump_law=SingleUniformJump(),
+                                 x0=0.4)
         for episode, p in [(0, 0), (3, 5), (7, 2**33 + 1)]:
             rng = stream(19, episode, p)
             z = rng.standard_normal(grid.n_steps)
@@ -145,11 +157,10 @@ class TestSimulatePath:
             k = int(np.searchsorted(grid.times, jump_time))
             path = simulate_batch(spec, grid, 19, episode, 1, path_offset=p)
             np.testing.assert_array_equal(path.continuous[0], continuous)
-            assert jump_ledger(path) == [
-                (0, k, jump_time, continuous[k], jump_time - continuous[k])]
+            assert jump_ledger(path) == [(0, k, jump_time, continuous[k])]
             assert jump_time != grid.times[k]
             observed = continuous.copy()
-            observed[k:] += jump_time - continuous[k]
+            observed[k:] += continuous[k]
             np.testing.assert_array_equal(path.observed[0], observed)
 
 
@@ -157,8 +168,7 @@ class TestPathInvariants:
     def test_quadratic_variation_near_sigma2_t(self):
         # summed squared increments -> sigma^2 T for a continuous path
         sigma = 0.8
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=sigma,
-                                 jump_size=lambda t, x: x, jump_law=NoJumps(), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=sigma, jump_law=NoJumps(), x0=0.0)
         grid = build_grid(1.0, 10_000)
         batch = simulate_batch(spec, grid, 23, 0, 50)
         qv = np.sum(np.diff(batch.observed, axis=1) ** 2, axis=1)
@@ -167,7 +177,7 @@ class TestPathInvariants:
     def test_jump_ledger_reconstructs_observed(self, study_spec, grid_1000):
         path = simulate_batch(study_spec, grid_1000, 31, 0, 1)
         rebuilt = path.continuous[0].copy()
-        for time, size in zip(path.jump_time, path.jump_size):
+        for time, size in zip(path.jump_time, path.jump_pre):
             k = int(np.searchsorted(grid_1000.times, time))
             rebuilt[k:] += size
         np.testing.assert_allclose(rebuilt, path.observed[0], rtol=1e-12, atol=1e-15)
@@ -185,17 +195,15 @@ class TestPathInvariants:
 
 class TestPoissonRate:
     def test_rejects_coarse_grid(self, grid_100):
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0,
-                                 jump_size=lambda t, x: 1.0,
-                                 jump_law=PoissonRate(rate=50.0), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=PoissonRate(rate=50.0),
+                                 x0=0.0)
         with pytest.raises(ConfigurationError):
             simulate_batch(spec, grid_100, 0, 0, 1)
 
     def test_mean_jump_count(self):
         rate = 2.0
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0,
-                                 jump_size=lambda t, x: 1.0,
-                                 jump_law=PoissonRate(rate=rate), x0=0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=PoissonRate(rate=rate),
+                                 x0=0.0)
         grid = build_grid(1.0, 500)
         batch = simulate_batch(spec, grid, 87, 0, 2000)
         mean_count = batch.jump_step.size / 2000
@@ -207,15 +215,14 @@ class TestSpecCheck:
     @pytest.mark.parametrize("value", [lambda t, x: 0.5, True, "0.5", None],
                              ids=["callable", "bool", "str", "None"])
     def test_coefficient_that_is_not_a_number_names_the_field(self, field, value):
-        fields = dict(drift=0.0, diffusion=1.0, jump_size=lambda t, x: x,
-                      jump_law=NoJumps(), x0=0.0)
+        fields = dict(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.0)
         fields[field] = value
         with pytest.raises(ConfigurationError, match=f"^{field} must be a real number, got "):
             JumpDiffusionSpec(**fields)
 
     def test_numpy_and_integer_coefficients_give_the_float_bits(self, grid_100):
         def batch(drift, diffusion):
-            spec = JumpDiffusionSpec(drift=drift, diffusion=diffusion, jump_size=lambda t, x: x,
+            spec = JumpDiffusionSpec(drift=drift, diffusion=diffusion,
                                      jump_law=SingleUniformJump(), x0=0.1)
             return simulate_batch(spec, grid_100, 21, 0, 3)
 
@@ -226,14 +233,10 @@ class TestSpecCheck:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-BATCH_ARRAYS = ("observed", "continuous", "pre_jump", "jump_path", "jump_step",
-                "jump_time", "jump_pre", "jump_size")
 # one jump per row, and several jumps per row
 BATCH_SPECS = [
-    JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
-                      jump_law=SingleUniformJump(), x0=0.2),
-    JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
-                      jump_law=PoissonRate(rate=8.0), x0=1.0),
+    JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_law=SingleUniformJump(), x0=0.2),
+    JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0), x0=1.0),
 ]
 
 
@@ -242,7 +245,7 @@ def assert_matches_sequential_reference(spec, grid, seed, episode, offset, n_pat
     at a time, and return each row's jump count.
 
     Reference: each row's normals, then its Bernoulli jump flags, from
-    stream(seed, e, p); jumps applied one at a time as observed[k:] += size.
+    stream(seed, e, p); jumps applied one at a time as observed[k:] += observed[k].
     """
     batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
     ledger = []
@@ -254,10 +257,9 @@ def assert_matches_sequential_reference(spec, grid, seed, episode, offset, n_pat
         continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
         observed = continuous.copy()
         for k in np.flatnonzero(flags) + 1:
-            t, pre = grid.times[k], observed[k]
-            size = spec.jump_size(t, pre)
-            observed[k:] += size
-            ledger.append((i, k, t, pre, size))
+            pre = observed[k]
+            observed[k:] += pre
+            ledger.append((i, k, grid.times[k], pre))
         np.testing.assert_array_equal(batch.continuous[i], continuous)
         np.testing.assert_array_equal(batch.observed[i], observed)
     assert jump_ledger(batch) == ledger
@@ -296,9 +298,8 @@ class TestBatch:
         assert batch.jump_step.size > 0
 
     def test_poisson_rows_match_sequential_reference(self):
-        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3,
-                                 jump_size=lambda t, x: t - 0.5 * x,
-                                 jump_law=PoissonRate(rate=8.0), x0=1.0)
+        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0),
+                                 x0=1.0)
         counts = assert_matches_sequential_reference(spec, build_grid(1.0, 200), seed=83,
                                                      episode=4, offset=2**32 - 3, n_paths=6)
         assert (counts >= 2).sum() >= 2
@@ -307,9 +308,8 @@ class TestBatch:
         # a round applies the r-th jump of every row with more than r jumps;
         # rows without any and rows with three or more must both come out as
         # the one-jump-at-a-time reference
-        spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9,
-                                 jump_size=lambda t, x: 0.5 - x * t,
-                                 jump_law=PoissonRate(rate=2.0), x0=0.3)
+        spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9, jump_law=PoissonRate(rate=2.0),
+                                 x0=0.3)
         counts = assert_matches_sequential_reference(spec, build_grid(1.0, 100), seed=97,
                                                      episode=2, offset=0, n_paths=12)
         assert counts.min() == 0 and counts.max() >= 3
@@ -317,8 +317,8 @@ class TestBatch:
     def test_negative_zero_start_keeps_its_sign(self):
         # a jump writes only the columns from its step on, so x0 = -0.0 stays
         # -0.0 in column 0; adding a masked-out +0.0 there would make it +0.0
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: 1.0,
-                                 jump_law=SingleUniformJump(), x0=-0.0)
+        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=SingleUniformJump(),
+                                 x0=-0.0)
         batch = simulate_batch(spec, build_grid(1.0, 50), 89, 0, 8)
         assert batch.jump_step.size == 8
         for array in (batch.observed, batch.continuous, batch.pre_jump):
@@ -429,12 +429,11 @@ PINNED_BATCHES = {
     "doubling-128x1000-offset128": (doubling_jump_spec(), 1000, 31415, 3, 128, 128),
     "doubling-straddling-2^32": (doubling_jump_spec(), 100, 5, 1, 16, 2**32 - 8),
     "poisson-0-to-many": (JumpDiffusionSpec(drift=-0.2, diffusion=0.9,
-                                            jump_size=lambda t, x: 0.5 - x * t,
                                             jump_law=PoissonRate(rate=2.0), x0=0.3),
                           100, 97, 2, 12, 0),
-    "no-jumps": (JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_size=lambda t, x: x,
+    "no-jumps": (JumpDiffusionSpec(drift=0.3, diffusion=0.7,
                                    jump_law=NoJumps(), x0=0.2), 100, 13, 0, 8, 0),
-    "negative-zero-x0": (JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_size=lambda t, x: 1.0,
+    "negative-zero-x0": (JumpDiffusionSpec(drift=0.0, diffusion=1.0,
                                            jump_law=SingleUniformJump(), x0=-0.0),
                          50, 89, 0, 8, 0),
 }
@@ -446,13 +445,13 @@ class TestPinnedBits:
 
     DIGESTS = {
         "doubling-128x1000-offset128":
-            "7f23ee0ec5126a67663d73a76205602c730862212aaf37ca94d9ddba33b10247",
-        "doubling-32x100": "cecba93455470da8942302d254d2fdb474c3ef356f4f8ab2091ebb5924f70843",
+            "891baf951322d6e77e12c6737291a6e803c16bb4e565d702cf1507a7458dd70c",
+        "doubling-32x100": "a924c7e44570f56d3b144030851b51ba017df868ccfe52f2ee841be1b6eb06ba",
         "doubling-straddling-2^32":
-            "7f1dbe25ce06fecbeb31c5e84c84b9ee4a04878f7c60f62dc61fed6e8c6514c0",
-        "negative-zero-x0": "35b431cb92400ca0b3afa254c7c0450f45a065a10c0e34c1ececa46a1e18090b",
-        "no-jumps": "9c6f498a527c729d2a1c2f3866fa235b0484a9d2538a7019518c5c1f65417e89",
-        "poisson-0-to-many": "59320f531f084b56f7a905e776169ec790276a571407b0eb40a005c7de8b3b36",
+            "a425d24a9acfbd10ef27d7a2eb512baec4fa5001d85939e8c9b820eece42de4b",
+        "negative-zero-x0": "99e07a145a0605c4cb14550e7ada7f8f2bc3d927dfff3c35ab770e77e45a6c2e",
+        "no-jumps": "62e320ba86629959c719510d77f1789c506022f5f4a2828d2104902b20901410",
+        "poisson-0-to-many": "a125513b86e8152ec3def9df7a7b0b0ae510fd5d72d81cc4406dcb45ef75576b",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
@@ -484,8 +483,8 @@ class TestCsvExport:
         assert data[:, 3].sum() == path.jump_step.size
 
     def test_jump_flag_matches_ledger_steps(self):
-        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_size=lambda t, x: -0.5 * x,
-                                 jump_law=PoissonRate(rate=8.0), x0=1.0)
+        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0),
+                                 x0=1.0)
         batch = simulate_batch(spec, build_grid(1.0, 200), 79, 2, 6)
         counts = np.bincount(batch.jump_path, minlength=6)
         assert counts.max() >= 2
