@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import oracles
 from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
@@ -415,9 +416,16 @@ def cmd_backtest(**flags):
 
 
 def _run(command: str, flags: dict, body) -> None:
-    """body(resolved keys of command), with library errors mapped to exit codes."""
+    """body(resolved keys of command), with library errors mapped to exit codes.
+
+    numpy's overflow and invalid-value warnings are silenced for the whole
+    command: the library checks its results for non-finite values and exits 3
+    with its own message, which a warning naming a library source line would
+    only precede.
+    """
     try:
-        body(_resolve(command, flags))
+        with np.errstate(over="ignore", invalid="ignore"):
+            body(_resolve(command, flags))
     except (ConfigurationError, SingularParameterError) as exc:  # ingestion errors included
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

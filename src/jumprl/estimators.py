@@ -42,10 +42,10 @@ def msbve_loss(values) -> float:
     return float(losses_by_row("msbve", np.asarray(values, dtype=float)[None, ...])[0])
 
 
-def _shifted(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _shifted(op, a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """op(a[:, j + 1], b[:, j]) for every column j of two C-contiguous
-    (rows, cols) arrays, as one flat pass over their raveled rows into a
-    fresh array of the same shape.
+    (rows, cols) arrays, as one flat pass over their raveled rows into out,
+    a C-contiguous array of the same shape, or a fresh one.
 
     Column cols - 1 pairs a row's first entry with the previous row's last
     (and holds 0 in the last row), so only the first cols - 1 columns of a
@@ -54,11 +54,40 @@ def _shifted(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     contiguous memory, and the row sums see one layout whatever the layout
     of the kernels' inputs.
     """
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
     flat = out.reshape(-1)
     op(a.reshape(-1)[1:], b.reshape(-1)[:-1], out=flat[:-1])
     flat[-1:] = 0.0
     return out
+
+
+class KernelWorkspace:
+    """Arrays that `grads_by_row` and `losses_by_row` reuse from call to call.
+
+    It holds the differences d, the theta-derivative differences g, sgn(d)
+    and the shifted product, each shaped and typed like the array it is
+    formed from in a call; a call that needs another shape or dtype
+    reallocates that array. The kernels return the same bits with a
+    workspace as without one. A workspace must not be shared between
+    threads, nor hold the values a kernel reads.
+    """
+
+    def __init__(self):
+        self.d = self.g = self.sign = self.term = None
+
+
+def _scratch(workspace: KernelWorkspace | None, name: str, like: np.ndarray):
+    """The workspace's array `name`, uninitialised and reallocated unless it
+    has like's shape and dtype; None without a workspace, so that the array
+    is allocated where it is formed."""
+    if workspace is None:
+        return None
+    array = getattr(workspace, name)
+    if array is None or array.shape != like.shape or array.dtype != like.dtype:
+        array = np.empty_like(like)
+        setattr(workspace, name, array)
+    return array
 
 
 def _rows(kind: str, values) -> np.ndarray:
@@ -74,20 +103,25 @@ def _rows(kind: str, values) -> np.ndarray:
     return v
 
 
-def losses_by_row(kind: str, values: np.ndarray) -> np.ndarray:
-    """Per-row loss for a (paths, n+1) matrix of fitted values."""
+def losses_by_row(kind: str, values: np.ndarray,
+                  workspace: KernelWorkspace | None = None) -> np.ndarray:
+    """Per-row loss for a (paths, n+1) matrix of fitted values; the
+    temporaries are formed in the workspace when one is given."""
     v = _rows(kind, values)
-    d = _shifted(np.subtract, v, v)
+    d = _shifted(np.subtract, v, v, _scratch(workspace, "d", v))
     cols = d.shape[1]
     if kind == "mstde":
         d *= d
         return np.sum(d[:, :cols - 1], axis=1)
     np.abs(d, out=d)
-    return np.sum(_shifted(np.multiply, d, d)[:, :cols - 2], axis=1)
+    term = _shifted(np.multiply, d, d, _scratch(workspace, "term", d))
+    return np.sum(term[:, :cols - 2], axis=1)
 
 
-def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
-    """Per-row theta-gradient for a matrix of values and their theta-derivatives.
+def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
+                 workspace: KernelWorkspace | None = None) -> np.ndarray:
+    """Per-row theta-gradient for a matrix of values and their theta-derivatives;
+    the temporaries are formed in the workspace when one is given.
 
     dvalues is broadcast to the values' shape, so a derivative that does not
     depend on the path, such as a (1, n+1) row, applies to every path.
@@ -99,18 +133,18 @@ def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray) -> np.ndarr
         except ValueError:
             raise ConfigurationError(f"dvalues of shape {dv.shape} do not broadcast to "
                                      f"the values' shape {v.shape}") from None
-    d = _shifted(np.subtract, v, v)
-    g = _shifted(np.subtract, dv, dv)
+    d = _shifted(np.subtract, v, v, _scratch(workspace, "d", v))
+    g = _shifted(np.subtract, dv, dv, _scratch(workspace, "g", dv))
     cols = d.shape[1]
     if kind == "mstde":
         d *= g
         return 2.0 * np.sum(d[:, :cols - 1], axis=1)
     # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
     # sign-symmetric rounding the two orders give the same bits
-    s = np.sign(d)
+    s = np.sign(d, out=_scratch(workspace, "sign", d))
     g *= s
     np.abs(d, out=d)
-    term = _shifted(np.multiply, g, d)
+    term = _shifted(np.multiply, g, d, _scratch(workspace, "term", g))
     # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
     np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
     term += s

@@ -13,9 +13,13 @@ have all three evaluations. The mean-variance family, which only the
 backtest trains, has no dvalue_dx. It is singular at theta = 0 and rejects
 parameters with |theta| below THETA_FLOOR.
 
-The built-in evaluations never write into their arguments and return a fresh
-array (a numpy scalar for scalar inputs). Those formed in place keep the
-plain formula's order of operations, so they give its bits.
+Every evaluation takes `out=None`. Given an array of the shape and dtype the
+call would return, it writes the result there and returns `out`; without one
+it returns a fresh array (a numpy scalar for scalar inputs, as plain
+arithmetic gives). Either way the arguments are never written into. The
+built-in evaluations form their first full-size operation in `out`, or in a
+fresh array, and run every later pass in place in the plain formula's order
+of operations, so they give its bits with and without `out`.
 """
 
 from __future__ import annotations
@@ -31,27 +35,25 @@ from .errors import ConfigurationError, SingularParameterError
 HORIZON = 1.0       # T: the end of every value function's time interval
 THETA_FLOOR = 1e-6  # the smallest |theta| the mean-variance anchor accepts
 _FD_STEP = 1e-6     # CustomValue's central-difference step
+_EXPM1_SAFE = 700.0  # expm1(a) is finite for every a below ln(float max) = 709.78
 
 
-def _scalar_if_0d(out: np.ndarray):
-    """A 0-d result as a numpy scalar, the type plain arithmetic gives."""
-    return out if out.ndim else out[()]
+def _times(a, b, out):
+    """a * b, written into out when one is given."""
+    return a * b if out is None else np.multiply(a, b, out=out)
 
 
-def _reusable(fresh, other):
-    """fresh itself when it is an array already of the shape and dtype of its
-    product with other, so a ufunc can write that product there; else None."""
-    if (isinstance(fresh, np.ndarray)
-            and np.broadcast_shapes(fresh.shape, np.shape(other)) == fresh.shape
-            and np.result_type(fresh, other) == fresh.dtype):
-        return fresh
-    return None
+def _target(out, *operands) -> np.ndarray:
+    """out, or a fresh float array of the operands' broadcast shape."""
+    if out is not None:
+        return out
+    return np.empty(np.broadcast_shapes(*(np.shape(a) for a in operands)))
 
 
-def _offset(x, w, t_shaped) -> np.ndarray:
-    """x - w in a fresh float array of the broadcast shape of x and t_shaped."""
-    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(t_shaped)))
-    return np.subtract(x, w, out=out)
+def _finish(result: np.ndarray, out):
+    """The result of an evaluation formed in _target(out, ...): out itself
+    when one was given, else result, with a 0-d array as a numpy scalar."""
+    return result if out is not None or result.ndim else result[()]
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,17 @@ class LinearValue:
 
     name: ClassVar[str] = "linear"
 
-    def value(self, theta, t, x):
-        return (theta * (1.0 - t) + 1.0) * x
+    def value(self, theta, t, x, out=None):
+        return _times(theta * (1.0 - t) + 1.0, x, out)
 
-    def dvalue_dtheta(self, theta, t, x):
-        return (1.0 - t) * x
+    def dvalue_dtheta(self, theta, t, x, out=None):
+        return _times(1.0 - t, x, out)
 
-    def dvalue_dx(self, theta, t, x):
+    def dvalue_dx(self, theta, t, x, out=None):
         coef = theta * (1.0 - t) + 1.0
-        return _scalar_if_0d(np.full(np.broadcast_shapes(np.shape(coef), np.shape(x)),
-                                     coef, dtype=float))
+        result = _target(out, coef, x)
+        result[...] = coef
+        return _finish(result, out)
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,26 @@ class QuadraticValue:
 
     name: ClassVar[str] = "quadratic"
 
-    def value(self, theta, t, x):
-        return theta * (1.0 - t) * x * x + x
+    def value(self, theta, t, x, out=None):
+        result = _times(theta * (1.0 - t), x, out)
+        result *= x
+        result += x
+        return result
 
-    def dvalue_dtheta(self, theta, t, x):
-        return (1.0 - t) * x * x
+    def dvalue_dtheta(self, theta, t, x, out=None):
+        result = _times(1.0 - t, x, out)
+        result *= x
+        return result
 
-    def dvalue_dx(self, theta, t, x):
-        out = 2.0 * theta * (1.0 - t) * x
-        out += 1.0
-        return out
+    def dvalue_dx(self, theta, t, x, out=None):
+        result = _times(2.0 * theta * (1.0 - t), x, out)
+        result += 1.0
+        return result
+
+
+def _exp_times(coef, x, out):
+    """coef * np.exp(x), formed in out when one is given."""
+    return np.multiply(coef, np.exp(x, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -96,18 +109,18 @@ class ExponentialValue:
 
     name: ClassVar[str] = "exponential"
 
-    def value(self, theta, t, x):
-        return theta * (1.0 - t) * np.exp(x) + x
+    def value(self, theta, t, x, out=None):
+        result = _exp_times(theta * (1.0 - t), x, out)
+        result += x
+        return result
 
-    def dvalue_dtheta(self, theta, t, x):
-        return (1.0 - t) * np.exp(x)
+    def dvalue_dtheta(self, theta, t, x, out=None):
+        return _exp_times(1.0 - t, x, out)
 
-    def dvalue_dx(self, theta, t, x):
-        coef = theta * (1.0 - t)
-        ex = np.exp(x)
-        out = np.multiply(coef, ex, out=_reusable(ex, coef))
-        out += 1.0
-        return out
+    def dvalue_dx(self, theta, t, x, out=None):
+        result = _exp_times(theta * (1.0 - t), x, out)
+        result += 1.0
+        return result
 
 
 def target_anchor(theta: float, z: float, x0: float) -> float:
@@ -119,8 +132,11 @@ def target_anchor(theta: float, z: float, x0: float) -> float:
     if abs(theta) < THETA_FLOOR:
         raise SingularParameterError(
             f"|theta| = {abs(theta):.3g} below singularity floor {THETA_FLOOR:.3g}")
+    a = theta * theta * HORIZON
+    if a < _EXPM1_SAFE:
+        return z + (z - x0) / np.expm1(a)
     with np.errstate(over="ignore"):  # expm1 -> inf collapses w to z, by design
-        return z + (z - x0) / np.expm1(theta * theta * HORIZON)
+        return z + (z - x0) / np.expm1(a)
 
 
 def _anchor_slope(theta: float, z: float, x0: float) -> float:
@@ -148,32 +164,35 @@ class MeanVarianceValue:
     def anchor(self, theta):
         return target_anchor(theta, self.z, self.x0)
 
-    def value(self, theta, t, x):
+    def value(self, theta, t, x, out=None):
         w = self.anchor(theta)
         decay = np.exp(theta * theta * (np.asarray(t, dtype=float) - HORIZON))
-        out = _offset(x, w, decay)
-        np.square(out, out=out)
-        out *= decay
-        out -= (w - self.z) ** 2
-        return _scalar_if_0d(out)
+        result = np.subtract(x, w, out=_target(out, x, decay))
+        np.square(result, out=result)
+        result *= decay
+        result -= (w - self.z) ** 2
+        return _finish(result, out)
 
-    def dvalue_dtheta(self, theta, t, x):
+    def dvalue_dtheta(self, theta, t, x, out=None):
+        """The one evaluation that allocates with out given: the two terms
+        below are full-size arrays at once, since summing them in any other
+        order would change the bits."""
         w = self.anchor(theta)
         dw = _anchor_slope(theta, self.z, self.x0)
         t = np.asarray(t, dtype=float)
         decay = np.exp(theta * theta * (t - HORIZON))
-        out = _offset(x, w, decay)
-        curv = np.square(out)  # (x - w)^2 decay 2 theta (t - T)
+        result = np.subtract(x, w, out=_target(out, x, decay))
+        curv = np.square(result)  # (x - w)^2 decay 2 theta (t - T)
         curv *= decay
         curv *= 2.0
         curv *= theta
         curv *= t - HORIZON
-        out *= -2.0            # -2 (x - w) dw decay
-        out *= dw
-        out *= decay
-        out += curv
-        out -= 2.0 * (w - self.z) * dw
-        return _scalar_if_0d(out)
+        result *= -2.0            # -2 (x - w) dw decay
+        result *= dw
+        result *= decay
+        result += curv
+        result -= 2.0 * (w - self.z) * dw
+        return _finish(result, out)
 
 
 @dataclass(frozen=True)
@@ -189,21 +208,32 @@ class CustomValue:
     dx_fn: Optional[Callable] = None
     name: ClassVar[str] = "custom"
 
-    def value(self, theta, t, x):
-        return self.value_fn(theta, t, x)
+    def value(self, theta, t, x, out=None):
+        return _copied(self.value_fn(theta, t, x), out)
 
-    def dvalue_dtheta(self, theta, t, x):
+    def dvalue_dtheta(self, theta, t, x, out=None):
         if self.dtheta_fn is not None:
-            return self.dtheta_fn(theta, t, x)
+            return _copied(self.dtheta_fn(theta, t, x), out)
         h = _FD_STEP
-        return (self.value_fn(theta + h, t, x) - self.value_fn(theta - h, t, x)) / (2 * h)
+        return _copied((self.value_fn(theta + h, t, x) - self.value_fn(theta - h, t, x))
+                       / (2 * h), out)
 
-    def dvalue_dx(self, theta, t, x):
+    def dvalue_dx(self, theta, t, x, out=None):
         if self.dx_fn is not None:
-            return self.dx_fn(theta, t, x)
+            return _copied(self.dx_fn(theta, t, x), out)
         h = _FD_STEP
         x = np.asarray(x, dtype=float)
-        return (self.value_fn(theta, t, x + h) - self.value_fn(theta, t, x - h)) / (2 * h)
+        return _copied((self.value_fn(theta, t, x + h) - self.value_fn(theta, t, x - h))
+                       / (2 * h), out)
+
+
+def _copied(result, out):
+    """result, copied into out when one is given: a user callable may return
+    its input, which out must not alias."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 _STUDY_FAMILIES = {cls.name: cls for cls in (LinearValue, QuadraticValue, ExponentialValue)}

@@ -147,9 +147,8 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
                       sigma: float, scratch: np.ndarray) -> np.ndarray:
     """Per-path objective values for each theta; shape (len(thetas), paths).
 
-    scratch is a writable (paths, n) array that the squared gradient terms are
-    formed in; it is never an array the model returned, since a model may
-    return its input.
+    scratch is a writable (paths, n) float array that dvalue_dx writes into
+    and the squared gradient terms are formed in.
     """
     grid = batch.grid
     states = batch.pre_jump if state == "pre_jump" else batch.continuous
@@ -158,9 +157,9 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
     t_jump = grid.times[batch.jump_step] if batch.jump_step.size else None
     out = np.empty((len(thetas), states.shape[0]))
     for j, theta in enumerate(thetas):
-        gx = np.asarray(model.dvalue_dx(theta, t_left, left), dtype=float)
-        np.multiply(gx, sigma, out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
+        model.dvalue_dx(theta, t_left, left, out=scratch)
+        scratch *= sigma
+        scratch *= scratch
         vals = np.sum(scratch, axis=1) * grid.dt
         if include_jump_term and batch.jump_step.size:
             post = np.asarray(model.value(theta, t_jump, batch.jump_pre + batch.jump_pre),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError)
-from .estimators import LOSS_KINDS, TrainConfig, grads_by_row
+from .estimators import LOSS_KINDS, KernelWorkspace, TrainConfig, grads_by_row
 from .models import HORIZON, MeanVarianceValue, target_anchor
 from .rng import stream
 
@@ -186,7 +186,7 @@ def bipower_sigma2(increments) -> float:
     if inc.ndim != 1 or inc.size < 2:
         raise InsufficientDataError(f"bipower needs >= 2 increments, got {inc.size}")
     a = np.abs(inc)
-    return float(math.pi / 2.0 * np.dot(a[1:], a[:-1]))
+    return math.pi / 2.0 * float(np.dot(a[1:], a[:-1]))
 
 
 def jump_threshold(sigma_hat: float, dt: float) -> float:
@@ -337,22 +337,33 @@ def _daily_bipower(matrix: np.ndarray, log_scale: bool) -> float:
 LOSS_RATE_SCALE = {"mstde": 1.0, "msbve": 2.0 / math.pi}
 
 
+def _step_buffers(shape: tuple) -> tuple:
+    """(wealth, J, dJ, kernel workspace): what every gradient step of a
+    backtest writes into, the three arrays of the training window's shape."""
+    return np.empty(shape), np.empty(shape), np.empty(shape), KernelWorkspace()
+
+
 def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: str,
                config: BacktestConfig, model: MeanVarianceValue,
-               times: np.ndarray, dt: float) -> float:
+               times: np.ndarray, dt: float,
+               buffers: tuple | None = None) -> float:
     """Gradient steps of the chosen loss on wealth paths replayed under theta.
 
-    Every step replays the window into the same wealth buffer.
+    Every step replays the window and forms its values and gradients in
+    buffers, from _step_buffers of the window's shape unless given, which the
+    next step overwrites.
     """
+    wealth, J, dJ, kernels = _step_buffers(matrix.shape) if buffers is None else buffers
     lr = config.learning.learning_rate / LOSS_RATE_SCALE[loss_kind]
     excess = _excess_returns(matrix, config.risk_free_daily, dt)
-    wealth = np.empty((excess.shape[0], excess.shape[1] + 1))
     for step in range(config.learning.episodes):
         _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
                        config.initial_wealth, out=wealth)
-        J = np.asarray(model.value(theta, times, wealth), dtype=float)
-        dJ = np.asarray(model.dvalue_dtheta(theta, times, wealth), dtype=float)
-        grad = float(np.mean(grads_by_row(loss_kind, J, dJ)))
+        model.value(theta, times, wealth, out=J)
+        model.dvalue_dtheta(theta, times, wealth, out=dJ)
+        # the batch mean, with np.mean's bits and without its dispatch
+        g = grads_by_row(loss_kind, J, dJ, kernels)
+        grad = float(np.add.reduce(g) / g.size)
         if not math.isfinite(grad):
             raise DivergenceError(f"non-finite gradient at daily step {step}",
                                   episode=step, last_theta=theta)
@@ -393,6 +404,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
     dt = HORIZON / m
     times = np.linspace(0.0, HORIZON, m + 1)[None, :]
     model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth)
+    buffers = _step_buffers((config.train_days, m + 1))  # every window's shape
 
     theta = config.learning.theta0
     days_out, wealth_out, return_out, theta_out = [], [], [], []
@@ -419,7 +431,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
         sigma_hat = math.sqrt(sigma2_ret)
 
         theta = _fit_theta(theta, train_view, sigma_hat, loss_kind, config,
-                           model, times, dt)
+                           model, times, dt, buffers)
 
         excess = _excess_returns(matrix[d:d + 1], config.risk_free_daily, dt)
         terminal = float(_wealth_matrix(theta, sigma_hat, excess, config.target_wealth,

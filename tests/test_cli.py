@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta, timezone
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import jumprl
 from jumprl import cli
 from jumprl.cli import main
 from jumprl.errors import IngestionError
@@ -135,6 +139,21 @@ class TestTrain:
         assert (doc["episode"], doc["last_theta"]) == (1, 0.25)
         assert doc["trace"] == [[0, 0.25, None]]
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_state_overflow_prints_no_numpy_warning(self, tmp_path):
+        # a fresh process, where numpy's warning would reach standard error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x0 = 1e308\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(jumprl.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "jumprl.cli", "train", "--config", str(cfg),
+             "--family", "linear", "--episodes", "3", "--paths", "2", "--dt", "0.1",
+             "--theta0", "0.25", "--seed", "1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert read_json(tmp_path / "train_result.json")["trace"] == [[0, 0.25, None]]
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr.startswith("divergence: simulated state overflowed")
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from jumprl import estimators
 from jumprl.errors import (ConfigurationError, DivergenceError, InsufficientDataError,
                            SimulationOverflowError)
-from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
+from jumprl.estimators import (LOSS_KINDS, KernelWorkspace, TrainConfig, grads_by_row,
                                jump_robustness_ratio, losses_by_row, msbve_loss,
                                mstde_loss, train)
 from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
@@ -277,6 +277,24 @@ class TestInPlaceKernelBits:
             grads_by_row(kind, values, dvalues)
             assert_same_bits(values, before[0])
             assert_same_bits(dvalues, before[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_workspace_across_shapes_gives_fresh_bits(self, kind):
+        # the backtest's shape, a smaller one, then the first again: each call
+        # into the one workspace gives the bits of a call without it
+        rng = np.random.default_rng(24)
+        workspace = KernelWorkspace()
+        for rows, cols in ((126, 80), (4, 7), (126, 80)):
+            values = rng.uniform(-3.0, 3.0, (rows, cols))
+            values[:, 3] = values[:, 2]  # sgn(0) = 0 applies
+            values[0, :2] = np.nan, -np.inf
+            dvalues = rng.uniform(-3.0, 3.0, (rows, cols))
+            for dv in (dvalues, dvalues[:1]):  # a row derivative is broadcast
+                assert_same_bits(grads_by_row(kind, values, dv, workspace),
+                                 grads_by_row(kind, values, dv))
+            assert_same_bits(losses_by_row(kind, values, workspace),
+                             losses_by_row(kind, values))
 
 
 class TestTrainConfigValidation:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jumprl.errors import SingularParameterError
+from jumprl.estimators import LOSS_KINDS, KernelWorkspace, grads_by_row
 from jumprl.models import (HORIZON, CustomValue, ExponentialValue, LinearValue,
                            MeanVarianceValue, QuadraticValue, _anchor_slope,
                            family_by_name, target_anchor)
@@ -151,6 +153,12 @@ def _mean_variance_dtheta(model, theta, t, x):
 # The one-expression forms the in-place kernels replaced, kept here as the
 # bit-for-bit reference: (family, method) -> reference(model, theta, t, x).
 EXPRESSIONS = {
+    ("linear", "value"): lambda m, theta, t, x: (theta * (1.0 - t) + 1.0) * x,
+    ("linear", "dvalue_dtheta"): lambda m, theta, t, x: (1.0 - t) * x,
+    ("quadratic", "value"): lambda m, theta, t, x: theta * (1.0 - t) * x * x + x,
+    ("quadratic", "dvalue_dtheta"): lambda m, theta, t, x: (1.0 - t) * x * x,
+    ("exponential", "value"): lambda m, theta, t, x: theta * (1.0 - t) * np.exp(x) + x,
+    ("exponential", "dvalue_dtheta"): lambda m, theta, t, x: (1.0 - t) * np.exp(x),
     ("linear", "dvalue_dx"): lambda m, theta, t, x:
         (theta * (1.0 - t) + 1.0) * np.ones_like(np.asarray(x, dtype=float)),
     ("quadratic", "dvalue_dx"): lambda m, theta, t, x: 2.0 * theta * (1.0 - t) * x + 1.0,
@@ -162,6 +170,18 @@ EXPRESSIONS = {
 KERNELS = [(model, method) for model in FAMILIES
            for method in ("value", "dvalue_dtheta", "dvalue_dx")
            if (model.name, method) in EXPRESSIONS]
+
+
+# every family and method with out=; the custom families' callables return
+# their input x, or fall back to central differences of a quadratic family
+RETURNS_X = CustomValue(value_fn=lambda theta, t, x: x, dtheta_fn=lambda theta, t, x: x,
+                        dx_fn=lambda theta, t, x: x)
+FINITE_DIFFERENCES = CustomValue(value_fn=QuadraticValue().value)
+OUT_FAMILIES = {**{model.name: model for model in FAMILIES},
+                "custom-returns-x": RETURNS_X, "custom-differences": FINITE_DIFFERENCES}
+OUT_KERNELS = [pytest.param(model, method, id=f"{label}-{method}")
+               for label, model in OUT_FAMILIES.items()
+               for method in ("value", "dvalue_dtheta", "dvalue_dx") if hasattr(model, method)]
 
 
 def kernel_thetas(model):
@@ -237,3 +257,72 @@ class TestInPlaceKernelBits:
                 got = getattr(model, method)(theta, t, x)
                 assert_same_bits(x, before)
                 assert got.flags.writeable and not np.shares_memory(got, x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model,method", OUT_KERNELS)
+    def test_out_matches_fresh_call(self, model, method):
+        """With out= the result lands in out, which is returned, with the bits
+        of the call without it; x is never written into, even when a custom
+        family's callables return it."""
+        rng = np.random.default_rng(14)
+        evaluate = getattr(model, method)
+        for theta in kernel_thetas(model):
+            for t, x in path_inputs(model, theta, rng):
+                for states in (x, x[:, :1]):
+                    before = states.copy()
+                    states.setflags(write=False)
+                    fresh = np.asarray(evaluate(theta, t, states))
+                    out = np.full(fresh.shape, 7.0, dtype=fresh.dtype)
+                    assert evaluate(theta, t, states, out=out) is out
+                    assert_same_bits(out, fresh)
+                    assert_same_bits(states, before)
+            # scalar states and times into a 0-d out
+            for t in (0.25, 1.0):
+                out = np.empty(())
+                assert evaluate(theta, t, 0.7, out=out) is out
+                assert_same_bits(out[()], np.float64(evaluate(theta, t, 0.7)))
+
+
+class TestValueBuffersAllocate:
+    """tracemalloc's peak over one call at the backtest's window shape: with
+    the caller's buffers, a backtest step's calls form no array of the
+    states' size but the one term mean-variance dvalue_dtheta needs; without
+    them, each forms one more."""
+
+    SHAPE = (126, 80)  # the backtest's window
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def inputs(self):
+        rng = np.random.default_rng(15)
+        t = np.linspace(0.0, 1.0, self.SHAPE[1])[None, :]
+        return t, rng.uniform(0.9, 1.1, self.SHAPE)
+
+    def test_mean_variance_value(self):
+        model, (t, x) = MeanVarianceValue(z=1.01, x0=1.0), self.inputs()
+        out = np.empty_like(x)
+        assert self.peak(lambda: model.value(0.8, t, x, out=out)) < x.nbytes
+        assert self.peak(lambda: model.value(0.8, t, x)) >= x.nbytes
+
+    def test_mean_variance_dvalue_dtheta(self):
+        # its two terms are full-size arrays at once, so out saves one of two
+        model, (t, x) = MeanVarianceValue(z=1.01, x0=1.0), self.inputs()
+        out = np.empty_like(x)
+        assert self.peak(lambda: model.dvalue_dtheta(0.8, t, x, out=out)) < 2 * x.nbytes
+        assert self.peak(lambda: model.dvalue_dtheta(0.8, t, x)) >= 2 * x.nbytes
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_grads_by_row(self, kind):
+        values, dvalues = np.random.default_rng(16).uniform(-1.0, 1.0, (2, *self.SHAPE))
+        workspace = KernelWorkspace()
+        grads_by_row(kind, values, dvalues, workspace)  # sizes the workspace
+        assert self.peak(lambda: grads_by_row(kind, values, dvalues, workspace)) \
+            < values.nbytes
+        assert self.peak(lambda: grads_by_row(kind, values, dvalues)) >= values.nbytes

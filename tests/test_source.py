@@ -169,3 +169,43 @@ def test_unbounded_cache_is_found():
                                         "line 18: functools.lru_cache",
                                         "line 23: functools.cache(abs)",
                                         "line 24: lru(maxsize=M)"]
+
+
+EVALUATIONS = ("value", "dvalue_dtheta", "dvalue_dx")
+
+
+def evaluations_without_out(source: str) -> list[str]:
+    """Every value-family evaluation a module defines in a class without an
+    `out` parameter defaulting to None: the backtest and the Monte-Carlo pass
+    hand each evaluation the buffer it writes into."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in EVALUATIONS:
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaults = dict(zip([a.arg for a in positional][::-1], args.defaults[::-1]))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+            default = defaults.get("out")
+            if not (isinstance(default, ast.Constant) and default.value is None) \
+                    or "out" in (a.arg for a in args.posonlyargs):
+                found.append(f"line {fn.lineno}: {cls.name}.{fn.name}")
+    return found
+
+
+def test_every_evaluation_takes_out():
+    models = Path(jumprl.__file__).parent / "models.py"
+    assert evaluations_without_out(models.read_text()) == []
+
+
+def test_evaluation_without_out_is_found():
+    source = ("class A:\n    def value(self, theta, t, x, out=None):\n        pass\n\n"
+              "    def dvalue_dx(self, theta, t, x):\n        pass\n\n"
+              "class B:\n    def dvalue_dtheta(self, theta, t, x, *, out=None):\n        pass\n\n"
+              "    def value(self, theta, t, x, out=0):\n        pass\n\n"
+              "    def helper(self, x):\n        pass\n\n"
+              "def value(theta, t, x):\n    pass\n")
+    assert evaluations_without_out(source) == ["line 5: A.dvalue_dx", "line 12: B.value"]
