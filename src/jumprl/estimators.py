@@ -112,10 +112,10 @@ def losses_by_row(kind: str, values: np.ndarray,
     cols = d.shape[1]
     if kind == "mstde":
         d *= d
-        return np.sum(d[:, :cols - 1], axis=1)
+        return np.add.reduce(d[:, :cols - 1], axis=1)
     np.abs(d, out=d)
     term = _shifted(np.multiply, d, d, _scratch(workspace, "term", d))
-    return np.sum(term[:, :cols - 2], axis=1)
+    return np.add.reduce(term[:, :cols - 2], axis=1)
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
@@ -138,7 +138,7 @@ def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
     cols = d.shape[1]
     if kind == "mstde":
         d *= g
-        return 2.0 * np.sum(d[:, :cols - 1], axis=1)
+        return 2.0 * np.add.reduce(d[:, :cols - 1], axis=1)
     # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
     # sign-symmetric rounding the two orders give the same bits
     s = np.sign(d, out=_scratch(workspace, "sign", d))
@@ -148,7 +148,7 @@ def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
     # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
     np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
     term += s
-    return np.sum(term[:, :cols - 2], axis=1)
+    return np.add.reduce(term[:, :cols - 2], axis=1)
 
 
 @dataclass(frozen=True)

@@ -179,14 +179,14 @@ class MeanVarianceValue:
         order would change the bits."""
         w = self.anchor(theta)
         dw = _anchor_slope(theta, self.z, self.x0)
-        t = np.asarray(t, dtype=float)
-        decay = np.exp(theta * theta * (t - HORIZON))
+        since_end = np.asarray(t, dtype=float) - HORIZON  # t - T
+        decay = np.exp(theta * theta * since_end)
         result = np.subtract(x, w, out=_target(out, x, decay))
         curv = np.square(result)  # (x - w)^2 decay 2 theta (t - T)
         curv *= decay
         curv *= 2.0
         curv *= theta
-        curv *= t - HORIZON
+        curv *= since_end
         result *= -2.0            # -2 (x - w) dw decay
         result *= dw
         result *= decay

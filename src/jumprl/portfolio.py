@@ -186,7 +186,7 @@ def bipower_sigma2(increments) -> float:
     if inc.ndim != 1 or inc.size < 2:
         raise InsufficientDataError(f"bipower needs >= 2 increments, got {inc.size}")
     a = np.abs(inc)
-    return math.pi / 2.0 * float(np.dot(a[1:], a[:-1]))
+    return math.pi / 2.0 * float(a[1:].dot(a[:-1]))
 
 
 def jump_threshold(sigma_hat: float, dt: float) -> float:
@@ -225,16 +225,30 @@ def sharpe(returns, periods_per_year: float) -> float:
     return float(np.mean(r)) / std * math.sqrt(periods_per_year)
 
 
+def _increments(day_matrix: np.ndarray, log_scale: bool) -> np.ndarray:
+    """Per-bar increments (days, m) of the day matrix's prices or log prices."""
+    return np.diff(np.log(day_matrix) if log_scale else day_matrix, axis=1)
+
+
 def _excess_returns(day_matrix: np.ndarray, r_f_daily: float, dt: float) -> np.ndarray:
-    """Per-bar simple returns (days, m) less the risk-free rate over one bar."""
-    return day_matrix[:, 1:] / day_matrix[:, :-1] - 1.0 - r_f_daily * dt
+    """Growth-ready excess returns (days, m+1): column j > 0 holds bar j's
+    simple return less the risk-free rate over one bar, and column 0 holds
+    0, whose growth factor 1 - k * 0 = 1 starts every wealth path."""
+    excess = np.empty(day_matrix.shape)
+    excess[:, 0] = 0.0
+    bars = excess[:, 1:]
+    np.divide(day_matrix[:, 1:], day_matrix[:, :-1], out=bars)
+    bars -= 1.0
+    bars -= r_f_daily * dt
+    return excess
 
 
 def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
                    z: float, x0: float,
                    start_wealth: float | None = None,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Wealth paths (days, m+1) from replaying each day's excess returns.
+    """Wealth paths (days, m+1) from replaying each day's growth-ready excess
+    returns (see _excess_returns).
 
     The policy's bar step W_{i+1} = W_i - k (W_i - w) e_i, k = theta/sigma_hat,
     is affine in W, so W_i - w = (W_0 - w) prod_{j<i} (1 - k e_j): one
@@ -242,24 +256,23 @@ def _wealth_matrix(theta: float, sigma_hat: float, excess: np.ndarray,
     w always uses the configured x0. Every entry is written into out, a
     (days, m+1) float buffer, when one is given, and a fresh array otherwise.
 
-    Column 0 holds the growth factor 1 (an excess return of 0), so every pass
-    after the multiply by -k runs over whole contiguous rows; 1 * x == x
-    keeps the products' bits, and column 0 gets W_0 last.
+    Column 0's growth factor is 1, so every pass runs over whole contiguous
+    rows; 1 * x == x keeps the products' bits, and column 0 gets W_0 last.
     """
     if not sigma_hat > 0:
         raise ConfigurationError(f"sigma_hat must be > 0, got {sigma_hat}")
     w = target_anchor(theta, z, x0)
     k = theta / sigma_hat
     start = x0 if start_wealth is None else start_wealth
-    wealth = np.empty((excess.shape[0], excess.shape[1] + 1)) if out is None else out
-    wealth[:, 0] = 0.0
-    np.multiply(excess, -k, out=wealth[:, 1:])
+    wealth = np.multiply(excess, -k, out=out)
     wealth += 1.0
-    np.cumprod(wealth, axis=1, out=wealth)
+    np.multiply.accumulate(wealth, axis=1, out=wealth)
     wealth *= start - w
     wealth += w
     wealth[:, 0] = start
-    if not np.isfinite(wealth).all():
+    # a sum is finite only when every entry is, so the mask is formed only
+    # when some entry is not finite or the sum of finite entries overflows
+    if not (math.isfinite(np.add.reduce(wealth, axis=None)) or np.isfinite(wealth).all()):
         raise DivergenceError("wealth path became non-finite", episode=0, last_theta=theta)
     return wealth
 
@@ -324,10 +337,9 @@ class BacktestResult:
         return "\n".join(lines) + "\n"
 
 
-def _daily_bipower(matrix: np.ndarray, log_scale: bool) -> float:
-    """Mean over days of per-day bipower variation of the chosen increments."""
-    data = np.log(matrix) if log_scale else matrix
-    return float(np.mean([bipower_sigma2(row) for row in np.diff(data, axis=1)]))
+def _daily_bipower(increments: np.ndarray) -> float:
+    """Mean over days of per-day bipower variation of (days, m) increments."""
+    return float(np.mean([bipower_sigma2(row) for row in increments]))
 
 
 # On continuous data the bipower-product objective runs (2/pi) below the
@@ -343,22 +355,25 @@ def _step_buffers(shape: tuple) -> tuple:
     return np.empty(shape), np.empty(shape), np.empty(shape), KernelWorkspace()
 
 
-def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: str,
-               config: BacktestConfig, model: MeanVarianceValue,
-               times: np.ndarray, dt: float,
+def _fit_theta(theta: float, excess: np.ndarray, sigma_hat: float, loss_kind: str,
+               config: BacktestConfig, model: MeanVarianceValue, times: np.ndarray,
                buffers: tuple | None = None) -> float:
-    """Gradient steps of the chosen loss on wealth paths replayed under theta.
+    """Gradient steps of the chosen loss on wealth paths replayed under theta
+    from the window's growth-ready excess returns (see _excess_returns).
 
     Every step replays the window and forms its values and gradients in
     buffers, from _step_buffers of the window's shape unless given, which the
     next step overwrites.
     """
-    wealth, J, dJ, kernels = _step_buffers(matrix.shape) if buffers is None else buffers
+    wealth, J, dJ, kernels = _step_buffers(excess.shape) if buffers is None else buffers
     lr = config.learning.learning_rate / LOSS_RATE_SCALE[loss_kind]
-    excess = _excess_returns(matrix, config.risk_free_daily, dt)
     for step in range(config.learning.episodes):
-        _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
-                       config.initial_wealth, out=wealth)
+        try:
+            _wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
+                           config.initial_wealth, out=wealth)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at daily step {step}", episode=step,
+                                  last_theta=theta) from exc
         model.value(theta, times, wealth, out=J)
         model.dvalue_dtheta(theta, times, wealth, out=dJ)
         # the batch mean, with np.mean's bits and without its dispatch
@@ -382,7 +397,8 @@ def _fit_theta(theta: float, matrix: np.ndarray, sigma_hat: float, loss_kind: st
 def rolling_backtest(series: PriceSeries, config: BacktestConfig,
                      loss_kind: str) -> BacktestResult:
     """Walk the series one day at a time: fit theta on the trailing window,
-    trade the next day, and summarize daily excess returns."""
+    trade the next day, and summarize daily excess returns. A
+    DivergenceError names the test day it happened on."""
     if loss_kind not in LOSS_KINDS:
         raise ConfigurationError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     partition = series.day_partition
@@ -402,15 +418,21 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
             f"the days have {matrix.shape[1]} at bars per day = {series.bars_per_day}")
     m = matrix.shape[1] - 1
     dt = HORIZON / m
+    r_f = config.risk_free_daily
     times = np.linspace(0.0, HORIZON, m + 1)[None, :]
     model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth)
     buffers = _step_buffers((config.train_days, m + 1))  # every window's shape
+    # the day matrix's inputs, formed once: raw windows and trade days are
+    # row slices of them, and a thresholded window forms its own
+    increments = _increments(matrix, log_scale=False)
+    log_increments = _increments(matrix, log_scale=True)
+    excess = _excess_returns(matrix, r_f, dt)
 
     theta = config.learning.theta0
     days_out, wealth_out, return_out, theta_out = [], [], [], []
     for d in range(config.train_days, len(partition)):
-        window = matrix[d - config.train_days:d]
-        sigma2_price = _daily_bipower(window, log_scale=False)
+        rows = slice(d - config.train_days, d)
+        sigma2_price = _daily_bipower(increments[rows])
         tau = jump_threshold(math.sqrt(sigma2_price), 1.0 / config.steps_per_day)
         if config.threshold_mode == "thresholded":
             # threshold the untrimmed rows, so every increment is the series' own
@@ -421,21 +443,26 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
                 raise IngestionError(f"thresholded window for test day {partition[d][0]} "
                                      f"lost positivity: at tau = {tau:.6g} a price is "
                                      f"not positive and finite")
-            train_view = filtered[index[d - config.train_days:d] - lo]
+            window = filtered[index[rows] - lo]
+            train_log, train_excess = (_increments(window, log_scale=True),
+                                       _excess_returns(window, r_f, dt))
         else:
-            train_view = window
-        sigma2_ret = _daily_bipower(train_view, log_scale=True)
+            train_log, train_excess = log_increments[rows], excess[rows]
+        sigma2_ret = _daily_bipower(train_log)
         if sigma2_ret <= 0.0:
             raise ConfigurationError(
                 f"window before {partition[d][0]} has zero bipower variance")
         sigma_hat = math.sqrt(sigma2_ret)
 
-        theta = _fit_theta(theta, train_view, sigma_hat, loss_kind, config,
-                           model, times, dt, buffers)
-
-        excess = _excess_returns(matrix[d:d + 1], config.risk_free_daily, dt)
-        terminal = float(_wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
-                                        config.initial_wealth)[0, -1])
+        try:
+            theta = _fit_theta(theta, train_excess, sigma_hat, loss_kind, config,
+                               model, times, buffers)
+            terminal = float(_wealth_matrix(theta, sigma_hat, excess[d:d + 1],
+                                            config.target_wealth,
+                                            config.initial_wealth)[0, -1])
+        except DivergenceError as exc:
+            raise DivergenceError(f"test day {partition[d][0]}: {exc}",
+                                  episode=exc.episode, last_theta=exc.last_theta) from exc
         days_out.append(partition[d][0])
         wealth_out.append(terminal)
         return_out.append((terminal - config.initial_wealth) / config.initial_wealth

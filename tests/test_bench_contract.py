@@ -47,6 +47,10 @@ def test_backtest_trace_points_see_every_call(mode):
     assert counts.get("portfolio.threshold_series", 0) == (
         test_days if mode == "thresholded" else 0)
     assert counts["portfolio.bipower_sigma2"] == 2 * config.train_days * test_days
+    # one value, one theta-derivative and one kernel call per gradient step
+    steps = config.learning.episodes * test_days
+    for name in ("models.value", "models.dvalue_dtheta", "portfolio.grads_by_row"):
+        assert counts[name] == steps, name
 
 
 @pytest.mark.parametrize("workload", ["train_desk", "mc_scan", "backtest_rolling"])

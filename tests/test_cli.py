@@ -452,6 +452,16 @@ class TestBacktest:
         assert result.exit_code == 2
         assert "127" in result.output
 
+    def test_divergence_exits_3_naming_the_test_day(self, runner, tmp_path, fixture_csv):
+        # a target wealth of 1e300 overflows the first gradient of the first
+        # window, which trains for the ninth day
+        result = runner.invoke(main, ["backtest", "--data", str(fixture_csv),
+                                      "--bars-per-day", "10", "--train-days", "8",
+                                      "--z", "1e300", "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == ("numerical failure: test day 2020-01-09: "
+                                 "non-finite gradient at daily step 0\n")
+
     def test_missing_data_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["backtest", "--out", str(tmp_path)])
         assert result.exit_code == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ from jumprl.estimators import TrainConfig, grads_by_row
 from jumprl.models import HORIZON, MeanVarianceValue, target_anchor
 from jumprl.portfolio import (ANNUALIZATION, LOSS_RATE_SCALE, BacktestConfig,
                               BacktestResult, PriceSeries, _daily_bipower, _excess_returns,
-                              _fit_theta, _wealth_matrix, bipower_sigma2, build_price_series,
-                              jump_threshold, read_price_csv, rolling_backtest,
-                              sharpe, synthetic_gbm_jump_series,
+                              _fit_theta, _increments, _wealth_matrix, bipower_sigma2,
+                              build_price_series, jump_threshold, read_price_csv,
+                              rolling_backtest, sharpe, synthetic_gbm_jump_series,
                               threshold_series, write_price_csv)
 from jumprl.rng import stream
 from jumprl.sde import JumpDiffusionSpec, NoJumps, build_grid, simulate_batch
@@ -114,15 +115,16 @@ def backtest_by_series(series, config, loss_kind):
     theta, rows = config.learning.theta0, []
     for d in range(T, len(partition)):
         window = matrix[d - T:d]
-        tau = jump_threshold(math.sqrt(_daily_bipower(window, log_scale=False)),
-                             1.0 / config.steps_per_day)
+        sigma2_price = _daily_bipower(_increments(window, log_scale=False))
+        tau = jump_threshold(math.sqrt(sigma2_price), 1.0 / config.steps_per_day)
         if config.threshold_mode == "thresholded":
             lo, hi = partition[d - T][1].start, partition[d - 1][1].stop
             sub = PriceSeries(series.timestamps[lo:hi].copy(), series.prices[lo:hi].copy(),
                               series.bars_per_day)
             window = stacked(thresholded(sub, tau))[:, :m + 1]
-        sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
-        theta = _fit_theta(theta, window, sigma_hat, loss_kind, config, model, times, dt)
+        sigma_hat = math.sqrt(_daily_bipower(_increments(window, log_scale=True)))
+        theta = _fit_theta(theta, _excess_returns(window, config.risk_free_daily, dt),
+                           sigma_hat, loss_kind, config, model, times)
         excess = _excess_returns(matrix[d:d + 1], config.risk_free_daily, dt)
         terminal = float(_wealth_matrix(theta, sigma_hat, excess, config.target_wealth,
                                         config.initial_wealth)[0, -1])
@@ -323,7 +325,7 @@ class TestWealthMatrix:
         for trial in range(240):
             days, bars = int(rng.integers(1, 40)), int(rng.integers(2, 80))
             prices = random_window(rng, days, bars)
-            sigma_hat = math.sqrt(_daily_bipower(prices, log_scale=True))
+            sigma_hat = math.sqrt(_daily_bipower(_increments(prices, log_scale=True)))
             theta = float(rng.uniform(0.01, 3.0)) * (1 if trial % 2 else -1)
             r_f = float(rng.uniform(-1e-3, 1e-3))
             z = float(rng.uniform(1.001, 1.1))
@@ -343,14 +345,15 @@ class TestWealthMatrix:
         rng = stream(37)
         for trial in range(16):
             prices = random_window(rng, 2, 79)
-            sigma_hat = math.sqrt(_daily_bipower(prices, log_scale=True))
+            sigma_hat = math.sqrt(_daily_bipower(_increments(prices, log_scale=True)))
             theta = float(rng.uniform(3.0, 10.0)) * (1 if trial % 2 else -1)
             excess = _excess_returns(prices, float(rng.uniform(-1e-3, 1e-3)), 1.0 / 79)
             wealth = _wealth_matrix(theta, sigma_hat, excess, 1.01, 1.0)
-            assert_within_row_scale(wealth, wealth_exact(theta, sigma_hat, excess,
+            assert_within_row_scale(wealth, wealth_exact(theta, sigma_hat, excess[:, 1:],
                                                          1.01, 1.0), 1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflow_raises_divergence(self):
         prices = random_window(stream(41), 3, 79)
         with pytest.raises(DivergenceError, match="non-finite"):
@@ -359,6 +362,32 @@ class TestWealthMatrix:
         with pytest.raises(DivergenceError, match="non-finite"):
             _wealth_matrix(-10.0, 1e-9, _excess_returns(prices[:1], 0.0, 1.0 / 79),
                            1.01, 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_raises_exactly_when_an_entry_is_not_finite(self):
+        # entries of 1e306 are finite, though their sum overflows
+        flat = _excess_returns(np.full((126, 80), 100.0), 0.0, 1.0 / 79)
+        wealth = _wealth_matrix(1.0, 0.1, flat, 1.01, 1.0, start_wealth=1e306)
+        np.testing.assert_array_equal(wealth, np.full((126, 80), 1e306))
+        for bad in (np.inf, -np.inf, np.nan):
+            excess = flat.copy()
+            excess[-1, -1] = bad  # non-finite in wealth[-1, -1] only
+            with pytest.raises(DivergenceError, match="non-finite"):
+                _wealth_matrix(1.0, 0.1, excess, 1.01, 1.0)
+
+    def test_replay_into_out_allocates_under_one_kib(self):
+        # no mask, and no iterator buffer: every pass runs over whole rows
+        rng = stream(59)
+        excess = _excess_returns(random_window(rng, 126, 79), 1e-4, 1.0 / 79)
+        out = np.empty((126, 80))
+        _wealth_matrix(1.0, 0.0126, excess, 1.01, 1.0, out=out)
+        tracemalloc.start()
+        try:
+            _wealth_matrix(1.0, 0.0126, excess, 1.01, 1.0, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
     def test_out_buffer_gets_the_fresh_result(self):
         rng = stream(43)
@@ -385,7 +414,7 @@ class TestWealthMatrix:
             sigma_hat = float(rng.uniform(0.005, 0.05))
             z = float(rng.uniform(1.001, 1.1))
             start = float(rng.uniform(0.9, 1.1)) if trial % 3 == 0 else None
-            ref = wealth_strided(theta, sigma_hat, excess, z, 1.0, start)
+            ref = wealth_strided(theta, sigma_hat, excess[:, 1:], z, 1.0, start)
             assert_same_bits(_wealth_matrix(theta, sigma_hat, excess, z, 1.0, start), ref)
             dirty = rng.uniform(-1e300, 1e300, (days, bars + 1))
             dirty[:, ::3] = np.nan
@@ -402,7 +431,7 @@ class TestDailyBipower:
             window = random_window(rng, int(rng.integers(1, 40)), int(rng.integers(2, 80)))
             data = np.log(window) if log_scale else window
             per_row = float(np.mean([bipower_sigma2(np.diff(row)) for row in data]))
-            assert _daily_bipower(window, log_scale) == per_row
+            assert _daily_bipower(_increments(window, log_scale)) == per_row
 
 
 class TestFitTheta:
@@ -417,18 +446,17 @@ class TestFitTheta:
             series = synthetic_gbm_jump_series(30, bars_per_day=20, seed=seed,
                                                jump_prob_per_day=0.5)
             window = np.stack([series.prices[sl] for _, sl in series.day_partition])
-            sigma_hat = math.sqrt(_daily_bipower(window, log_scale=True))
+            sigma_hat = math.sqrt(_daily_bipower(_increments(window, log_scale=True)))
+            excess = _excess_returns(window, 0.0, 1.0 / 20)
             for loss in ("mstde", "msbve"):
                 for alpha, theta0 in ((1e4, 0.5), (1e5, 0.5), (1e4, -0.5), (1e5, 2.0)):
                     configs = [BacktestConfig(
                         learning=TrainConfig(loss, alpha, steps, 1, theta0, master_seed=0),
                         train_days=30, steps_per_day=20) for steps in (2, 3)]
-                    before, theta = (_fit_theta(theta0, window, sigma_hat, loss, config,
-                                                model, times, 1.0 / 20)
+                    before, theta = (_fit_theta(theta0, excess, sigma_hat, loss, config,
+                                                model, times)
                                      for config in configs)
-                    wealth = _wealth_matrix(before, sigma_hat,
-                                            _excess_returns(window, 0.0, 1.0 / 20),
-                                            1.01, 1.0)
+                    wealth = _wealth_matrix(before, sigma_hat, excess, 1.01, 1.0)
                     J = np.asarray(model.value(before, times, wealth), dtype=float)
                     dJ = np.asarray(model.dvalue_dtheta(before, times, wealth), dtype=float)
                     grad = float(np.mean(grads_by_row(loss, J, dJ)))
@@ -443,6 +471,7 @@ class TestFitTheta:
         assert negative and flipped
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_window_raises_with_last_theta(self):
         window = random_window(stream(47), 5, 79)
         model = MeanVarianceValue(z=1.01, x0=1.0)
@@ -450,10 +479,27 @@ class TestFitTheta:
                                                      master_seed=0),
                                 train_days=5)
         with pytest.raises(DivergenceError, match="non-finite") as info:
-            _fit_theta(7.5, window, 1e-9, "msbve", config, model,
-                       np.linspace(0.0, 1.0, 80)[None, :], 1.0 / 79)
+            _fit_theta(7.5, _excess_returns(window, 0.0, 1.0 / 79), 1e-9, "msbve", config,
+                       model, np.linspace(0.0, 1.0, 80)[None, :])
         assert info.value.last_theta == 7.5
         assert info.value.episode == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_wealth_divergence_names_its_step(self):
+        # step 0 replays theta0 = 0.5 finitely; its gradient step lands on
+        # theta_max = 1e6, whose replay overflows at step 1
+        window = random_window(stream(47), 5, 79)
+        config = BacktestConfig(learning=TrainConfig("msbve", 1e12, 5, 1, 0.5,
+                                                     master_seed=0),
+                                train_days=5, theta_max=1e6)
+        with pytest.raises(DivergenceError) as info:
+            _fit_theta(0.5, _excess_returns(window, 0.0, 1.0 / 79), 1e-2, "msbve",
+                       config, MeanVarianceValue(z=1.01, x0=1.0),
+                       np.linspace(0.0, 1.0, 80)[None, :])
+        assert str(info.value) == "wealth path became non-finite at daily step 1"
+        assert info.value.episode == 1
+        assert info.value.last_theta == 1e6
 
 
 class TestSharpe:
@@ -670,16 +716,25 @@ class TestRollingBacktest:
                                                           abs=1e-6)
         np.testing.assert_allclose(raw.daily_return, thr.daily_return, atol=1e-9)
 
-    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed_days"])
-    def test_reports_match_series_route_bit_for_bit(self, mixed):
-        series = (mixed_day_series(14, 12, seed=8) if mixed else
-                  synthetic_gbm_jump_series(14, bars_per_day=12, seed=8,
+    @pytest.mark.parametrize("mixed, seed, r_f", [
+        pytest.param(False, 8, 0.0, id="uniform"),
+        pytest.param(True, 8, 0.0, id="mixed_days"),
+        pytest.param(False, 8, 1e-4, id="uniform-rf"),
+        pytest.param(True, 8, 1e-4, id="mixed_days-rf"),
+        pytest.param(False, 12, 1e-4, id="uniform-rf-seed12"),
+        pytest.param(True, 12, 1e-4, id="mixed_days-rf-seed12")])
+    def test_reports_match_series_route_bit_for_bit(self, mixed, seed, r_f):
+        # the backtest forms the day matrix's excess returns, r_f dt included,
+        # once; the series route forms each window's and test day's own
+        series = (mixed_day_series(14, 12, seed=seed) if mixed else
+                  synthetic_gbm_jump_series(14, bars_per_day=12, seed=seed,
                                             jump_prob_per_day=0.5))
         assert len({sl.stop - sl.start for _, sl in series.day_partition}) == 1 + mixed
         reports = {}
         for mode in ("raw", "thresholded"):
             config = BacktestConfig(learning=learning(steps=20), train_days=9,
-                                    steps_per_day=12, threshold_mode=mode)
+                                    steps_per_day=12, risk_free_daily=r_f,
+                                    threshold_mode=mode)
             for loss in ("mstde", "msbve"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -701,7 +756,8 @@ class TestRollingBacktest:
             result = rolling_backtest(series, config, loss)
             assert len(result.terminal_wealth) == len(matrix) - T
             for i, d in enumerate(range(T, len(matrix))):
-                sigma_hat = math.sqrt(_daily_bipower(matrix[d - T:d], log_scale=True))
+                increments = _increments(matrix[d - T:d], log_scale=True)
+                sigma_hat = math.sqrt(_daily_bipower(increments))
                 ref = wealth_by_loop(result.theta_per_day[i], sigma_hat, matrix[d:d + 1],
                                      config.target_wealth, config.initial_wealth,
                                      config.risk_free_daily, 1.0 / 12)
