@@ -1,11 +1,14 @@
 """Configuration-driven experiment runner.
 
 Subcommands: simulate, train, compare, backtest. `KEYS` lists the keys each
-one reads, with their kind and default; a key comes from its flag, else a
+one reads, with their kind and default, and is the only declaration of the
+CLI's inputs: every key is a flag. A key comes from its flag, else a
 `key = value` config file (see README), else the named preset, else the
-default. A value that does not fit its kind, or a config key that no
-subcommand reads, is a configuration error. Exit codes: 0 success, 2
-configuration, ingestion or singular-parameter error, 3 numerical divergence.
+default, and is checked on the same path whichever way it came. A value that
+does not fit its kind, or a config key that no subcommand reads, is a
+configuration error; names are checked where they are read. Exit codes: 0
+success, 2 configuration, ingestion or singular-parameter error, 3 numerical
+divergence.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import oracles
 from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
                      SingularParameterError)
 from .estimators import LOSS_KINDS, TrainConfig, trace_rows, train
-from .models import BUILTIN_FAMILIES, HORIZON, family_by_name
+from .models import HORIZON, family_by_name
 from .portfolio import THRESHOLD_MODES, BacktestConfig, read_price_csv, rolling_backtest
 from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                   build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
@@ -33,7 +36,8 @@ _TRAINING = {  # keys train and compare share
     "paths": ("int", 32), "theta0": ("float", 0.5), "record_every": ("int", 100),
 }
 
-# subcommand: {key: (kind, default)}; kinds are int, float, str and seed
+# subcommand: {key: (kind, default)}; kinds are int, float, str, seed and bool.
+# Each key is also a flag, --<key> with '-' for '_'
 KEYS = {
     "simulate": {
         "seed": ("seed", None), "out": ("str", "out"), "preset": ("str", None),
@@ -48,6 +52,7 @@ KEYS = {
     "compare": {
         **_TRAINING, "families": ("str", "linear,quadratic,exponential"),
         "scan_paths": ("int", 20000), "scan_steps": ("int", 1000),
+        "oracle_scan": ("bool", False),
     },
     "backtest": {
         "seed": ("seed", 0), "out": ("str", "out"), "data": ("str", None),
@@ -63,9 +68,10 @@ SIM_PRESETS = {"paper-sim": {}}  # the simulate defaults are the paper's process
 _PAPER_TRAINING = dict(dt=0.001, alpha=0.0005, episodes=100000, paths=32, theta0=0.5)
 TRAIN_PRESETS = {f"paper-{family}": dict(_PAPER_TRAINING, family=family)
                  for family in ("linear", "quadratic", "exponential")}
+_PRESETS = {"simulate": SIM_PRESETS, "train": TRAIN_PRESETS}
 
 _NOUNS = {"int": "an integer", "float": "a number", "str": "a string",
-          "seed": "a non-negative integer"}
+          "seed": "a non-negative integer", "bool": "true or false"}
 
 
 def load_config_file(path) -> dict:
@@ -93,10 +99,11 @@ def load_config_file(path) -> dict:
 
 def _typed(key: str, kind: str, value):
     """value as kind; ConfigurationError naming the key and the value unless it
-    fits. Number kinds refuse bools; int and seed take integral floats; float
-    also parses strings such as `inf`."""
-    if kind == "str":
-        if isinstance(value, str):
+    fits. str and bool take only their own type; number kinds refuse bools;
+    int and seed take integral floats; float also parses strings such as `inf`."""
+    exact = {"str": str, "bool": bool}.get(kind)
+    if exact is not None:
+        if isinstance(value, exact):
             return value
     elif isinstance(value, bool):
         pass
@@ -130,7 +137,7 @@ def _resolve(command: str, flags: dict) -> dict:
                 return _typed(key, kind, layer[key])
         return default
 
-    presets = {"simulate": SIM_PRESETS, "train": TRAIN_PRESETS}.get(command)
+    presets = _PRESETS.get(command)
     name = pick("preset", "str", None) if presets is not None else None
     if name is not None:
         if name not in presets:
@@ -179,55 +186,86 @@ def main():
     """Jump-robust value-function estimation experiments."""
 
 
-def _shared_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="key = value config file; flags override it.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
-    fn = click.option("--out", default=None, help="Output directory.")(fn)
-    return fn
+_CLICK_TYPES = {"int": int, "float": float, "str": str, "seed": int, "bool": bool}
+
+_HELP = {
+    "config": "key = value config file; flags override it.",
+    "seed": "Master seed.",
+    "out": "Output directory.",
+    "preset": "One of {presets}.",
+    "families": "Comma-separated families (empty string allowed).",
+    "steps_per_update": "Gradient steps per trading day.",
+}
 
 
-@main.command("simulate")
-@_shared_options
-@click.option("--preset", default=None, help=f"One of {sorted(SIM_PRESETS)}.")
-@click.option("--paths", type=int, default=None, help="Paths to export.")
-@click.option("--x0", type=float, default=None)
-@click.option("--horizon", type=float, default=None)
-@click.option("--n-steps", type=int, default=None)
-@click.option("--drift", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--law", default=None,
-              type=click.Choice(["none", "single_uniform", "poisson"]))
-@click.option("--poisson-rate", type=float, default=None)
-def cmd_simulate(**flags):
+def _options(command: str):
+    """--config, then --<key> (--<key>/--no-<key> for a bool) for each key of
+    KEYS[command], each defaulting to None so that _resolve sees which were given."""
+    def decorate(fn):
+        presets = sorted(_PRESETS.get(command, ()))
+        for key, (kind, default) in reversed(KEYS[command].items()):
+            flag = key.replace("_", "-")
+            text = f"{_HELP.get(key, '').format(presets=presets)} [{kind}; default {default}]"
+            fn = click.option(f"--{flag}/--no-{flag}" if kind == "bool" else f"--{flag}",
+                              type=_CLICK_TYPES[kind], default=None, help=text.lstrip())(fn)
+        return click.option("--config", type=click.Path(), default=None,
+                            help=_HELP["config"])(fn)
+    return decorate
+
+
+def _command(name: str):
+    """Register fn(v) as subcommand `name`, with the flags of _options and v
+    the resolved keys, and library errors mapped to exit codes.
+
+    numpy's overflow and invalid-value warnings are silenced for the whole
+    command: the library checks its results for non-finite values and exits 3
+    with its own message, which a warning naming a library source line would
+    only precede.
+    """
+    def decorate(fn):
+        @main.command(name, help=fn.__doc__)
+        @_options(name)
+        def run(**flags):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fn(_resolve(name, flags))
+            except (ConfigurationError, SingularParameterError) as exc:  # ingestion included
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except (DivergenceError, SimulationOverflowError) as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
+        return run
+    return decorate
+
+
+@_command("simulate")
+def cmd_simulate(v):
     """Export simulated paths as CSV plus a manifest."""
-    def body(v):
-        params = {key: v[key] for key in ("x0", "drift", "sigma", "law", "poisson_rate")}
-        spec = _build_spec(**params)
-        grid = build_grid(v["horizon"], v["n_steps"])
-        count = v["paths"]
-        if count < 0:
-            raise ConfigurationError(f"paths must be >= 0, got {count}")
-        master = _require_seed(v["seed"])
-        directory = _out_dir(v["out"])
-        files = []
-        for p in range(count):  # one row at a time keeps memory flat in --paths
-            name = f"path_{p:03d}.csv"
-            path_to_csv(simulate_batch(spec, grid, master, 0, 1, path_offset=p), 0,
-                        directory / name)
-            files.append(name)
-        manifest = {
-            "command": "simulate",
-            "seed": master,
-            "paths": count,
-            "spec": _spec_echo(**params),
-            "grid": {"horizon": grid.horizon, "n_steps": grid.n_steps, "dt": grid.dt},
-            "files": files,
-        }
-        write_json(manifest, directory / "manifest.json")
-        click.echo(f"wrote {count} path file(s) and manifest.json to {directory}")
-
-    _run("simulate", flags, body)
+    params = {key: v[key] for key in ("x0", "drift", "sigma", "law", "poisson_rate")}
+    spec = _build_spec(**params)
+    grid = build_grid(v["horizon"], v["n_steps"])
+    count = v["paths"]
+    if count < 0:
+        raise ConfigurationError(f"paths must be >= 0, got {count}")
+    master = _require_seed(v["seed"])
+    directory = _out_dir(v["out"])
+    files = []
+    for p in range(count):  # one row at a time keeps memory flat in --paths
+        name = f"path_{p:03d}.csv"
+        path_to_csv(simulate_batch(spec, grid, master, 0, 1, path_offset=p), 0,
+                    directory / name)
+        files.append(name)
+    manifest = {
+        "command": "simulate",
+        "seed": master,
+        "paths": count,
+        "spec": _spec_echo(**params),
+        "grid": {"horizon": grid.horizon, "n_steps": grid.n_steps, "dt": grid.dt},
+        "files": files,
+    }
+    write_json(manifest, directory / "manifest.json")
+    click.echo(f"wrote {count} path file(s) and manifest.json to {directory}")
 
 
 def _reference_minimizers(x0: float):
@@ -260,178 +298,120 @@ def _training(v: dict, loss: str):
         master_seed=_require_seed(v["seed"]), record_every=v["record_every"])
 
 
-@main.command("train")
-@_shared_options
-@click.option("--preset", default=None, help=f"One of {sorted(TRAIN_PRESETS)}.")
-@click.option("--family", default=None, type=click.Choice(BUILTIN_FAMILIES))
-@click.option("--loss", default=None, type=click.Choice(LOSS_KINDS))
-@click.option("--episodes", type=int, default=None)
-@click.option("--paths", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta0", type=float, default=None)
-@click.option("--dt", type=float, default=None)
-@click.option("--record-every", type=int, default=None)
-def cmd_train(**flags):
+@_command("train")
+def cmd_train(v):
     """Run one SGD estimation and report the fitted parameter."""
-    def body(v):
-        try:
-            model = family_by_name(v["family"], z=v["z"], x0=v["wealth_x0"])
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        spec, grid, train_config = _training(v, v["loss"])
-        directory = _out_dir(v["out"])
-        try:
-            result = train(model, spec, grid, train_config)
-        except DivergenceError as exc:
-            partial = {
-                "error": str(exc),
-                "episode": exc.episode,
-                "last_theta": exc.last_theta,
-                "trace": trace_rows(exc.theta_trace, exc.loss_trace),
-            }
-            write_json(partial, directory / "train_result.json")
-            click.echo(f"divergence: {exc}", err=True)
-            sys.exit(3)
-        write_json(result.to_json_dict(), directory / "train_result.json")
-        (directory / "trace.csv").write_text(result.trace_csv())
-        click.echo(f"theta_final = {result.theta_final:.6f}")
-        table = _reference_minimizers(v["x0"])
-        near = table and _nearest_reference(table, model.name, result.theta_final)
-        if table is None:
-            click.echo(_no_reference(v["x0"]))
-        elif near is None:
-            click.echo("no reference minimizer for this family")
-        else:
-            click.echo(f"nearest reference: {near['family']}/{near['method']} "
-                       f"theta* = {near['theta_reference']:.6f} "
-                       f"gap = {near['gap']:.6f}")
-
-    _run("train", flags, body)
-
-
-@main.command("compare")
-@_shared_options
-@click.option("--families", default=None,
-              help="Comma-separated families (empty string allowed).")
-@click.option("--episodes", type=int, default=None)
-@click.option("--paths", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta0", type=float, default=None)
-@click.option("--dt", type=float, default=None)
-@click.option("--oracle-scan/--no-oracle-scan", default=False)
-@click.option("--scan-paths", type=int, default=None)
-@click.option("--scan-steps", type=int, default=None)
-def cmd_compare(**flags):
-    """Train both losses per family and report gaps to reference minimizers."""
-    def body(v):
-        names = [f.strip() for f in v["families"].split(",") if f.strip()]
-        unknown = [n for n in names if n not in oracles.FAMILIES]
-        if unknown:
-            raise ConfigurationError(
-                f"no reference minimizers for {unknown}; choose from {list(oracles.FAMILIES)}")
-        directory = _out_dir(v["out"])
-        report = {"families": {}}
-        if names:
-            master = _require_seed(v["seed"])
-            table = _reference_minimizers(v["x0"])
-            if table is None:
-                click.echo(_no_reference(v["x0"]), err=True)  # stdout carries the report
-            report["reference_minimizers"] = table and table.to_json_dict()
-            for family_name in names:
-                model = family_by_name(family_name)
-                cell: dict = {}
-                for loss_kind in LOSS_KINDS:
-                    spec, grid, train_config = _training(v, loss_kind)
-                    try:
-                        result = train(model, spec, grid, train_config)
-                        ref = table and table.get(family_name, loss_kind)
-                        cell[loss_kind] = {
-                            "theta_final": result.theta_final,
-                            "theta_reference": ref,
-                            "gap": None if ref is None else abs(result.theta_final - ref),
-                        }
-                        trace_name = f"trace_{family_name}_{loss_kind}.csv"
-                        (directory / trace_name).write_text(result.trace_csv())
-                        cell[loss_kind]["trace_csv"] = trace_name
-                    except DivergenceError as exc:
-                        cell[loss_kind] = {"error": str(exc)}
-                cell["oracle_reference"] = table and table.get(family_name, "oracle")
-                if flags["oracle_scan"]:
-                    cell["oracle_scan"] = oracles.mc_argmin(
-                        model, "oracle", spec,
-                        build_grid(HORIZON, v["scan_steps"]), v["scan_paths"], master)
-                report["families"][family_name] = cell
-        write_json(report, directory / "compare_report.json")
-        click.echo(dump_json(report), nl=False)
-
-    _run("compare", flags, body)
-
-
-@main.command("backtest")
-@_shared_options
-@click.option("--data", type=click.Path(), default=None, required=False)
-@click.option("--mode", default=None, type=click.Choice([*THRESHOLD_MODES, "both"]))
-@click.option("--loss", default=None, type=click.Choice([*LOSS_KINDS, "both"]))
-@click.option("--train-days", type=int, default=None)
-@click.option("--bars-per-day", type=int, default=None)
-@click.option("--z", type=float, default=None)
-@click.option("--rf", type=float, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--steps-per-update", type=int, default=None,
-              help="Gradient steps per trading day.")
-@click.option("--theta0", type=float, default=None)
-def cmd_backtest(**flags):
-    """Rolling-window backtest over (loss, threshold mode) cells."""
-    def body(v):
-        if v["data"] is None:
-            raise ConfigurationError("--data (or config `data`) is required")
-        series = read_price_csv(v["data"], v["bars_per_day"])
-        directory = _out_dir(v["out"])
-        modes = THRESHOLD_MODES if v["mode"] == "both" else [v["mode"]]
-        losses = LOSS_KINDS if v["loss"] == "both" else [v["loss"]]
-        learning = TrainConfig(
-            loss_kind="msbve", learning_rate=v["alpha"], episodes=v["steps_per_update"],
-            paths_per_episode=1, theta0=v["theta0"], master_seed=v["seed"])
-        report = {"cells": {}, "sharpe_table": {}}
-        for loss_kind in losses:
-            report["sharpe_table"][loss_kind] = {}
-            for mode_name in modes:
-                config = BacktestConfig(
-                    learning=learning, train_days=v["train_days"],
-                    steps_per_day=v["bars_per_day"], target_wealth=v["z"],
-                    initial_wealth=v["x0"], risk_free_daily=v["rf"],
-                    threshold_mode=mode_name)
-                result = rolling_backtest(series, config, loss_kind)
-                key = f"{loss_kind}_{mode_name}"
-                report["cells"][key] = result.to_json_dict()
-                report["sharpe_table"][loss_kind][mode_name] = result.sharpe_annualized
-                (directory / f"backtest_{key}.csv").write_text(result.per_day_csv())
-        write_json(report, directory / "backtest_report.json")
-        for loss_kind, row in report["sharpe_table"].items():
-            cells = ", ".join(f"{m}: {s if s is not None else 'degenerate'}"
-                              for m, s in row.items())
-            click.echo(f"{loss_kind}: {cells}")
-
-    _run("backtest", flags, body)
-
-
-def _run(command: str, flags: dict, body) -> None:
-    """body(resolved keys of command), with library errors mapped to exit codes.
-
-    numpy's overflow and invalid-value warnings are silenced for the whole
-    command: the library checks its results for non-finite values and exits 3
-    with its own message, which a warning naming a library source line would
-    only precede.
-    """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            body(_resolve(command, flags))
-    except (ConfigurationError, SingularParameterError) as exc:  # ingestion errors included
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except (DivergenceError, SimulationOverflowError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        model = family_by_name(v["family"], z=v["z"], x0=v["wealth_x0"])
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    spec, grid, train_config = _training(v, v["loss"])
+    directory = _out_dir(v["out"])
+    try:
+        result = train(model, spec, grid, train_config)
+    except DivergenceError as exc:
+        partial = {
+            "error": str(exc),
+            "episode": exc.episode,
+            "last_theta": exc.last_theta,
+            "trace": trace_rows(exc.theta_trace, exc.loss_trace),
+        }
+        write_json(partial, directory / "train_result.json")
+        click.echo(f"divergence: {exc}", err=True)
         sys.exit(3)
+    write_json(result.to_json_dict(), directory / "train_result.json")
+    (directory / "trace.csv").write_text(result.trace_csv())
+    click.echo(f"theta_final = {result.theta_final:.6f}")
+    table = _reference_minimizers(v["x0"])
+    near = table and _nearest_reference(table, model.name, result.theta_final)
+    if table is None:
+        click.echo(_no_reference(v["x0"]))
+    elif near is None:
+        click.echo("no reference minimizer for this family")
+    else:
+        click.echo(f"nearest reference: {near['family']}/{near['method']} "
+                   f"theta* = {near['theta_reference']:.6f} "
+                   f"gap = {near['gap']:.6f}")
+
+
+@_command("compare")
+def cmd_compare(v):
+    """Train both losses per family and report gaps to reference minimizers."""
+    names = [f.strip() for f in v["families"].split(",") if f.strip()]
+    unknown = [n for n in names if n not in oracles.FAMILIES]
+    if unknown:
+        raise ConfigurationError(
+            f"no reference minimizers for {unknown}; choose from {list(oracles.FAMILIES)}")
+    directory = _out_dir(v["out"])
+    report = {"families": {}}
+    if names:
+        master = _require_seed(v["seed"])
+        table = _reference_minimizers(v["x0"])
+        if table is None:
+            click.echo(_no_reference(v["x0"]), err=True)  # stdout carries the report
+        report["reference_minimizers"] = table and table.to_json_dict()
+        for family_name in names:
+            model = family_by_name(family_name)
+            cell: dict = {}
+            for loss_kind in LOSS_KINDS:
+                spec, grid, train_config = _training(v, loss_kind)
+                try:
+                    result = train(model, spec, grid, train_config)
+                    ref = table and table.get(family_name, loss_kind)
+                    cell[loss_kind] = {
+                        "theta_final": result.theta_final,
+                        "theta_reference": ref,
+                        "gap": None if ref is None else abs(result.theta_final - ref),
+                    }
+                    trace_name = f"trace_{family_name}_{loss_kind}.csv"
+                    (directory / trace_name).write_text(result.trace_csv())
+                    cell[loss_kind]["trace_csv"] = trace_name
+                except DivergenceError as exc:
+                    cell[loss_kind] = {"error": str(exc)}
+            cell["oracle_reference"] = table and table.get(family_name, "oracle")
+            if v["oracle_scan"]:
+                cell["oracle_scan"] = oracles.mc_argmin(
+                    model, "oracle", spec,
+                    build_grid(HORIZON, v["scan_steps"]), v["scan_paths"], master)
+            report["families"][family_name] = cell
+    write_json(report, directory / "compare_report.json")
+    click.echo(dump_json(report), nl=False)
+
+
+@_command("backtest")
+def cmd_backtest(v):
+    """Rolling-window backtest over (loss, threshold mode) cells."""
+    for key, names in (("mode", THRESHOLD_MODES), ("loss", LOSS_KINDS)):
+        if v[key] not in (*names, "both"):
+            raise ConfigurationError(
+                f"{key} must be one of {(*names, 'both')}, got {v[key]!r}")
+    if v["data"] is None:
+        raise ConfigurationError("--data (or config `data`) is required")
+    modes = THRESHOLD_MODES if v["mode"] == "both" else [v["mode"]]
+    losses = LOSS_KINDS if v["loss"] == "both" else [v["loss"]]
+    learning = TrainConfig(
+        loss_kind="msbve", learning_rate=v["alpha"], episodes=v["steps_per_update"],
+        paths_per_episode=1, theta0=v["theta0"], master_seed=v["seed"])
+    configs = {mode: BacktestConfig(
+        learning=learning, train_days=v["train_days"], steps_per_day=v["bars_per_day"],
+        target_wealth=v["z"], initial_wealth=v["x0"], risk_free_daily=v["rf"],
+        threshold_mode=mode) for mode in modes}
+    series = read_price_csv(v["data"], v["bars_per_day"])
+    directory = _out_dir(v["out"])
+    report = {"cells": {}, "sharpe_table": {}}
+    for loss_kind in losses:
+        report["sharpe_table"][loss_kind] = {}
+        for mode_name, config in configs.items():
+            result = rolling_backtest(series, config, loss_kind)
+            key = f"{loss_kind}_{mode_name}"
+            report["cells"][key] = result.to_json_dict()
+            report["sharpe_table"][loss_kind][mode_name] = result.sharpe_annualized
+            (directory / f"backtest_{key}.csv").write_text(result.per_day_csv())
+    write_json(report, directory / "backtest_report.json")
+    for loss_kind, row in report["sharpe_table"].items():
+        cells = ", ".join(f"{m}: {s if s is not None else 'degenerate'}"
+                          for m, s in row.items())
+        click.echo(f"{loss_kind}: {cells}")
 
 
 if __name__ == "__main__":

@@ -293,6 +293,9 @@ class BacktestConfig:
         for name in ("target_wealth", "initial_wealth", "risk_free_daily"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.initial_wealth <= 0:  # daily returns divide by it
+            raise ConfigurationError(
+                f"initial_wealth must be positive, got {self.initial_wealth}")
         if self.train_days < 2:
             raise ConfigurationError(f"train_days must be >= 2, got {self.train_days}")
         if self.steps_per_day < 1:

@@ -51,12 +51,14 @@ def build_grid(horizon: float, n_steps: int) -> TimeGrid:
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     if not (2 <= n_steps < math.inf and int(n_steps) == n_steps):
         raise ConfigurationError(f"n_steps must be an integer >= 2, got {n_steps}")
+    n_steps = int(n_steps)
+    too_large = f"n_steps = {n_steps:.6g} is too large to allocate a grid"
+    if n_steps >= np.iinfo(np.intp).max:  # linspace wraps such a count to an empty grid
+        raise ConfigurationError(too_large)
     try:
-        n_steps = int(n_steps)
         times = np.linspace(0.0, float(horizon), n_steps + 1)
     except (OverflowError, ValueError, MemoryError) as exc:
-        raise ConfigurationError(
-            f"n_steps = {n_steps:.6g} is too large to allocate a grid") from exc
+        raise ConfigurationError(too_large) from exc
     return TimeGrid(horizon=float(horizon), n_steps=n_steps,
                     dt=float(horizon) / n_steps, times=times)
 

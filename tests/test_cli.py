@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import jumprl
 from jumprl import cli
@@ -180,6 +180,17 @@ class TestTrain:
         assert f"nearest reference: {family}/" in result.output
         assert "no reference minimizer" not in result.output
 
+    @pytest.mark.parametrize("spelling,family", [("Linear", "linear"),
+                                                 (" QUADRATIC ", "quadratic")])
+    def test_flag_family_spelling_finds_its_reference(self, runner, tmp_path, spelling,
+                                                      family):
+        # a flag takes the spellings a config line takes
+        result = runner.invoke(main, ["train", "--family", spelling, "--loss", "msbve",
+                                      "--episodes", "1", "--alpha", "1e-12", "--dt", "0.1",
+                                      "--seed", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert f"nearest reference: {family}/" in result.output
+
     def test_other_x0_has_no_closed_form_reference(self, runner, tmp_path):
         # the closed forms assume the study process starts at 0.1
         cfg = tmp_path / "run.cfg"
@@ -255,6 +266,17 @@ class TestTrain:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "unknown value family 'foo'" in result.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "cubic"], "unknown value family 'cubic'"),
+        (["--loss", "MSBVE"], "loss_kind must be one of ('mstde', 'msbve'), got 'MSBVE'")])
+    def test_unknown_flag_name_exits_2_with_library_message(self, runner, tmp_path, args,
+                                                           message):
+        result = runner.invoke(main, ["train", *args, "--episodes", "1", "--dt", "0.1",
+                                      "--seed", "1", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_singular_theta0_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["train", "--family", "mean_variance", "--theta0", "0",
@@ -412,6 +434,32 @@ class TestCompare:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
 
+    def test_oracle_scan_config_key(self, runner, tmp_path):
+        # `oracle_scan = true` runs the scan the flag runs; --no-oracle-scan wins over it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oracle_scan = true\n")
+        args = ["compare", "--families", "linear", "--episodes", "1", "--paths", "2",
+                "--dt", "0.1", "--scan-paths", "40", "--scan-steps", "10", "--seed", "4"]
+        reports = {}
+        for name, extra in {"flag": ["--oracle-scan"], "config": ["--config", str(cfg)],
+                            "off": ["--config", str(cfg), "--no-oracle-scan"]}.items():
+            result = runner.invoke(main, [*args, *extra, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            reports[name] = read_json(tmp_path / name / "compare_report.json")
+        assert reports["config"] == reports["flag"]
+        assert "oracle_scan" in reports["flag"]["families"]["linear"]
+        assert "oracle_scan" not in reports["off"]["families"]["linear"]
+
+    @pytest.mark.parametrize("line", ["oracle_scan = 1", "oracle_scan = yes",
+                                      "oracle_scan = null"])
+    def test_malformed_oracle_scan_exits_2(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        result = runner.invoke(main, ["compare", "--config", str(cfg), "--families", "",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "oracle_scan must be true or false, got" in result.stderr
+
     def test_zero_scan_paths_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--families", "linear",
                                       "--episodes", "1", "--paths", "2", "--dt", "0.1",
@@ -521,7 +569,39 @@ class TestBacktest:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "loss_kind must be one of ('mstde', 'msbve'), got 'foo'" in result.output
+        assert "loss must be one of ('mstde', 'msbve', 'both'), got 'foo'" in result.output
+
+    @pytest.mark.parametrize("channel", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, names", [
+        ("mode", "clipped", "('raw', 'thresholded', 'both')"),
+        ("loss", "MSBVE", "('mstde', 'msbve', 'both')")])
+    def test_unknown_name_exits_2_before_reading_data(self, runner, tmp_path, key, value,
+                                                      names, channel):
+        # the data file does not exist and the output directory is not made
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n" if channel == "config" else "")
+        flag = [f"--{key}", value] if channel == "flag" else []
+        result = runner.invoke(main, ["backtest", "--config", str(cfg), *flag, "--data",
+                                      str(tmp_path / "missing.csv"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {key} must be one of {names}, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("channel", ["flag", "config"])
+    @pytest.mark.parametrize("x0", ["0", "-1"])
+    def test_non_positive_x0_exits_2(self, runner, tmp_path, fixture_csv, x0, channel):
+        # the daily return divides by the initial wealth
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"x0 = {x0}\n" if channel == "config" else "")
+        flag = ["--x0", x0] if channel == "flag" else []
+        result = runner.invoke(main, ["backtest", "--config", str(cfg), *flag,
+                                      "--data", str(fixture_csv), "--bars-per-day", "10",
+                                      "--train-days", "8", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: initial_wealth must be positive, got {float(x0)}\n"
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("bars", [1, 2])
@@ -654,9 +734,175 @@ def test_non_finite_number_exits_2(runner, tmp_path, fixture_csv, args, cfg_line
 
 @pytest.mark.parametrize("command", sorted(cli.KEYS))
 def test_every_flag_is_a_key(command):
-    # _resolve reads flags by key, so a flag named otherwise would go unread
+    # _resolve reads flags by key, so a flag named otherwise would go unread,
+    # and a key without a flag could be set from a config file only
     flags = {param.name for param in main.commands[command].params}
-    assert flags - {"config", "oracle_scan"} <= set(cli.KEYS[command])
+    assert flags == set(cli.KEYS[command]) | {"config"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_help_shows_kind_and_default_of_every_key(runner, command):
+    text = " ".join(runner.invoke(main, [command, "--help"]).output.split())
+    for key, (kind, default) in cli.KEYS[command].items():
+        assert f"[{kind}; default {default}]" in text
+        assert "--" + key.replace("_", "-") in text
+
+
+def command_pairs():
+    return [(command, key) for command in sorted(cli.KEYS) for key in cli.KEYS[command]]
+
+
+def base_config(command, out, data):
+    """A cheap run of command that reads every key: the mean-variance family
+    reads z and wealth_x0, the Poisson law poisson_rate, the scan its sizes."""
+    return {
+        "simulate": {"seed": 1, "paths": 1, "n_steps": 20, "law": "poisson"},
+        "train": {"seed": 1, "family": "mean_variance", "episodes": 1, "paths": 2, "dt": 0.1},
+        "compare": {"seed": 1, "families": "linear", "episodes": 1, "paths": 2, "dt": 0.1,
+                    "oracle_scan": True, "scan_paths": 4, "scan_steps": 10},
+        "backtest": {"data": data, "bars_per_day": 10, "train_days": 8,
+                     "steps_per_update": 1},
+    }[command] | {"out": out}
+
+
+def config_text(values: dict) -> str:
+    return "".join(f"{key} = {json.dumps(v) if isinstance(v, bool) else v}\n"
+                   for key, v in values.items())
+
+
+def flag_args(command, key, value: str) -> list:
+    flag = "--" + key.replace("_", "-")
+    if cli.KEYS[command][key][0] == "bool" and value in ("true", "false"):
+        return [flag if value == "true" else "--no-" + flag[2:]]
+    return [flag, value]
+
+
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_base_config_exits_0(runner, tmp_path, fixture_csv, command):
+    # so that a key the tests below set is what makes a run of it fail
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(base_config(command, tmp_path / "out", fixture_csv)))
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+
+
+# a value of each kind that every key of the kind takes, as a flag or config line writes it
+VALID = {"int": "3", "float": "0.25", "str": "runs", "seed": "5", "bool": "true"}
+VALID_KEY = {"preset": {"simulate": "paper-sim", "train": "paper-linear"}}
+
+
+@pytest.mark.parametrize("command, key", command_pairs())
+def test_flag_and_config_line_resolve_alike(tmp_path, command, key):
+    kind = cli.KEYS[command][key][0]
+    value = VALID_KEY.get(key, {}).get(command, VALID[kind])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    args = flag_args(command, key, value)
+    parsed = main.commands[command].make_context(command, args).params
+    by_flag = cli._resolve(command, parsed)
+    by_config = cli._resolve(command, {**dict.fromkeys(parsed), "config": str(cfg)})
+    assert by_flag == by_config
+    assert by_flag[key] != cli.KEYS[command][key][1]
+
+
+# a value of each key that fits its flag's type and that the program refuses;
+# {bad_dir} is a directory path under a file, {missing} a file that is not there
+INVALID = {
+    "seed": "-1", "out": "{bad_dir}", "preset": "nope", "paths": "-1", "x0": "inf",
+    "horizon": "0", "n_steps": "1", "drift": "inf", "sigma": "nan", "law": "foo",
+    "poisson_rate": "nan", "family": "foo", "loss": "foo", "episodes": "0", "alpha": "0",
+    "theta0": "inf", "dt": "0", "record_every": "0", "z": "nan", "wealth_x0": "nan",
+    "families": "foo", "scan_paths": "0", "scan_steps": "1", "data": "{missing}",
+    "mode": "foo", "train_days": "1", "bars_per_day": "0", "rf": "inf",
+    "steps_per_update": "0",
+}
+
+
+# a bool flag has no spelling of an invalid value
+@pytest.mark.parametrize("command, key", [pair for pair in command_pairs()
+                                          if cli.KEYS[pair[0]][pair[1]][0] != "bool"])
+def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command, key):
+    (tmp_path / "file").write_text("")
+    value = INVALID[key].format(bad_dir=tmp_path / "file" / "out",
+                                missing=tmp_path / "missing.csv")
+    base = base_config(command, tmp_path / "out", fixture_csv)
+    cfg_flag, cfg_line = tmp_path / "flag.cfg", tmp_path / "line.cfg"
+    cfg_flag.write_text(config_text(base))
+    cfg_line.write_text(config_text(base | {key: value}))
+    by_flag = runner.invoke(main, [command, "--config", str(cfg_flag),
+                                   *flag_args(command, key, value)])
+    by_config = runner.invoke(main, [command, "--config", str(cfg_line)])
+    assert by_flag.exit_code == by_config.exit_code == 2, by_flag.output
+    assert by_flag.stderr == by_config.stderr
+    assert "error: " in by_flag.stderr
+
+
+# boundary values of each kind, as a flag or config line writes them. Keys that
+# set a loop count draw only small or malformed values; the huge sizes go only
+# to keys whose allocation numpy or build_grid refuses before allocating
+SMALL_INTS = ["-1", "0", "1", "2", "2.0", "2.7", "x", "true", "null", ""]
+HUGE_INTS = ["1e300", str(2**60), str(2**63), str(2**64)]
+LOOP_COUNTS = {("simulate", "paths"), ("train", "episodes"), ("compare", "episodes"),
+               ("compare", "scan_paths"), ("backtest", "steps_per_update")}
+POOLS = {
+    "int": SMALL_INTS + HUGE_INTS,
+    "seed": ["-1", "0", "1", "1.7", str(2**63), str(2**64), "true", "abc", "null"],
+    "float": ["0", "-0.0", "-1", "0.5", "1.01", "1.5", "1e-300", "1e300", "-1e300", "inf",
+              "-inf", "nan", "true", "abc", "null", ""],
+    "str": ["", "foo", "Linear", " QUADRATIC ", "mean_variance", "mstde", "both", "raw",
+            "thresholded", "none", "poisson", "paper-sim", "paper-linear",
+            "linear,quadratic,exponential", "1", "null", "true"],
+    "bool": ["true", "false", "1", "yes", "null"],
+}
+PATH_POOLS = {"out": ["{out}", "{bad_dir}", "1", "null"],
+              "data": ["{data}", "{missing}", "{dir}", "null"]}
+
+
+def pool(command, key):
+    if key in PATH_POOLS:
+        return PATH_POOLS[key]
+    if (command, key) in LOOP_COUNTS:
+        return SMALL_INTS
+    return POOLS[cli.KEYS[command][key][0]]
+
+
+def drawn_keys(command):
+    setting = st.sampled_from(sorted(cli.KEYS[command])).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(pool(command, key)),
+                              st.sampled_from(["flag", "config"])))
+    return st.lists(setting, min_size=1, max_size=3, unique_by=lambda s: s[0])
+
+
+FUZZ_CASE = st.sampled_from(sorted(cli.KEYS)).flatmap(
+    lambda command: st.tuples(st.just(command), drawn_keys(command)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=FUZZ_CASE)
+@example(case=("backtest", [("x0", "0", "config")]))
+@example(case=("backtest", [("x0", "0", "flag")]))
+def test_fuzzed_flags_and_config_lines_exit_0_2_or_3(fuzz_dir, fixture_csv, case):
+    command, drawn = case
+    (fuzz_dir / "file").write_text("")
+    paths = dict(out=fuzz_dir / "out", bad_dir=fuzz_dir / "file" / "out", data=fixture_csv,
+                 missing=fuzz_dir / "missing.csv", dir=fuzz_dir)
+    values = base_config(command, paths["out"], fixture_csv)
+    args = []
+    for key, value, channel in drawn:
+        value = value.format(**paths)
+        if channel == "config":
+            values[key] = value
+        else:
+            args += flag_args(command, key, value)
+    cfg = fuzz_dir / "run.cfg"
+    cfg.write_text(config_text(values))
+    runner = CliRunner()
+    # a drawn relative path, such as `--out 1`, lands in a fresh directory
+    with np.errstate(all="ignore"), runner.isolated_filesystem(temp_dir=fuzz_dir):
+        result = runner.invoke(main, [command, "--config", str(cfg), *args])
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
 
 
 def test_readme_lists_every_config_key():

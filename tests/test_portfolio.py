@@ -798,3 +798,10 @@ class TestRollingBacktest:
     def test_rejects_non_finite_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             BacktestConfig(learning=learning(), **{field: value})
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, -1.0])
+    def test_rejects_non_positive_initial_wealth(self, x0):
+        # a daily return divides by the initial wealth, and a negative one flips its sign
+        with pytest.raises(ConfigurationError,
+                           match=f"^initial_wealth must be positive, got {x0}$"):
+            BacktestConfig(learning=learning(), initial_wealth=x0)

@@ -40,9 +40,12 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(horizon, n)
 
-    @pytest.mark.parametrize("n, shown", [(10**300, "1e+300")], ids=["1e300"])
+    @pytest.mark.parametrize("n, shown", [(10**300, "1e+300"), (2**62, "4.61169e+18"),
+                                          (2**63 - 1, "9.22337e+18"), (2**63, "9.22337e+18")],
+                             ids=["1e300", "2**62", "2**63-1", "2**63"])
     def test_unallocatable_step_count_names_n_steps(self, n, shown):
-        # refused before anything is allocated
+        # refused before anything is allocated; numpy's linspace would wrap a
+        # count of 2**63 or more to an empty array
         with pytest.raises(ConfigurationError) as info:
             build_grid(1.0, n)
         assert f"n_steps = {shown} is too large to allocate a grid" in str(info.value)
