@@ -342,38 +342,42 @@ def cmd_compare(v):
     if unknown:
         raise ConfigurationError(
             f"no reference minimizers for {unknown}; choose from {list(oracles.FAMILIES)}")
-    directory = _out_dir(v["out"])
     report = {"families": {}}
     if names:
+        # every input is checked before anything is printed or written
         master = _require_seed(v["seed"])
+        runs = {loss_kind: _training(v, loss_kind) for loss_kind in LOSS_KINDS}
+        if v["oracle_scan"]:
+            scan_grid = build_grid(HORIZON, v["scan_steps"])
+            if v["scan_paths"] < 1:
+                raise ConfigurationError(f"scan_paths must be >= 1, got {v['scan_paths']}")
         table = _reference_minimizers(v["x0"])
         if table is None:
             click.echo(_no_reference(v["x0"]), err=True)  # stdout carries the report
         report["reference_minimizers"] = table and table.to_json_dict()
-        for family_name in names:
-            model = family_by_name(family_name)
-            cell: dict = {}
-            for loss_kind in LOSS_KINDS:
-                spec, grid, train_config = _training(v, loss_kind)
-                try:
-                    result = train(model, spec, grid, train_config)
-                    ref = table and table.get(family_name, loss_kind)
-                    cell[loss_kind] = {
-                        "theta_final": result.theta_final,
-                        "theta_reference": ref,
-                        "gap": None if ref is None else abs(result.theta_final - ref),
-                    }
-                    trace_name = f"trace_{family_name}_{loss_kind}.csv"
-                    (directory / trace_name).write_text(result.trace_csv())
-                    cell[loss_kind]["trace_csv"] = trace_name
-                except DivergenceError as exc:
-                    cell[loss_kind] = {"error": str(exc)}
-            cell["oracle_reference"] = table and table.get(family_name, "oracle")
-            if v["oracle_scan"]:
-                cell["oracle_scan"] = oracles.mc_argmin(
-                    model, "oracle", spec,
-                    build_grid(HORIZON, v["scan_steps"]), v["scan_paths"], master)
-            report["families"][family_name] = cell
+    directory = _out_dir(v["out"])
+    for family_name in names:
+        model = family_by_name(family_name)
+        cell: dict = {}
+        for loss_kind, (spec, grid, train_config) in runs.items():
+            try:
+                result = train(model, spec, grid, train_config)
+                ref = table and table.get(family_name, loss_kind)
+                cell[loss_kind] = {
+                    "theta_final": result.theta_final,
+                    "theta_reference": ref,
+                    "gap": None if ref is None else abs(result.theta_final - ref),
+                }
+                trace_name = f"trace_{family_name}_{loss_kind}.csv"
+                (directory / trace_name).write_text(result.trace_csv())
+                cell[loss_kind]["trace_csv"] = trace_name
+            except DivergenceError as exc:
+                cell[loss_kind] = {"error": str(exc)}
+        cell["oracle_reference"] = table and table.get(family_name, "oracle")
+        if v["oracle_scan"]:
+            cell["oracle_scan"] = oracles.mc_argmin(
+                model, "oracle", spec, scan_grid, v["scan_paths"], master)
+        report["families"][family_name] = cell
     write_json(report, directory / "compare_report.json")
     click.echo(dump_json(report), nl=False)
 

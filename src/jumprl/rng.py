@@ -9,22 +9,21 @@ results.
 `stream` builds the generator through `np.random.SeedSequence` and is the
 reference. The path simulator builds none per path:
 
-- `philox_keys` derives the Philox keys of a run of consecutive paths. It
-  follows SeedSequence's documented hashing (pool size 4, `mix_entropy`,
-  then `generate_state(2, uint64)`), and keys are a pure function of the
-  stream key, so it derives a whole block of episodes at once and caches it.
-  A block holds P consecutive values of the prefix's last entry (the
-  episode), with P the largest power of two at most 2048 // count, and
-  starts at a multiple of P; so its episodes share every word above the low
-  one. The words every row shares (the master seed's, whose pool is cached,
-  and the rest of the prefix) are mixed in plain Python ints. The episode's
-  and the path's low words differ from row to row: each is hashed and mixed
-  into all rows at once, in wrapping uint32 NumPy arithmetic, and the path
-  words' hashes, which do not depend on the pool, are cached per run of
-  paths. An index of 2^32 or more takes one more round per higher word.
-  Blocks are read-only and kept in a bounded LRU cache of 8, at most
+- `philox_keys` derives the Philox keys of a run of consecutive paths of
+  one episode. It follows SeedSequence's documented hashing (pool size 4,
+  `mix_entropy`, then `generate_state(2, uint64)`), and keys are a pure
+  function of the stream key, so it derives a whole block of episodes at
+  once and caches it. A block holds P consecutive episodes, with P the
+  largest power of two at most 2048 // count, and starts at a multiple of
+  P; so its episodes share every word above the low one. The master seed's
+  words are mixed in plain Python ints, and its pool is cached. The
+  episode's and then the path's low word differ from row to row: each is
+  hashed and mixed into all rows at once, in wrapping uint32 NumPy
+  arithmetic. An index of 2^32 or more takes one more round per higher
+  word. Blocks are read-only and kept in a bounded LRU cache of 8, at most
   8 x 2048 rows x 16 B = 256 KiB; each call returns a fresh copy of its
-  episode's rows.
+  episode's rows. A run of no rows or of more than 2048 is derived the same
+  way, as a block of one episode, and not cached.
 - `thread_generator` holds one Philox generator per thread, and `path_rng`
   re-points it to a path's stream (its key from `philox_keys`, zero counter,
   empty buffer); its draws then equal the fresh stream's bit for bit.
@@ -97,14 +96,6 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _absorb(pool: list, hash_const: int, words) -> tuple[list, int]:
-    """Mix entropy words past the pool size into every pool word, in ints."""
-    for word in words:
-        hashes, hash_const = _hashed(word, hash_const)
-        pool = [_mix(x, y) for x, y in zip(pool, hashes)]
-    return pool, hash_const
-
-
 @functools.lru_cache(maxsize=64)
 def _seed_pool(master_seed: int) -> tuple[tuple, int]:
     """Pool words and hash constant after mixing the master seed's entropy.
@@ -122,49 +113,31 @@ def _seed_pool(master_seed: int) -> tuple[tuple, int]:
         hashes, hash_const = _hashed(pool[src], hash_const, _POOL_SIZE - 1)
         for dst, value in zip([d for d in range(_POOL_SIZE) if d != src], hashes):
             pool[dst] = _mix(pool[dst], value)
-    pool, hash_const = _absorb(pool, hash_const, entropy[_POOL_SIZE:])
+    for word in entropy[_POOL_SIZE:]:  # a seed of 2^128 or more mixes into every word
+        hashes, hash_const = _hashed(word, hash_const)
+        pool = [_mix(x, y) for x, y in zip(pool, hashes)]
     return tuple(pool), hash_const
 
 
-def _word_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
-    """The hashed words' side of _mix for a run of words: _MIX_MULT_R times
-    the hashes of each low word low_first + i (i < count, wrapping), as a
-    (count, 4) uint32 array."""
-    low = np.arange(count, dtype=np.uint32) + np.uint32(low_first)
-    consts = hash_const * _POWERS_A
-    terms = (low[:, None] ^ consts[:-1]) * consts[1:]
-    terms ^= terms >> 16
-    terms *= np.uint32(_MIX_MULT_R)
-    return terms
-
-
-@functools.lru_cache(maxsize=32)
-def _path_terms(hash_const: int, low_first: int, count: int) -> np.ndarray:
-    """_word_terms of a run of path words, read-only.
-
-    They depend on the hash constant and the run, not on the pool, so blocks
-    that differ only in the prefix share them. Nothing writes to a cached
-    array, so threads may share it.
-    """
-    terms = _word_terms(hash_const, low_first, count)
-    terms.setflags(write=False)
-    return terms
-
-
-def _mix_run(pools: np.ndarray, hash_const: int, first: int, count: int,
-             terms=_word_terms) -> tuple[np.ndarray, int]:
+def _mix_run(pools: np.ndarray, hash_const: int, first: int,
+             count: int) -> tuple[np.ndarray, int]:
     """Mix the key entries first + i (i < count) into pools, an (..., 4)
     uint32 array: (the (..., count, 4) pools, the hash constant after row 0's
     entry).
 
-    The low word differs from row to row, so it is mixed into all rows at
-    once; uint32 arithmetic wraps as SeedSequence's does. count < 2^32, so
-    the words above it are those of first >> 32, or of one more in the rows
+    The low word differs from row to row, so it is hashed and mixed into all
+    rows at once; uint32 arithmetic wraps as SeedSequence's does. count < 2^32,
+    so the words above it are those of first >> 32, or of one more in the rows
     from `split` on, where the low word carried; every row of a group absorbs
     the same words.
     """
     low = first & _MASK32
-    pools = pools[..., None, :] * np.uint32(_MIX_MULT_L) - terms(hash_const, low, count)
+    consts = hash_const * _POWERS_A
+    terms = (np.arange(count, dtype=np.uint32) + np.uint32(low))[:, None] ^ consts[:-1]
+    terms *= consts[1:]
+    terms ^= terms >> 16
+    terms *= np.uint32(_MIX_MULT_R)  # the hashed side of _mix
+    pools = pools[..., None, :] * np.uint32(_MIX_MULT_L) - terms
     pools ^= pools >> 16
     hash_const = hash_const * int(_POWERS_A[-1]) & _MASK32
     split = min(count, (1 << 32) - low)
@@ -179,26 +152,18 @@ def _mix_run(pools: np.ndarray, hash_const: int, first: int, count: int,
     return pools, after[0]
 
 
-def _derive(master_seed: int, head: tuple, start, span: int, first: int,
-            count: int) -> np.ndarray:
-    """Keys of the streams (master_seed, *head, start + j, first + i), for
-    j < span and i < count, as a (span, count, 2) uint64 array; with start
-    None, of (master_seed, *head, first + i), as a (1, count, 2) array.
+def _derive(master_seed: int, start: int, span: int, first: int, count: int) -> np.ndarray:
+    """Keys of the streams (master_seed, start + j, first + i), for j < span
+    and i < count, as a (span, count, 2) uint64 array.
 
-    The words every row shares (the master seed's, whose pool is cached, and
-    the head's) are mixed in plain Python ints. The block's entries start + j
-    must share their words above the low one: philox_keys aligns a block of
-    a power-of-two span at most 2^32 so that they do, and every row then
-    reaches the path entry with one hash constant.
+    The master seed's pool is cached. The episodes start + j must share their
+    words above the low one, so that every row reaches the path entry with
+    one hash constant: philox_keys aligns a block of a power-of-two span at
+    most 2^32 so that they do.
     """
     pool, hash_const = _seed_pool(master_seed)
-    pool, hash_const = _absorb(pool, hash_const, [w for k in head for w in _words(k)])
-    pools = np.array(pool, dtype=np.uint32)
-    if start is None:
-        pools = pools[None]
-    else:
-        pools, hash_const = _mix_run(pools, hash_const, start, span)
-    keys, _ = _mix_run(pools, hash_const, first, count, _path_terms)
+    pools, hash_const = _mix_run(np.array(pool, dtype=np.uint32), hash_const, start, span)
+    keys, _ = _mix_run(pools, hash_const, first, count)
     keys ^= _OUTPUT_XOR
     keys *= _OUTPUT_MULT
     keys ^= keys >> 16
@@ -207,41 +172,30 @@ def _derive(master_seed: int, head: tuple, start, span: int, first: int,
 
 
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
-def _key_block(master_seed: int, head: tuple, start: int, span: int, first: int,
+def _key_block(master_seed: int, start: int, span: int, first: int,
                count: int) -> np.ndarray:
     """_derive's block of `span` episodes from `start`, read-only, so that
     threads may share it."""
-    block = _derive(master_seed, head, start, span, first, count)
+    block = _derive(master_seed, start, span, first, count)
     block.setflags(write=False)
     return block
 
 
-def _block_span(count: int) -> int:
-    """Episodes per cached block of runs of `count` paths: the largest power of
-    two at most _BLOCK_ROWS // count, or 0 for a run of no rows or of more
-    rows than a block holds."""
-    if not 0 < count <= _BLOCK_ROWS:
-        return 0
-    return 1 << (_BLOCK_ROWS // count).bit_length() - 1
-
-
-def philox_keys(master_seed: int, prefix: tuple, first: int, count: int) -> np.ndarray:
-    """Philox keys of the streams (master_seed, *prefix, first + i), i < count.
+def philox_keys(master_seed: int, episode: int, first: int, count: int) -> np.ndarray:
+    """Philox keys of the streams (master_seed, episode, first + i), i < count.
 
     Returns a fresh (count, 2) uint64 array whose row i is the key that
-    `stream(master_seed, *prefix, first + i)` uses. It is one episode's rows
-    of the block of episodes that the prefix's last entry falls in; the
-    block is derived once and cached.
+    `stream(master_seed, episode, first + i)` uses. It is one episode's rows
+    of the cached block of P episodes that the episode falls in, P being the
+    largest power of two at most 2048 // count; a run of no rows, or of more
+    rows than a block holds, is derived alone and not cached.
     """
-    master_seed, first = operator.index(master_seed), operator.index(first)
-    prefix = tuple(map(int, prefix))
-    span = _block_span(count)
-    if not (prefix and span):
-        # no episode to share a block with, or more rows than a block holds
-        return _derive(master_seed, prefix, None, 1, first, count)[0]
-    episode = prefix[-1]
+    master_seed, episode, first = map(operator.index, (master_seed, episode, first))
+    if not 0 < count <= _BLOCK_ROWS:
+        return _derive(master_seed, episode, 1, first, count)[0]
+    span = 1 << (_BLOCK_ROWS // count).bit_length() - 1
     start = episode - episode % span
-    return _key_block(master_seed, prefix[:-1], start, span, first, count)[episode - start].copy()
+    return _key_block(master_seed, start, span, first, count)[episode - start].copy()
 
 
 def thread_generator() -> np.random.Generator:

@@ -253,7 +253,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     """
     n = grid.n_steps
     z, cont, observed, pre_jump = _batch_arrays(n_paths, n, workspace)
-    keys = philox_keys(master_seed, (episode,), path_offset, n_paths).tolist()
+    keys = philox_keys(master_seed, episode, path_offset, n_paths).tolist()
     rng = thread_generator()
     draw_normals = rng.standard_normal
     times, counts = [], []

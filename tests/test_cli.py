@@ -460,14 +460,27 @@ class TestCompare:
         assert result.exit_code == 2, result.output
         assert "oracle_scan must be true or false, got" in result.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        ([], "error: a --seed (or config `seed`) is required for stochastic commands\n"),
+        (["--seed", "1", "--x0", "inf"], "error: x0 must be finite, got inf\n"),
+    ], ids=["no-seed", "x0-inf"])
+    def test_refused_input_prints_and_writes_nothing_else(self, runner, tmp_path, args,
+                                                          message):
+        result = runner.invoke(main, ["compare", "--families", "linear", "--episodes", "1",
+                                      "--out", str(tmp_path / "out"), *args])
+        assert result.exit_code == 2, result.output
+        assert (result.stdout, result.stderr) == ("", message)
+        assert not (tmp_path / "out").exists()
+
     def test_zero_scan_paths_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--families", "linear",
                                       "--episodes", "1", "--paths", "2", "--dt", "0.1",
                                       "--oracle-scan", "--scan-paths", "0",
                                       "--scan-steps", "10",
-                                      "--seed", "4", "--out", str(tmp_path)])
+                                      "--seed", "4", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert "n_paths >= 1" in result.output
+        assert "scan_paths must be >= 1, got 0" in result.stderr
+        assert not (tmp_path / "out").exists()  # refused before any cell trains
 
 
 @pytest.fixture(scope="module")
@@ -835,6 +848,7 @@ def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command,
     assert by_flag.exit_code == by_config.exit_code == 2, by_flag.output
     assert by_flag.stderr == by_config.stderr
     assert "error: " in by_flag.stderr
+    assert not (tmp_path / "out").exists()  # a refused command writes nothing
 
 
 # boundary values of each kind, as a flag or config line writes them. Keys that

@@ -28,21 +28,22 @@ def first_draws(gen):
 
 class TestPhiloxKey:
     @settings(max_examples=200, deadline=None)
-    @given(master=SEEDS, key=st.lists(WORDS, min_size=1, max_size=4))
-    @example(master=2**32, key=[0, 0])
-    @example(master=2**128, key=[2**32, 2**32 + 1])
-    @example(master=2**128 - 1, key=[2**64, 3])
-    @example(master=0, key=[0])
-    def test_equals_seed_sequence_state(self, master, key):
-        state = np.random.SeedSequence(master, spawn_key=key).generate_state(2, np.uint64)
-        assert philox_keys(master, tuple(key[:-1]), key[-1], 1).tolist() == [state.tolist()]
+    @given(master=SEEDS, episode=WORDS, path=WORDS)
+    @example(master=2**32, episode=0, path=0)
+    @example(master=2**128, episode=2**32, path=2**32 + 1)
+    @example(master=2**128 - 1, episode=2**64, path=3)
+    @example(master=0, episode=0, path=2**64)
+    def test_equals_seed_sequence_state(self, master, episode, path):
+        state = np.random.SeedSequence(master, spawn_key=(episode, path)).generate_state(
+            2, np.uint64)
+        assert philox_keys(master, episode, path, 1).tolist() == [state.tolist()]
 
     @pytest.mark.parametrize("words", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_negative_word_raises_like_seed_sequence(self, words):
         with pytest.raises(ValueError):
             np.random.SeedSequence(words[0], spawn_key=words[1:])
         with pytest.raises(ValueError, match="non-negative"):
-            philox_keys(words[0], words[1:2], words[2], 1)
+            philox_keys(*words, 1)
 
     def test_concurrent_derivation_matches_reference(self):
         # more workers than keys per episode, and more episodes than the pool
@@ -52,7 +53,7 @@ class TestPhiloxKey:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda k: philox_keys(k[0], k[1:2], k[2], 1).tolist(),
+                got = list(pool.map(lambda k: philox_keys(*k, 1).tolist(),
                                     keys, timeout=60))
         finally:
             sys.setswitchinterval(interval)
@@ -70,35 +71,20 @@ class TestPhiloxKeys:
     @example(master=0, episode=0, first=0, count=1)
     @example(master=5, episode=1, first=7, count=0)
     def test_every_row_equals_seed_sequence_state(self, master, episode, first, count):
-        keys = philox_keys(master, (episode,), first, count)
+        keys = philox_keys(master, episode, first, count)
         assert keys.shape == (count, 2) and keys.dtype == np.uint64
         want = [np.random.SeedSequence(master, spawn_key=(episode, first + i))
                 .generate_state(2, np.uint64).tolist() for i in range(count)]
         assert keys.tolist() == want
 
-
-    @pytest.mark.parametrize("prefix", [(2**64 + 3, 5), (2**64,), (2**96 + 7,)],
-                             ids=["two-entries", "one-entry-2^64", "one-entry-above-2^64"])
+    @pytest.mark.parametrize("episode", [2**64, 2**96 + 7],
+                             ids=["one-entry-2^64", "one-entry-above-2^64"])
     @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**64 - 2])
-    def test_multi_word_prefix_equals_seed_sequence_state(self, prefix, first):
-        # every prefix word, however many an entry splits into, is mixed into
-        # the pool the rows share before any path word
-        keys = philox_keys(2**70 + 11, prefix, first, 5)
-        want = [np.random.SeedSequence(2**70 + 11, spawn_key=(*prefix, first + i))
-                .generate_state(2, np.uint64).tolist() for i in range(5)]
-        assert keys.tolist() == want
-
-
-    def test_cached_path_terms_stay_unwritten(self):
-        # each batch mixes its pool into cached per-run hashes; writing to the
-        # returned keys must not reach the cache
-        keys = philox_keys(9, (0,), 5, 4)
-        want = keys.copy()
-        keys[...] = 0
-        np.testing.assert_array_equal(philox_keys(9, (0,), 5, 4), want)
-        np.testing.assert_array_equal(philox_keys(10, (0,), 5, 4), [
-            np.random.SeedSequence(10, spawn_key=(0, 5 + i)).generate_state(2, np.uint64)
-            for i in range(4)])
+    def test_multi_word_prefix_equals_seed_sequence_state(self, episode, first):
+        # every word of a multi-word episode is mixed into every row before
+        # any path word
+        keys = philox_keys(2**70 + 11, episode, first, 5)
+        assert keys.tolist() == reference_keys(2**70 + 11, episode, first, 5)
 
     def test_concurrent_batches_match_reference(self):
         # more distinct runs than the cache holds, so worker threads evict and
@@ -109,7 +95,7 @@ class TestPhiloxKeys:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda r: philox_keys(r[0], (r[1],), r[2], r[3]).tolist(),
+                got = list(pool.map(lambda r: philox_keys(*r).tolist(),
                                     runs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
@@ -118,17 +104,17 @@ class TestPhiloxKeys:
                 for m, e, first, count in runs]
         assert got == want
 
-    # (master seed, prefix, first, count): a desk batch, and runs straddling 2^32 and 2^64
+    # (master seed, episode, first, count): a desk batch, and runs straddling 2^32 and 2^64
     PINNED = {
-        "desk-32": (20240101, (7,), 0, 32),
-        "straddling-2^32": (2**70 + 11, (20240101,), 2**32 - 64, 128),
-        "straddling-2^64": (3, (2**33, 5), 2**64 - 5, 10),
+        "desk-32": (20240101, 7, 0, 32),
+        "straddling-2^32": (2**70 + 11, 20240101, 2**32 - 64, 128),
+        "straddling-2^64": (3, 2**33, 2**64 - 5, 10),
     }
     # sha256 of each run's key bytes, recorded with numpy 2.4 on x86-64
     DIGESTS = {
         "desk-32": "b3d0e994ec9b6b0368d3340fb7b02eba6a6d07146f4203a335c95ca551edaed1",
         "straddling-2^32": "b31a3c977b6738a842370aecead4d3e5f3ea5b4402b40ba5604cb74f8960ea22",
-        "straddling-2^64": "dcaa5602fee52f2c061483bc5d692115583108fb1b351f1e833d9bc61fd72fa4",
+        "straddling-2^64": "810ba3ec27a6834d6868e1b76d90495d6daad786414c71d8aae911b88f9b1bef",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -138,8 +124,8 @@ class TestPhiloxKeys:
         assert hashlib.sha256(keys.tobytes()).hexdigest() == self.DIGESTS[case]
 
 
-def reference_keys(master, prefix, first, count):
-    return [np.random.SeedSequence(master, spawn_key=(*prefix, first + i))
+def reference_keys(master, episode, first, count):
+    return [np.random.SeedSequence(master, spawn_key=(episode, first + i))
             .generate_state(2, np.uint64).tolist() for i in range(count)]
 
 
@@ -160,25 +146,37 @@ class TestKeyBlocks:
         assert span == {3: 512, 12: 128, 2047: 1}[count]
         episode = {"P-1": span - 1, "P": span}.get(episode, episode)
         for e in (episode, max(episode - 1, 0), episode + 1):  # a block and its neighbours
-            assert philox_keys(11, (e,), 7, count).tolist() == reference_keys(11, (e,), 7, count)
+            assert philox_keys(11, e, 7, count).tolist() == reference_keys(11, e, 7, count)
 
     @pytest.mark.parametrize("first", [2**32 - 2, 2**64 - 3])
     @pytest.mark.parametrize("episode", [0, 63, 64, 2**32 + 1])
     def test_first_straddling_word_boundary(self, episode, first):
         # path words of 2 and 3 words in one run, in a block of 64 episodes
-        assert philox_keys(2**40 + 1, (episode,), first, 32).tolist() == reference_keys(
-            2**40 + 1, (episode,), first, 32)
+        assert philox_keys(2**40 + 1, episode, first, 32).tolist() == reference_keys(
+            2**40 + 1, episode, first, 32)
 
     def test_run_longer_than_a_block(self):
         # 2049 rows exceed a block: derived with no cache, the same way
-        assert philox_keys(5, (3,), 1, 2049).tolist() == reference_keys(5, (3,), 1, 2049)
+        assert philox_keys(5, 3, 1, 2049).tolist() == reference_keys(5, 3, 1, 2049)
+
+    @pytest.mark.parametrize("count", [0, 2049])
+    def test_uncached_runs_equal_stream_keys(self, count):
+        # a run of no rows, or of more than a block holds, is one episode's
+        # block of its own, and the cache neither keeps nor looks it up
+        before = rng._key_block.cache_info()
+        keys = philox_keys(2**70 + 3, 2**32 + 9, 2**32 - 7, count)
+        assert keys.shape == (count, 2)
+        assert keys.tolist() == [stream(2**70 + 3, 2**32 + 9, 2**32 - 7 + i)
+                                 .bit_generator.state["state"]["key"].tolist()
+                                 for i in range(count)]
+        assert rng._key_block.cache_info() == before
 
     def test_block_stays_unwritten(self):
-        keys = philox_keys(9, (3,), 0, 32)
+        keys = philox_keys(9, 3, 0, 32)
         want = keys.copy()
         keys[...] = 0
-        np.testing.assert_array_equal(philox_keys(9, (3,), 0, 32), want)
-        assert philox_keys(9, (4,), 0, 32).tolist() == reference_keys(9, (4,), 0, 32)
+        np.testing.assert_array_equal(philox_keys(9, 3, 0, 32), want)
+        assert philox_keys(9, 4, 0, 32).tolist() == reference_keys(9, 4, 0, 32)
 
     def test_concurrent_seeds_evict_blocks(self):
         # twelve seeds against eight cached blocks, interleaved, so worker
@@ -189,16 +187,16 @@ class TestKeyBlocks:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda r: philox_keys(r[0], (r[1],), 0, 32).tolist(),
+                got = list(pool.map(lambda r: philox_keys(r[0], r[1], 0, 32).tolist(),
                                     runs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [reference_keys(seed, (episode,), 0, 32) for seed, episode in runs]
+        assert got == [reference_keys(seed, episode, 0, 32) for seed, episode in runs]
 
     def test_cached_blocks_stay_within_256_kib(self):
         counts = [1, 3, 12, 32, 1000, 2047, 2048]
         for run in range(100):
-            philox_keys(run, (run,), run, counts[run % len(counts)])
+            philox_keys(run, run, run, counts[run % len(counts)])
         blocks = [a for a in gc.get_referents(rng._key_block) if isinstance(a, np.ndarray)]
         assert 0 < len(blocks) <= 8
         assert all(block.shape[0] * block.shape[1] <= 2048 for block in blocks)
@@ -223,7 +221,7 @@ class TestPathRng:
         used = stream(3, 1, 4)
         used.standard_normal(7)
         used.integers(0, 10, dtype=np.uint32)  # leaves a buffered 32-bit half
-        key = philox_keys(master, (episode,), path, 1)[0].tolist()
+        key = philox_keys(master, episode, path, 1)[0].tolist()
         got = path_rng(master, episode, path, reuse=used, key=key)
         assert got is used
         for a, b in zip(first_draws(got), first_draws(reference_generator(master, episode, path))):
