@@ -25,13 +25,14 @@ from .errors import (ConfigurationError, DivergenceError, SimulationOverflowErro
                      SingularParameterError)
 from .estimators import LOSS_KINDS, TrainConfig, trace_rows, train
 from .models import HORIZON, family_by_name
-from .portfolio import THRESHOLD_MODES, BacktestConfig, read_price_csv, rolling_backtest
-from .sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
+from .portfolio import (THRESHOLD_MODES, BacktestConfig, day_index, read_price_csv,
+                        rolling_backtest)
+from .sde import (STUDY_X0, JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                   build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
 _TRAINING = {  # keys train and compare share
-    "seed": ("seed", None), "out": ("str", "out"), "x0": ("float", 0.1),
+    "seed": ("seed", None), "out": ("str", "out"), "x0": ("float", STUDY_X0),
     "dt": ("float", 0.01), "alpha": ("float", 0.0005), "episodes": ("int", 20000),
     "paths": ("int", 32), "theta0": ("float", 0.5), "record_every": ("int", 100),
 }
@@ -41,7 +42,7 @@ _TRAINING = {  # keys train and compare share
 KEYS = {
     "simulate": {
         "seed": ("seed", None), "out": ("str", "out"), "preset": ("str", None),
-        "paths": ("int", 1), "x0": ("float", 0.1), "horizon": ("float", 1.0),
+        "paths": ("int", 1), "x0": ("float", STUDY_X0), "horizon": ("float", 1.0),
         "n_steps": ("int", 1000), "drift": ("float", 0.0), "sigma": ("float", 1.0),
         "law": ("str", "single_uniform"), "poisson_rate": ("float", 1.0),
     },
@@ -271,7 +272,7 @@ def cmd_simulate(v):
 def _reference_minimizers(x0: float):
     """The closed-form reference minimizers, or None when the study process
     starts at an x0 they do not assume."""
-    return oracles.reference_minimizers() if x0 == oracles.CLOSED_FORM_X0 else None
+    return oracles.reference_minimizers() if x0 == STUDY_X0 else None
 
 
 def _no_reference(x0: float) -> str:
@@ -401,6 +402,7 @@ def cmd_backtest(v):
         target_wealth=v["z"], initial_wealth=v["x0"], risk_free_daily=v["rf"],
         threshold_mode=mode) for mode in modes}
     series = read_price_csv(v["data"], v["bars_per_day"])
+    day_index(series, v["train_days"])  # refuses too few or too short days before any write
     directory = _out_dir(v["out"])
     report = {"cells": {}, "sharpe_table": {}}
     for loss_kind in losses:

@@ -23,13 +23,13 @@ from .errors import (ConfigurationError, DivergenceError, InsufficientDataError,
                      SimulationOverflowError)
 from .models import HORIZON, LinearValue
 from .rng import stream
-from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, grid_for_step, simulate_batch
+from .sde import (STUDY_X0, JumpDiffusionSpec, TimeGrid, Workspace, grid_for_step,
+                  simulate_batch)
 
 # the fewest fitted values per path each loss is defined on
 _MIN_POINTS = {"mstde": 2, "msbve": 3}
 LOSS_KINDS = tuple(_MIN_POINTS)
 RATIO_THETA = 0.5  # jump_robustness_ratio: the linear family's theta
-RATIO_X0 = 0.1     # and the paths' start
 
 
 def mstde_loss(values) -> float:
@@ -62,32 +62,12 @@ def _shifted(op, a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.nda
     return out
 
 
-class KernelWorkspace:
-    """Arrays that `grads_by_row` and `losses_by_row` reuse from call to call.
-
-    It holds the differences d, the theta-derivative differences g, sgn(d)
-    and the shifted product, each shaped and typed like the array it is
-    formed from in a call; a call that needs another shape or dtype
-    reallocates that array. The kernels return the same bits with a
-    workspace as without one. A workspace must not be shared between
-    threads, nor hold the values a kernel reads.
-    """
-
-    def __init__(self):
-        self.d = self.g = self.sign = self.term = None
-
-
-def _scratch(workspace: KernelWorkspace | None, name: str, like: np.ndarray):
-    """The workspace's array `name`, uninitialised and reallocated unless it
-    has like's shape and dtype; None without a workspace, so that the array
-    is allocated where it is formed."""
+def _scratch(workspace: Workspace | None, name: str, like: np.ndarray):
+    """The workspace's array `name`, shaped and typed like `like`; None
+    without a workspace, so that the array is allocated where it is formed."""
     if workspace is None:
         return None
-    array = getattr(workspace, name)
-    if array is None or array.shape != like.shape or array.dtype != like.dtype:
-        array = np.empty_like(like)
-        setattr(workspace, name, array)
-    return array
+    return workspace.take(name, like.shape, like.dtype)
 
 
 def _rows(kind: str, values) -> np.ndarray:
@@ -104,9 +84,10 @@ def _rows(kind: str, values) -> np.ndarray:
 
 
 def losses_by_row(kind: str, values: np.ndarray,
-                  workspace: KernelWorkspace | None = None) -> np.ndarray:
+                  workspace: Workspace | None = None) -> np.ndarray:
     """Per-row loss for a (paths, n+1) matrix of fitted values; the
-    temporaries are formed in the workspace when one is given."""
+    temporaries are formed in the workspace, as "d" and "term", when one is
+    given. The workspace must not hold the values under those names."""
     v = _rows(kind, values)
     d = _shifted(np.subtract, v, v, _scratch(workspace, "d", v))
     cols = d.shape[1]
@@ -119,9 +100,11 @@ def losses_by_row(kind: str, values: np.ndarray,
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
-                 workspace: KernelWorkspace | None = None) -> np.ndarray:
+                 workspace: Workspace | None = None) -> np.ndarray:
     """Per-row theta-gradient for a matrix of values and their theta-derivatives;
-    the temporaries are formed in the workspace when one is given.
+    the temporaries are formed in the workspace, as "d", "g", "sign" and
+    "term", when one is given. The workspace must not hold the values or
+    their derivatives under those names.
 
     dvalues is broadcast to the values' shape, so a derivative that does not
     depend on the path, such as a (1, n+1) row, applies to every path.
@@ -222,8 +205,9 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
 
     Episode e simulates paths with streams (master_seed, e, path index),
     averages the per-path gradient over the batch, and takes one step. Every
-    episode is simulated into the same workspace. A non-finite update, or a
-    simulated state that overflows, raises DivergenceError with the trace so far.
+    episode simulates its batch and forms its values, derivatives and kernel
+    temporaries in the same workspace. A non-finite update, or a simulated
+    state that overflows, raises DivergenceError with the trace so far.
     """
     theta = float(config.theta0)
     theta_trace = [(0, theta)]
@@ -232,7 +216,7 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     clip_events = 0
     plateau_buf = [theta] if config.plateau_tol is not None else None
     episodes_run = 0
-    workspace = PathWorkspace()
+    workspace = Workspace()
 
     for e in range(1, config.episodes + 1):
         try:
@@ -243,12 +227,13 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
                 f"simulated state overflowed at episode {e} (last finite theta {theta:.6g}): "
                 f"{exc}", episode=e, last_theta=theta,
                 theta_trace=theta_trace, loss_trace=loss_trace) from exc
-        J = np.asarray(model.value(theta, times, batch.observed), dtype=float)
-        dJ = np.asarray(model.dvalue_dtheta(theta, times, batch.observed), dtype=float)
+        shape = batch.observed.shape
+        J = model.value(theta, times, batch.observed, out=workspace.take("J", shape))
+        dJ = model.dvalue_dtheta(theta, times, batch.observed, out=workspace.take("dJ", shape))
         # batch means, with np.mean's bits and without its dispatch
-        grads = grads_by_row(config.loss_kind, J, dJ)
+        grads = grads_by_row(config.loss_kind, J, dJ, workspace)
         grad = float(np.add.reduce(grads) / grads.size)
-        losses = losses_by_row(config.loss_kind, J)
+        losses = losses_by_row(config.loss_kind, J, workspace)
         loss = float(np.add.reduce(losses) / losses.size)
         if config.grad_clip is not None and abs(grad) > config.grad_clip:
             grad = math.copysign(config.grad_clip, grad)
@@ -283,7 +268,7 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -
     Pairs of paths share Brownian increments on a grid of step dt over [0, 1];
     the jump path additionally gains +1 from the midpoint grid index onward.
     Returns mean(msbve inflation) / mean(mstde inflation) over the seeds,
-    using the linear family at theta = RATIO_THETA on paths from RATIO_X0.
+    using the linear family at theta = RATIO_THETA on paths from STUDY_X0.
     Raises ConfigurationError, before any path is drawn, unless dt leaves 2
     or more steps on [0, 1] and n_seeds >= 1.
     """
@@ -294,12 +279,12 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -
     n = grid.n_steps
     sq = math.sqrt(grid.dt)
     x = np.empty((2, n + 1))  # the continuous path, then the jump path
-    x[:, 0] = RATIO_X0
+    x[:, 0] = STUDY_X0
     totals = {kind: np.zeros(2) for kind in LOSS_KINDS}  # continuous, jump
     for s in range(n_seeds):
         z = stream(master_seed, s).standard_normal(n)
         np.cumsum(sq * z, out=x[0, 1:])
-        x[0, 1:] += RATIO_X0
+        x[0, 1:] += STUDY_X0
         x[1] = x[0]
         x[1, n // 2:] += 1.0
         J = model.value(RATIO_THETA, grid.times, x)

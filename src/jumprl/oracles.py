@@ -27,12 +27,11 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvexError
 from .rng import thread_cap
-from .sde import JumpDiffusionSpec, PathWorkspace, TimeGrid, simulate_batch
+from .sde import JumpDiffusionSpec, TimeGrid, Workspace, simulate_batch
 
 FAMILIES = ("linear", "quadratic", "exponential")
 METHODS = ("mstde", "msbve", "oracle")
-CLOSED_FORM_X0 = 0.1  # the study process's start, which every closed form assumes
-_local = threading.local()  # each thread's path workspace, see _thread_workspace
+_local = threading.local()  # each thread's workspace, see _thread_workspace
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,12 @@ def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
     return out
 
 
-def _thread_workspace() -> PathWorkspace:
-    """This thread's path workspace; a pool worker's dies with its thread."""
+def _thread_workspace() -> Workspace:
+    """This thread's workspace; a pool worker's dies with its thread."""
     try:
         return _local.workspace
     except AttributeError:
-        _local.workspace = PathWorkspace()
+        _local.workspace = Workspace()
         return _local.workspace
 
 
@@ -197,8 +196,9 @@ def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths:
         batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo,
                                workspace=workspace)
         # the normals are dead once the batch is built
+        scratch = workspace.take("normals", (hi - lo, grid.n_steps))
         return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term,
-                                        float(spec.diffusion), workspace.z[:hi - lo]))
+                                        float(spec.diffusion), scratch))
 
     starts = range(0, n_paths, chunk)
     workers = thread_cap()

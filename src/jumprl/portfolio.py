@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
                      IngestionError, InsufficientDataError)
-from .estimators import LOSS_KINDS, KernelWorkspace, TrainConfig, grads_by_row
+from .estimators import LOSS_KINDS, TrainConfig, Workspace, grads_by_row
 from .models import HORIZON, MeanVarianceValue, target_anchor
 from .rng import stream
 
@@ -352,23 +352,18 @@ def _daily_bipower(increments: np.ndarray) -> float:
 LOSS_RATE_SCALE = {"mstde": 1.0, "msbve": 2.0 / math.pi}
 
 
-def _step_buffers(shape: tuple) -> tuple:
-    """(wealth, J, dJ, kernel workspace): what every gradient step of a
-    backtest writes into, the three arrays of the training window's shape."""
-    return np.empty(shape), np.empty(shape), np.empty(shape), KernelWorkspace()
-
-
 def _fit_theta(theta: float, excess: np.ndarray, sigma_hat: float, loss_kind: str,
                config: BacktestConfig, model: MeanVarianceValue, times: np.ndarray,
-               buffers: tuple | None = None) -> float:
+               workspace: Workspace | None = None) -> float:
     """Gradient steps of the chosen loss on wealth paths replayed under theta
     from the window's growth-ready excess returns (see _excess_returns).
 
-    Every step replays the window and forms its values and gradients in
-    buffers, from _step_buffers of the window's shape unless given, which the
-    next step overwrites.
+    Every step replays the window and forms its wealth, values, derivatives
+    and kernel temporaries in the workspace, a fresh one unless given, where
+    the next step overwrites them.
     """
-    wealth, J, dJ, kernels = _step_buffers(excess.shape) if buffers is None else buffers
+    ws = Workspace() if workspace is None else workspace
+    wealth, J, dJ = (ws.take(name, excess.shape) for name in ("wealth", "J", "dJ"))
     lr = config.learning.learning_rate / LOSS_RATE_SCALE[loss_kind]
     for step in range(config.learning.episodes):
         try:
@@ -380,7 +375,7 @@ def _fit_theta(theta: float, excess: np.ndarray, sigma_hat: float, loss_kind: st
         model.value(theta, times, wealth, out=J)
         model.dvalue_dtheta(theta, times, wealth, out=dJ)
         # the batch mean, with np.mean's bits and without its dispatch
-        g = grads_by_row(loss_kind, J, dJ, kernels)
+        g = grads_by_row(loss_kind, J, dJ, ws)
         grad = float(np.add.reduce(g) / g.size)
         if not math.isfinite(grad):
             raise DivergenceError(f"non-finite gradient at daily step {step}",
@@ -397,6 +392,28 @@ def _fit_theta(theta: float, excess: np.ndarray, sigma_hat: float, loss_kind: st
     return theta
 
 
+def day_index(series: PriceSeries, train_days: int) -> np.ndarray:
+    """The (days, m + 1) row index of each day's first m + 1 prices, m + 1 the
+    shortest day's row count (with a warning when day lengths differ).
+
+    Raises IngestionError unless the series has train_days + 1 days of at
+    least 3 prices, so that a backtest can run on it.
+    """
+    partition = series.day_partition
+    if len(partition) < train_days + 1:
+        raise IngestionError(
+            f"need at least train_days + 1 = {train_days + 1} complete days, "
+            f"got {len(partition)}")
+    counts = {sl.stop - sl.start for _, sl in partition}
+    if len(counts) > 1:
+        warnings.warn(f"day lengths differ {sorted(counts)}; trimming to {min(counts)} rows")
+    if min(counts) < 3:
+        raise IngestionError(
+            f"each day needs at least 3 prices (2 bars) for the bipower variance; "
+            f"the days have {min(counts)} at bars per day = {series.bars_per_day}")
+    return np.array([sl.start for _, sl in partition])[:, None] + np.arange(min(counts))
+
+
 def rolling_backtest(series: PriceSeries, config: BacktestConfig,
                      loss_kind: str) -> BacktestResult:
     """Walk the series one day at a time: fit theta on the trailing window,
@@ -405,26 +422,14 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
     if loss_kind not in LOSS_KINDS:
         raise ConfigurationError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     partition = series.day_partition
-    if len(partition) < config.train_days + 1:
-        raise IngestionError(
-            f"need at least train_days + 1 = {config.train_days + 1} complete days, "
-            f"got {len(partition)}")
-    counts = {sl.stop - sl.start for _, sl in partition}
-    if len(counts) > 1:
-        warnings.warn(f"day lengths differ {sorted(counts)}; trimming to {min(counts)} rows")
-    # the day index: each day's first m + 1 rows, m + 1 the shortest day's row count
-    index = np.array([sl.start for _, sl in partition])[:, None] + np.arange(min(counts))
+    index = day_index(series, config.train_days)
     matrix = series.prices[index]
-    if matrix.shape[1] < 3:
-        raise IngestionError(
-            f"each day needs at least 3 prices (2 bars) for the bipower variance; "
-            f"the days have {matrix.shape[1]} at bars per day = {series.bars_per_day}")
     m = matrix.shape[1] - 1
     dt = HORIZON / m
     r_f = config.risk_free_daily
     times = np.linspace(0.0, HORIZON, m + 1)[None, :]
     model = MeanVarianceValue(z=config.target_wealth, x0=config.initial_wealth)
-    buffers = _step_buffers((config.train_days, m + 1))  # every window's shape
+    workspace = Workspace()  # every window's fit: the windows share one shape
     # the day matrix's inputs, formed once: raw windows and trade days are
     # row slices of them, and a thresholded window forms its own
     increments = _increments(matrix, log_scale=False)
@@ -459,7 +464,7 @@ def rolling_backtest(series: PriceSeries, config: BacktestConfig,
 
         try:
             theta = _fit_theta(theta, train_excess, sigma_hat, loss_kind, config,
-                               model, times, buffers)
+                               model, times, workspace)
             terminal = float(_wealth_matrix(theta, sigma_hat, excess[d:d + 1],
                                             config.target_wealth,
                                             config.initial_wealth)[0, -1])

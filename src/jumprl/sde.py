@@ -169,44 +169,42 @@ def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
     raise ConfigurationError(f"unknown jump law {law!r}")
 
 
-class PathWorkspace:
-    """Arrays that `simulate_batch` reuses from batch to batch.
-
-    It holds the normals scratch z (rows, n) and the continuous, observed and
-    pre-jump states (rows, n+1). A batch of at most `rows` paths on n steps
-    uses their leading rows; another step count or more paths reallocates
-    them. A batch simulated into a workspace is overwritten by the next one,
-    and a workspace must not be shared between threads.
-    """
+class Workspace:
+    """Named arrays that one loop reuses from step to step. Arrays under
+    different names never alias; a workspace must not be shared between threads."""
 
     def __init__(self):
-        self.z = self.continuous = self.observed = self.pre_jump = None
+        self._arrays = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """An uninitialised array under name: the one held there if it has this
+        shape and dtype, its leading rows if it has more rows of the same
+        trailing shape and dtype, else a new one that replaces it."""
+        held = self._arrays.get(name)
+        if held is not None and held.dtype == dtype:
+            if held.shape == shape:
+                return held
+            if held.shape[1:] == shape[1:] and 0 <= shape[0] <= held.shape[0]:
+                return held[:shape[0]]
+        held = self._arrays[name] = None  # free before allocating
+        array = self._arrays[name] = np.empty(shape, dtype)
+        return array
 
 
-def _batch_arrays(n_paths: int, n_steps: int, workspace: PathWorkspace | None):
-    """(z, continuous, observed, pre_jump) of one batch, uninitialised.
-
-    Fresh arrays without a workspace; views of the workspace's leading rows
-    with one. Raises ConfigurationError if the batch cannot be allocated.
-    """
-    ws = workspace
-    if (ws is None or ws.z is None or ws.z.shape[1] != n_steps
-            or not 0 <= n_paths <= len(ws.z)):
-        if ws is not None:
-            ws.z = ws.continuous = ws.observed = ws.pre_jump = None  # free before reallocating
-        try:
-            state_shape = (n_paths, n_steps + 1)
-            arrays = (np.empty((n_paths, n_steps)), np.empty(state_shape),
-                      np.empty(state_shape), np.empty(state_shape))
-        except (MemoryError, ValueError) as exc:
-            raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
-                                     f"n_steps = {n_steps}: {exc}") from exc
-        if ws is None:
-            return arrays
-        ws.z, ws.continuous, ws.observed, ws.pre_jump = arrays
-    # views, so that PathBatch marks them read-only and the workspace's own
-    # arrays stay writable
-    return ws.z[:n_paths], ws.continuous[:n_paths], ws.observed[:n_paths], ws.pre_jump[:n_paths]
+def _batch_arrays(n_paths: int, n_steps: int, workspace: Workspace | None):
+    """(normals, continuous, observed, pre_jump) of one batch, uninitialised,
+    as views of the workspace's arrays or of fresh ones, so that PathBatch
+    marks them read-only and the workspace's own stay writable. Raises
+    ConfigurationError if the batch cannot be allocated."""
+    ws = Workspace() if workspace is None else workspace
+    state = (n_paths, n_steps + 1)
+    try:
+        arrays = (ws.take("normals", (n_paths, n_steps)), ws.take("continuous", state),
+                  ws.take("observed", state), ws.take("pre_jump", state))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
+                                 f"n_steps = {n_steps}: {exc}") from exc
+    return tuple(array[:n_paths] for array in arrays)
 
 
 @dataclass(frozen=True)
@@ -239,15 +237,16 @@ class PathBatch:
 
 def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                    episode: int, n_paths: int, path_offset: int = 0, *,
-                   workspace: PathWorkspace | None = None) -> PathBatch:
+                   workspace: Workspace | None = None) -> PathBatch:
     """Simulate n_paths paths with per-path streams (master_seed, episode, offset+i).
 
     Each row depends only on its own stream, so results do not depend on
     batch or chunk boundaries. All rows' keys are derived at once, and the
     calling thread's generator is re-pointed to each row's stream in turn.
     Without a workspace the batch owns fresh arrays. With one, its state
-    arrays are read-only views of the workspace's, valid until the next
-    batch simulated into that workspace; the values are the same either way.
+    arrays are read-only views of the workspace's "continuous", "observed"
+    and "pre_jump" arrays, valid until their names are next taken, and its
+    normals are left in "normals"; the values are the same either way.
     Raises ConfigurationError, before any path is drawn, if the batch cannot
     be allocated.
     """
@@ -272,7 +271,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     jump_time = np.array(times, dtype=float)
     jump_step = grid.times.searchsorted(jump_time)  # first grid point >= each time
     # each jump's element in the raveled states; the state arrays are
-    # C-contiguous (fresh, or a workspace's leading rows), so reshape(-1) is a view
+    # leading rows of C-contiguous arrays, so reshape(-1) is a view
     landing = jump_path * (n + 1) + jump_step
     jump_pre = np.empty(jump_time.size)
     starts = np.cumsum(counts) - counts
@@ -315,7 +314,10 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                      jump_pre=jump_pre)
 
 
-def doubling_jump_spec(x0: float = 0.1) -> JumpDiffusionSpec:
+STUDY_X0 = 0.1  # the study process's start, which every closed form assumes
+
+
+def doubling_jump_spec(x0: float = STUDY_X0) -> JumpDiffusionSpec:
     """Standard Brownian state that doubles at one uniformly placed jump.
 
     dX = dW + X dN with a single uniform jump time. This is the process

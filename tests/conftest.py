@@ -36,6 +36,14 @@ def falling_after_jump_series():
                               bars)
 
 
+def batch_buffers(workspace, n_paths: int, n_steps: int) -> list:
+    """The normals and state arrays a workspace holds after batches of at most
+    n_paths paths on n_steps steps, taken at the shape they were made with."""
+    return [workspace.take("normals", (n_paths, n_steps))] + [
+        workspace.take(name, (n_paths, n_steps + 1))
+        for name in ("continuous", "observed", "pre_jump")]
+
+
 def jump_ledger(batch) -> list:
     """The batch's jumps as (row, step, time, pre-jump state) tuples; each
     jump's size is its pre-jump state."""

@@ -507,11 +507,16 @@ class TestBacktest:
         assert csv_lines[0] == "date,theta,terminal_wealth,daily_return"
 
     def test_insufficient_days_exits_2(self, runner, tmp_path, fixture_csv):
-        result = runner.invoke(main, ["backtest", "--data", str(fixture_csv),
-                                      "--bars-per-day", "10", "--train-days", "126",
-                                      "--out", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "127" in result.output
+        # the fixture has 14 days; a refused backtest makes no output directory
+        for train_days in (126, 20, 14):
+            out = tmp_path / f"out{train_days}"
+            result = runner.invoke(main, ["backtest", "--data", str(fixture_csv),
+                                          "--bars-per-day", "10", "--train-days",
+                                          str(train_days), "--out", str(out)])
+            assert result.exit_code == 2
+            assert result.stderr == (f"error: need at least train_days + 1 = "
+                                     f"{train_days + 1} complete days, got 14\n")
+            assert not out.exists()
 
     def test_divergence_exits_3_naming_the_test_day(self, runner, tmp_path, fixture_csv):
         # a target wealth of 1e300 overflows the first gradient of the first
@@ -622,12 +627,14 @@ class TestBacktest:
         # two prices a day leave one increment, and the bipower variance needs two
         data = tmp_path / "one_bar.csv"
         write_price_csv(synthetic_gbm_jump_series(8, bars_per_day=1, seed=3), data)
+        out = tmp_path / "out"
         result = runner.invoke(main, ["backtest", "--data", str(data), "--bars-per-day",
-                                      str(bars), "--train-days", "5", "--out", str(tmp_path)])
+                                      str(bars), "--train-days", "5", "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert (f"each day needs at least 3 prices (2 bars) for the bipower variance; "
                 f"the days have 2 at bars per day = {bars}") in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("stamp, message", [
         ("inf", "unparseable timestamp 'inf'"),

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from jumprl import estimators
 from jumprl.errors import (ConfigurationError, DivergenceError, InsufficientDataError,
                            SimulationOverflowError)
-from jumprl.estimators import (LOSS_KINDS, KernelWorkspace, TrainConfig, grads_by_row,
+from jumprl.estimators import (LOSS_KINDS, TrainConfig, grads_by_row,
                                jump_robustness_ratio, losses_by_row, msbve_loss,
                                mstde_loss, train)
 from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
 from jumprl.rng import stream
-from jumprl.sde import doubling_jump_spec, simulate_batch
+from jumprl.sde import Workspace, doubling_jump_spec, simulate_batch
 from conftest import assert_same_bits
 
 value_lists = st.lists(st.floats(min_value=-100, max_value=100,
@@ -281,11 +281,12 @@ class TestInPlaceKernelBits:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_workspace_across_shapes_gives_fresh_bits(self, kind):
-        # the backtest's shape, a smaller one, then the first again: each call
-        # into the one workspace gives the bits of a call without it
+        # the backtest's shape, a smaller one, the first again, then its
+        # leading rows: each call into the one workspace gives the bits of a
+        # call without it
         rng = np.random.default_rng(24)
-        workspace = KernelWorkspace()
-        for rows, cols in ((126, 80), (4, 7), (126, 80)):
+        workspace = Workspace()
+        for rows, cols in ((126, 80), (4, 7), (126, 80), (50, 80)):
             values = rng.uniform(-3.0, 3.0, (rows, cols))
             values[:, 3] = values[:, 2]  # sgn(0) = 0 applies
             values[0, :2] = np.nan, -np.inf

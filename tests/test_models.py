@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from jumprl.errors import SingularParameterError
-from jumprl.estimators import LOSS_KINDS, KernelWorkspace, grads_by_row
+from jumprl.estimators import LOSS_KINDS, grads_by_row
 from jumprl.models import (HORIZON, CustomValue, ExponentialValue, LinearValue,
                            MeanVarianceValue, QuadraticValue, _anchor_slope,
                            family_by_name, target_anchor)
 from jumprl.rng import stream
+from jumprl.sde import Workspace
 from conftest import assert_same_bits
 
 STUDY_FAMILIES = [LinearValue(), QuadraticValue(), ExponentialValue()]
@@ -321,7 +322,7 @@ class TestValueBuffersAllocate:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_grads_by_row(self, kind):
         values, dvalues = np.random.default_rng(16).uniform(-1.0, 1.0, (2, *self.SHAPE))
-        workspace = KernelWorkspace()
+        workspace = Workspace()
         grads_by_row(kind, values, dvalues, workspace)  # sizes the workspace
         assert self.peak(lambda: grads_by_row(kind, values, dvalues, workspace)) \
             < values.nbytes

@@ -14,7 +14,7 @@ from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace
                             reference_minimizers)
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch)
-from conftest import BATCH_ARRAYS, exponential_quadratic_by_gauss_legendre
+from conftest import BATCH_ARRAYS, batch_buffers, exponential_quadratic_by_gauss_legendre
 
 
 class TestArgminQuadratic:
@@ -208,8 +208,7 @@ class TestWorkspaceReuse:
         ]
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[2], results[3])
-        workspace = _thread_workspace()
-        held = [workspace.z, workspace.continuous, workspace.observed, workspace.pre_jump]
+        held = batch_buffers(_thread_workspace(), 16, grid_100.n_steps)
         for i, result in enumerate(results):
             assert not any(np.shares_memory(result, other) for other in results[i + 1:])
             assert not any(np.shares_memory(result, array) for array in held)
@@ -227,8 +226,8 @@ class TestWorkspaceReuse:
         left = np.vstack([getattr(b, state) for b in batches])[:, :-1]
         prod = left * 1.0  # sigma = 1
         np.testing.assert_array_equal(got, np.sum(prod * prod, axis=1) * grid_100.dt)
-        last = _thread_workspace()
-        np.testing.assert_array_equal(getattr(last, state)[:2], getattr(batches[-1], state))
+        last = _thread_workspace().take(state, (2, grid_100.n_steps + 1))
+        np.testing.assert_array_equal(last, getattr(batches[-1], state))
 
 
 class TestThreadDeterminism:

@@ -8,10 +8,10 @@ import pytest
 from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.rng import path_rng, stream
-from jumprl.sde import (JumpDiffusionSpec, NoJumps, PathWorkspace, PoissonRate,
-                        SingleUniformJump, build_grid, doubling_jump_spec, grid_for_step,
+from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
+                        Workspace, build_grid, doubling_jump_spec, grid_for_step,
                         path_to_csv, sample_single_jump_time, simulate_batch)
-from conftest import BATCH_ARRAYS, jump_ledger
+from conftest import BATCH_ARRAYS, batch_buffers, jump_ledger
 
 
 class TestBuildGrid:
@@ -362,10 +362,71 @@ class TestTraceContract:
                  .generate_state(2, np.uint64).tolist()) for i in range(n_paths)]
 
 
+class TestWorkspaceTake:
+    """Workspace.take returns the held array, its leading rows, or a new one."""
+
+    def test_same_shape_and_dtype_return_the_held_array(self):
+        workspace = Workspace()
+        held = workspace.take("a", (4, 3))
+        assert held.shape == (4, 3) and held.dtype == np.float64
+        assert workspace.take("a", (4, 3)) is held
+        assert workspace.take("a", (4, 3), np.float64) is held
+        ints = workspace.take("b", (5,), np.int64)
+        assert workspace.take("b", (5,), np.int64) is ints
+
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_fewer_rows_return_the_leading_rows(self, rows):
+        workspace = Workspace()
+        held = workspace.take("a", (5, 3))
+        leading = workspace.take("a", (rows, 3))
+        assert leading.shape == (rows, 3) and leading.base is held
+        assert leading.flags.c_contiguous
+        assert leading.__array_interface__["data"] == held.__array_interface__["data"]
+        # the held array keeps all its rows
+        assert workspace.take("a", (5, 3)) is held
+
+    @pytest.mark.parametrize("shape, dtype", [((6, 3), float), ((5, 4), float),
+                                              ((5, 3, 1), float), ((5,), float),
+                                              ((5, 3), np.float32), ((2, 3), np.int64)],
+                             ids=["more-rows", "columns", "trailing-axis", "fewer-axes",
+                                  "float32", "int64-fewer-rows"])
+    def test_another_shape_or_dtype_reallocates(self, shape, dtype):
+        workspace = Workspace()
+        held = workspace.take("a", (5, 3))
+        new = workspace.take("a", shape, dtype)
+        assert new.shape == shape and new.dtype == dtype
+        assert not np.shares_memory(new, held)
+        assert workspace.take("a", shape, dtype) is new  # and it is held from now on
+
+    def test_a_refused_shape_raises_like_numpy(self):
+        workspace = Workspace()
+        workspace.take("a", (5, 3))
+        for shape in ((-1, 3), (2**60, 3)):
+            with pytest.raises(ValueError):
+                workspace.take("a", shape)
+
+    def test_arrays_under_different_names_never_alias(self, study_spec, grid_100):
+        workspace = Workspace()
+        batch = simulate_batch(study_spec, grid_100, 1, 0, 6, workspace=workspace)
+        shape = batch.observed.shape
+        # the names train forms its values and kernel temporaries under
+        taken = {name: workspace.take(name, shape) for name in ("J", "dJ", "d", "g", "sign")}
+        taken["J"] = workspace.take("J", (3, shape[1]))     # leading rows
+        taken["dJ"] = workspace.take("dJ", (6, 7))          # reallocated
+        taken["term"] = workspace.take("term", (8, shape[1]))
+        taken.update(zip(("normals", "continuous", "observed", "pre_jump"),
+                         batch_buffers(workspace, 6, grid_100.n_steps)))
+        names = list(taken)
+        for i, a in enumerate(names):
+            assert taken[a].flags.writeable
+            for b in names[i + 1:]:
+                assert not np.shares_memory(taken[a], taken[b]), (a, b)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
     def test_batch_equals_fresh_batch_and_is_read_only(self, spec):
-        grid, workspace = build_grid(1.0, 200), PathWorkspace()
+        grid, workspace = build_grid(1.0, 200), Workspace()
         # a larger batch first, so the second uses the leading rows of dirty arrays
         simulate_batch(spec, grid, 3, 1, 9, workspace=workspace)
         got = simulate_batch(spec, grid, 2**40 + 3, 7, 6, path_offset=2**33, workspace=workspace)
@@ -374,8 +435,11 @@ class TestWorkspace:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             with pytest.raises(ValueError, match="read-only"):
                 getattr(got, name)[0] = 0
-        for name in ("z", "continuous", "observed", "pre_jump"):
-            assert getattr(workspace, name).flags.writeable
+        held = batch_buffers(workspace, 9, 200)
+        for array in held:
+            assert array.flags.writeable
+        for name, array in zip(("continuous", "observed", "pre_jump"), held[1:]):
+            assert np.shares_memory(getattr(got, name), array)
 
     def test_fresh_batches_share_no_memory(self, study_spec, grid_100):
         first = simulate_batch(study_spec, grid_100, 5, 0, 4)
@@ -385,32 +449,28 @@ class TestWorkspace:
                 assert not np.shares_memory(getattr(first, a), getattr(second, b))
 
     def test_buffers_reused_for_same_shape_and_replaced_on_shape_change(self, study_spec):
-        workspace = PathWorkspace()
-
-        def buffers():
-            return [getattr(workspace, name)
-                    for name in ("z", "continuous", "observed", "pre_jump")]
+        workspace = Workspace()
 
         simulate_batch(study_spec, build_grid(1.0, 100), 1, 0, 8, workspace=workspace)
-        held = buffers()
+        held = batch_buffers(workspace, 8, 100)
         assert [b.shape for b in held] == [(8, 100)] + [(8, 101)] * 3
         batch = simulate_batch(study_spec, build_grid(1.0, 100), 2, 0, 8, workspace=workspace)
-        assert all(now is before for now, before in zip(buffers(), held))
-        assert np.shares_memory(batch.observed, workspace.observed)
+        assert all(now is before for now, before in zip(batch_buffers(workspace, 8, 100), held))
+        assert np.shares_memory(batch.observed, held[2])
         # fewer paths use the leading rows
         simulate_batch(study_spec, build_grid(1.0, 100), 3, 0, 5, workspace=workspace)
-        assert all(now is before for now, before in zip(buffers(), held))
+        assert all(now is before for now, before in zip(batch_buffers(workspace, 8, 100), held))
         for n_paths, n_steps in ((9, 100), (9, 50)):
             simulate_batch(study_spec, build_grid(1.0, n_steps), 4, 0, n_paths,
                            workspace=workspace)
-            assert not any(np.shares_memory(now, before)
-                           for now in buffers() for before in held)
-            assert buffers()[0].shape == (n_paths, n_steps)
-            held = buffers()
+            now = batch_buffers(workspace, n_paths, n_steps)
+            assert not any(np.shares_memory(a, b) for a in now for b in held)
+            assert now[0].shape == (n_paths, n_steps)
+            held = now
 
     def test_unallocatable_batch_names_n_paths_and_n_steps(self, study_spec, grid_100):
         # numpy refuses 2^60 rows without allocating anything
-        for workspace in (None, PathWorkspace()):
+        for workspace in (None, Workspace()):
             with pytest.raises(ConfigurationError, match=r"cannot allocate a batch of "
                                r"n_paths = 1152921504606846976 x n_steps = 100: "):
                 simulate_batch(study_spec, grid_100, 1, 0, 2**60, workspace=workspace)
@@ -464,7 +524,7 @@ class TestPinnedBits:
         batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
         assert batch_digest(batch) == self.DIGESTS[case]
         # the same bits from a workspace left dirty by a larger batch
-        workspace = PathWorkspace()
+        workspace = Workspace()
         simulate_batch(spec, grid, seed + 1, episode, n_paths + 3, workspace=workspace)
         batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset,
                                workspace=workspace)

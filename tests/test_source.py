@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -209,3 +210,40 @@ def test_evaluation_without_out_is_found():
               "    def helper(self, x):\n        pass\n\n"
               "def value(theta, t, x):\n    pass\n")
     assert evaluations_without_out(source) == ["line 5: A.dvalue_dx", "line 12: B.value"]
+
+
+SPEED_RECORDS = sorted(Path(__file__).parent.parent.glob("BENCH_*.json"))
+
+
+def record_problems(text: str) -> list[str]:
+    """Why a speed record does not state the core count it was measured on:
+    it is not a JSON object, or its machine.nproc is not a positive integer."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return [f"not JSON: {exc}"]
+    machine = record.get("machine") if isinstance(record, dict) else None
+    nproc = machine.get("nproc") if isinstance(machine, dict) else None
+    if isinstance(nproc, bool) or not (isinstance(nproc, int) and nproc >= 1):
+        return [f"machine.nproc must be a positive integer, got {nproc!r}"]
+    return []
+
+
+def test_speed_records_are_found():
+    assert SPEED_RECORDS
+
+
+@pytest.mark.parametrize("path", SPEED_RECORDS, ids=lambda p: p.name)
+def test_speed_record_states_its_core_count(path):
+    assert record_problems(path.read_text()) == []
+
+
+def test_record_without_core_count_is_found():
+    assert record_problems('{"machine": {"nproc": 2}, "claim": null}') == []
+    assert record_problems('{"machine": {"nproc": 2}')[0].startswith("not JSON: ")
+    for text, got in (('{"machine": {"cpus": 2}}', "None"), ('{"nproc": 2}', "None"),
+                      ('[{"machine": {"nproc": 2}}]', "None"),
+                      ('{"machine": {"nproc": 0}}', "0"), ('{"machine": {"nproc": "2"}}', "'2'"),
+                      ('{"machine": {"nproc": true}}', "True"),
+                      ('{"machine": {"nproc": 2.0}}', "2.0")):
+        assert record_problems(text) == [f"machine.nproc must be a positive integer, got {got}"]
