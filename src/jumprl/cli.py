@@ -7,8 +7,8 @@ CLI's inputs: every key is a flag. A key comes from its flag, else a
 default, and is checked on the same path whichever way it came. A value that
 does not fit its kind, or a config key that no subcommand reads, is a
 configuration error; names are checked where they are read. Exit codes: 0
-success, 2 configuration, ingestion or singular-parameter error, 3 numerical
-divergence.
+success, 2 configuration, ingestion or singular-parameter error, or an output file
+that cannot be written, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .models import HORIZON, family_by_name
 from .portfolio import (THRESHOLD_MODES, BacktestConfig, day_index, read_price_csv,
                         rolling_backtest)
 from .sde import (STUDY_X0, JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                  build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
+                  Workspace, build_grid, doubling_jump_spec, grid_for_step, path_to_csv,
+                  simulate_batch)
 from .serialize import dump_json, write_json
 
 _TRAINING = {  # keys train and compare share
@@ -56,7 +57,7 @@ KEYS = {
         "oracle_scan": ("bool", False),
     },
     "backtest": {
-        "seed": ("seed", 0), "out": ("str", "out"), "data": ("str", None),
+        "out": ("str", "out"), "data": ("str", None),
         "mode": ("str", "raw"), "loss": ("str", "both"), "train_days": ("int", 126),
         "bars_per_day": ("int", 79), "z": ("float", 1.01), "x0": ("float", 1.0),
         "rf": ("float", 0.0), "alpha": ("float", 50.0), "steps_per_update": ("int", 20),
@@ -230,7 +231,8 @@ def _command(name: str):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     fn(_resolve(name, flags))
-            except (ConfigurationError, SingularParameterError) as exc:  # ingestion included
+            # ingestion included; OSError is an output file that cannot be written
+            except (ConfigurationError, SingularParameterError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
             except (DivergenceError, SimulationOverflowError) as exc:
@@ -252,10 +254,11 @@ def cmd_simulate(v):
     master = _require_seed(v["seed"])
     directory = _out_dir(v["out"])
     files = []
+    workspace = Workspace()
     for p in range(count):  # one row at a time keeps memory flat in --paths
         name = f"path_{p:03d}.csv"
-        path_to_csv(simulate_batch(spec, grid, master, 0, 1, path_offset=p), 0,
-                    directory / name)
+        path_to_csv(simulate_batch(spec, grid, master, 0, 1, path_offset=p,
+                                   workspace=workspace), 0, directory / name)
         files.append(name)
     manifest = {
         "command": "simulate",
@@ -352,6 +355,7 @@ def cmd_compare(v):
             scan_grid = build_grid(HORIZON, v["scan_steps"])
             if v["scan_paths"] < 1:
                 raise ConfigurationError(f"scan_paths must be >= 1, got {v['scan_paths']}")
+            oracles.thread_cap()  # the scan's JUMPRL_THREADS
         table = _reference_minimizers(v["x0"])
         if table is None:
             click.echo(_no_reference(v["x0"]), err=True)  # stdout carries the report
@@ -396,7 +400,7 @@ def cmd_backtest(v):
     losses = LOSS_KINDS if v["loss"] == "both" else [v["loss"]]
     learning = TrainConfig(
         loss_kind="msbve", learning_rate=v["alpha"], episodes=v["steps_per_update"],
-        paths_per_episode=1, theta0=v["theta0"], master_seed=v["seed"])
+        paths_per_episode=1, theta0=v["theta0"], master_seed=0)  # draws no random numbers
     configs = {mode: BacktestConfig(
         learning=learning, train_days=v["train_days"], steps_per_day=v["bars_per_day"],
         target_wealth=v["z"], initial_wealth=v["x0"], risk_free_daily=v["rf"],

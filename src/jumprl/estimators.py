@@ -42,10 +42,10 @@ def msbve_loss(values) -> float:
     return float(losses_by_row("msbve", np.asarray(values, dtype=float)[None, ...])[0])
 
 
-def _shifted(op, a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _shifted(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """op(a[:, j + 1], b[:, j]) for every column j of two C-contiguous
     (rows, cols) arrays, as one flat pass over their raveled rows into out,
-    a C-contiguous array of the same shape, or a fresh one.
+    a C-contiguous array of the same shape.
 
     Column cols - 1 pairs a row's first entry with the previous row's last
     (and holds 0 in the last row), so only the first cols - 1 columns of a
@@ -54,20 +54,10 @@ def _shifted(op, a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.nda
     contiguous memory, and the row sums see one layout whatever the layout
     of the kernels' inputs.
     """
-    if out is None:
-        out = np.empty_like(a)
     flat = out.reshape(-1)
     op(a.reshape(-1)[1:], b.reshape(-1)[:-1], out=flat[:-1])
     flat[-1:] = 0.0
     return out
-
-
-def _scratch(workspace: Workspace | None, name: str, like: np.ndarray):
-    """The workspace's array `name`, shaped and typed like `like`; None
-    without a workspace, so that the array is allocated where it is formed."""
-    if workspace is None:
-        return None
-    return workspace.take(name, like.shape, like.dtype)
 
 
 def _rows(kind: str, values) -> np.ndarray:
@@ -86,48 +76,44 @@ def _rows(kind: str, values) -> np.ndarray:
 def losses_by_row(kind: str, values: np.ndarray,
                   workspace: Workspace | None = None) -> np.ndarray:
     """Per-row loss for a (paths, n+1) matrix of fitted values; the
-    temporaries are formed in the workspace, as "d" and "term", when one is
-    given. The workspace must not hold the values under those names."""
+    temporaries are formed in the workspace, a fresh one unless given, as
+    "d" and "term". The workspace must not hold the values under those names."""
     v = _rows(kind, values)
-    d = _shifted(np.subtract, v, v, _scratch(workspace, "d", v))
+    ws = Workspace() if workspace is None else workspace
+    d = _shifted(np.subtract, v, v, ws.take("d", v.shape, v.dtype))
     cols = d.shape[1]
     if kind == "mstde":
         d *= d
         return np.add.reduce(d[:, :cols - 1], axis=1)
     np.abs(d, out=d)
-    term = _shifted(np.multiply, d, d, _scratch(workspace, "term", d))
+    term = _shifted(np.multiply, d, d, ws.take("term", d.shape, d.dtype))
     return np.add.reduce(term[:, :cols - 2], axis=1)
 
 
 def grads_by_row(kind: str, values: np.ndarray, dvalues: np.ndarray,
                  workspace: Workspace | None = None) -> np.ndarray:
-    """Per-row theta-gradient for a matrix of values and their theta-derivatives;
-    the temporaries are formed in the workspace, as "d", "g", "sign" and
-    "term", when one is given. The workspace must not hold the values or
-    their derivatives under those names.
-
-    dvalues is broadcast to the values' shape, so a derivative that does not
-    depend on the path, such as a (1, n+1) row, applies to every path.
+    """Per-row theta-gradient for a matrix of values and their theta-derivatives
+    of the same shape; the temporaries are formed in the workspace, a fresh
+    one unless given, as "d", "g", "sign" and "term". The workspace must not
+    hold the values or their derivatives under those names.
     """
     v, dv = _rows(kind, values), np.ascontiguousarray(dvalues)
     if dv.shape != v.shape:
-        try:
-            dv = np.ascontiguousarray(np.broadcast_to(dv, v.shape))
-        except ValueError:
-            raise ConfigurationError(f"dvalues of shape {dv.shape} do not broadcast to "
-                                     f"the values' shape {v.shape}") from None
-    d = _shifted(np.subtract, v, v, _scratch(workspace, "d", v))
-    g = _shifted(np.subtract, dv, dv, _scratch(workspace, "g", dv))
+        raise ConfigurationError(f"dvalues of shape {dv.shape} do not match "
+                                 f"the values' shape {v.shape}")
+    ws = Workspace() if workspace is None else workspace
+    d = _shifted(np.subtract, v, v, ws.take("d", v.shape, v.dtype))
+    g = _shifted(np.subtract, dv, dv, ws.take("g", dv.shape, dv.dtype))
     cols = d.shape[1]
     if kind == "mstde":
         d *= g
         return 2.0 * np.add.reduce(d[:, :cols - 1], axis=1)
     # g |d'| sgn(d) is formed as (g sgn(d)) |d'|: with sgn in {-1, 0, 1} and
     # sign-symmetric rounding the two orders give the same bits
-    s = np.sign(d, out=_scratch(workspace, "sign", d))
+    s = np.sign(d, out=ws.take("sign", d.shape, d.dtype))
     g *= s
     np.abs(d, out=d)
-    term = _shifted(np.multiply, g, d, _scratch(workspace, "term", g))
+    term = _shifted(np.multiply, g, d, ws.take("term", g.shape, g.dtype))
     # plus g[:, j] |d[:, j + 1]|, formed in s, whose last flat entry stays sgn(0) = 0
     np.multiply(g.reshape(-1)[:-1], d.reshape(-1)[1:], out=s.reshape(-1)[:-1])
     term += s
@@ -280,6 +266,7 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -
     sq = math.sqrt(grid.dt)
     x = np.empty((2, n + 1))  # the continuous path, then the jump path
     x[:, 0] = STUDY_X0
+    workspace = Workspace()  # every seed's values and kernel temporaries
     totals = {kind: np.zeros(2) for kind in LOSS_KINDS}  # continuous, jump
     for s in range(n_seeds):
         z = stream(master_seed, s).standard_normal(n)
@@ -287,8 +274,8 @@ def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -
         x[0, 1:] += STUDY_X0
         x[1] = x[0]
         x[1, n // 2:] += 1.0
-        J = model.value(RATIO_THETA, grid.times, x)
+        J = model.value(RATIO_THETA, grid.times, x, out=workspace.take("J", x.shape))
         for kind, total in totals.items():
-            total += losses_by_row(kind, J)
+            total += losses_by_row(kind, J, workspace)
     (mstde_c, mstde_j), (msbve_c, msbve_j) = totals["mstde"], totals["msbve"]
     return float((msbve_j - msbve_c) / (mstde_j - mstde_c))

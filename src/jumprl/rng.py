@@ -24,9 +24,9 @@ reference. The path simulator builds none per path:
   8 x 2048 rows x 16 B = 256 KiB; each call returns a fresh copy of its
   episode's rows. A run of no rows or of more than 2048 is derived the same
   way, as a block of one episode, and not cached.
-- `thread_generator` holds one Philox generator per thread, and `path_rng`
-  re-points it to a path's stream (its key from `philox_keys`, zero counter,
-  empty buffer); its draws then equal the fresh stream's bit for bit.
+- `path_rng` re-points a Philox generator, the one a `sde.Workspace` holds,
+  to a path's stream (its key from `philox_keys`, zero counter, empty
+  buffer); its draws then equal the fresh stream's bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import operator
 import os
-import threading
 
 import numpy as np
 
@@ -57,7 +56,6 @@ _POWERS_A = np.array([pow(_MULT_A, j, 1 << 32) for j in range(_POOL_SIZE + 1)],
 _OUTPUT_CONSTS = [_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32 for j in range(_POOL_SIZE + 1)]
 _OUTPUT_XOR = np.array(_OUTPUT_CONSTS[:-1], dtype=np.uint32)
 _OUTPUT_MULT = np.array(_OUTPUT_CONSTS[1:], dtype=np.uint32)
-_local = threading.local()  # each thread's generator, see thread_generator
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -196,19 +194,6 @@ def philox_keys(master_seed: int, episode: int, first: int, count: int) -> np.nd
     span = 1 << (_BLOCK_ROWS // count).bit_length() - 1
     start = episode - episode % span
     return _key_block(master_seed, start, span, first, count)[episode - start].copy()
-
-
-def thread_generator() -> np.random.Generator:
-    """This thread's Philox generator, for `path_rng` to re-point.
-
-    One per thread, so chunks simulated at once on worker threads never
-    re-point a generator another thread is drawing from.
-    """
-    try:
-        return _local.generator
-    except AttributeError:
-        _local.generator = np.random.Generator(np.random.Philox(0))
-        return _local.generator
 
 
 def path_rng(master_seed: int, episode: int, path: int,

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, SimulationOverflowError
-from .rng import path_rng, philox_keys, thread_generator
+from .rng import path_rng, philox_keys
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,14 @@ def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
 
 
 class Workspace:
-    """Named arrays that one loop reuses from step to step. Arrays under
-    different names never alias; a workspace must not be shared between threads."""
+    """Everything one loop reuses from step to step: named arrays, and the
+    Philox generator that simulate_batch re-points to each path's stream.
+    Arrays under different names never alias; a workspace must not be shared
+    between threads."""
 
     def __init__(self):
         self._arrays = {}
+        self.generator = np.random.Generator(np.random.Philox(0))
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised array under name: the one held there if it has this
@@ -189,22 +192,6 @@ class Workspace:
         held = self._arrays[name] = None  # free before allocating
         array = self._arrays[name] = np.empty(shape, dtype)
         return array
-
-
-def _batch_arrays(n_paths: int, n_steps: int, workspace: Workspace | None):
-    """(normals, continuous, observed, pre_jump) of one batch, uninitialised,
-    as views of the workspace's arrays or of fresh ones, so that PathBatch
-    marks them read-only and the workspace's own stay writable. Raises
-    ConfigurationError if the batch cannot be allocated."""
-    ws = Workspace() if workspace is None else workspace
-    state = (n_paths, n_steps + 1)
-    try:
-        arrays = (ws.take("normals", (n_paths, n_steps)), ws.take("continuous", state),
-                  ws.take("observed", state), ws.take("pre_jump", state))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
-                                 f"n_steps = {n_steps}: {exc}") from exc
-    return tuple(array[:n_paths] for array in arrays)
 
 
 @dataclass(frozen=True)
@@ -242,18 +229,27 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
 
     Each row depends only on its own stream, so results do not depend on
     batch or chunk boundaries. All rows' keys are derived at once, and the
-    calling thread's generator is re-pointed to each row's stream in turn.
-    Without a workspace the batch owns fresh arrays. With one, its state
-    arrays are read-only views of the workspace's "continuous", "observed"
-    and "pre_jump" arrays, valid until their names are next taken, and its
-    normals are left in "normals"; the values are the same either way.
-    Raises ConfigurationError, before any path is drawn, if the batch cannot
-    be allocated.
+    workspace's generator is re-pointed to each row's stream in turn. The
+    batch's state arrays are read-only views of the workspace's
+    "continuous", "observed" and "pre_jump" arrays, valid until their names
+    are next taken, and its normals are left in "normals"; without a
+    workspace the batch gets a fresh one, so it owns its arrays. The values
+    are the same either way. Raises ConfigurationError, before any path is
+    drawn, if the batch cannot be allocated.
     """
     n = grid.n_steps
-    z, cont, observed, pre_jump = _batch_arrays(n_paths, n, workspace)
+    ws = Workspace() if workspace is None else workspace
+    state = (n_paths, n + 1)
+    try:
+        held = (ws.take("normals", (n_paths, n)), ws.take("continuous", state),
+                ws.take("observed", state), ws.take("pre_jump", state))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
+                                 f"n_steps = {n}: {exc}") from exc
+    # views, so that PathBatch marks them read-only and the held arrays stay writable
+    z, cont, observed, pre_jump = (array[:n_paths] for array in held)
     keys = philox_keys(master_seed, episode, path_offset, n_paths).tolist()
-    rng = thread_generator()
+    rng = ws.generator
     draw_normals = rng.standard_normal
     times, counts = [], []
     draw_jumps = _jump_sampler(spec, grid, times)

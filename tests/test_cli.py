@@ -482,6 +482,19 @@ class TestCompare:
         assert "scan_paths must be >= 1, got 0" in result.stderr
         assert not (tmp_path / "out").exists()  # refused before any cell trains
 
+    def test_refused_thread_cap_writes_nothing(self, runner, tmp_path, monkeypatch):
+        # the scan's worker cap is checked with the other inputs, before any cell trains
+        monkeypatch.setenv("JUMPRL_THREADS", "abc")
+        out = tmp_path / "o2"
+        result = runner.invoke(main, ["compare", "--families", "linear", "--episodes", "2",
+                                      "--paths", "2", "--dt", "0.1", "--seed", "1",
+                                      "--oracle-scan", "--scan-paths", "10",
+                                      "--scan-steps", "10", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (result.stdout, result.stderr) == (
+            "", "error: JUMPRL_THREADS must be a positive integer, got 'abc'\n")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def fixture_csv(tmp_path_factory):
@@ -556,13 +569,19 @@ class TestBacktest:
                                                 ([], "seed = 1.7\n"),
                                                 ([], "seed = false\n"),
                                                 ([], "seed =\n")])
-    def test_malformed_seed_exits_2(self, runner, tmp_path, fixture_csv, args, cfg_line):
+    def test_seed_is_not_read(self, runner, tmp_path, fixture_csv, args, cfg_line):
+        # backtest draws no random numbers: --seed is no option of it, and a
+        # shared config file's seed line, read by other subcommands, is ignored
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\n{cfg_line}")
+        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\ntrain_days = 8\n"
+                       f"steps_per_update = 1\n{cfg_line}")
         result = runner.invoke(main, ["backtest", "--config", str(cfg), *args,
                                       "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "seed must be a non-negative integer" in result.output
+        if args:
+            assert result.exit_code == 2, result.output
+            assert "No such option '--seed'" in result.stderr
+        else:
+            assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("line, message", [
         ("alpha = abc", "alpha must be a number, got 'abc'"),
@@ -923,6 +942,28 @@ def test_fuzzed_flags_and_config_lines_exit_0_2_or_3(fuzz_dir, fixture_csv, case
         result = runner.invoke(main, [command, "--config", str(cfg), *args])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, args, report", [
+    ("simulate", ["--paths", "1", "--n-steps", "10", "--seed", "1"], "manifest.json"),
+    ("train", ["--episodes", "1", "--paths", "2", "--dt", "0.1", "--seed", "1"],
+     "train_result.json"),
+    ("compare", ["--families", "linear", "--episodes", "1", "--paths", "2", "--dt", "0.1",
+                 "--seed", "1"], "compare_report.json"),
+    ("backtest", ["--data", "{data}", "--bars-per-day", "10", "--train-days", "8",
+                  "--steps-per-update", "1"], "backtest_report.json")],
+    ids=["simulate", "train", "compare", "backtest"])
+def test_report_that_cannot_be_written_exits_2(runner, tmp_path, fixture_csv, command,
+                                               args, report):
+    # a directory in the report's place: the write fails with an OSError
+    blocked = tmp_path / "out" / report
+    blocked.mkdir(parents=True)
+    args = [arg.format(data=fixture_csv) for arg in args]
+    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and str(blocked) in result.stderr
     assert "Traceback" not in result.output
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumprl import rng
 from jumprl.errors import ConfigurationError
-from jumprl.rng import path_rng, philox_keys, stream, thread_cap, thread_generator
+from jumprl.rng import path_rng, philox_keys, stream, thread_cap
 
 WORDS = st.integers(min_value=0, max_value=2**70)
 SEEDS = st.integers(min_value=0, max_value=2**200)
@@ -201,14 +201,6 @@ class TestKeyBlocks:
         assert 0 < len(blocks) <= 8
         assert all(block.shape[0] * block.shape[1] <= 2048 for block in blocks)
         assert sum(block.nbytes for block in blocks) <= 256 * 1024
-
-
-class TestThreadGenerator:
-    def test_one_generator_per_thread(self):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(thread_generator).result(timeout=60)
-        assert thread_generator() is thread_generator()
-        assert other is not thread_generator()
 
 
 class TestPathRng:

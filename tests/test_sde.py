@@ -7,6 +7,7 @@ import pytest
 
 from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
+from jumprl.estimators import LOSS_KINDS, grads_by_row
 from jumprl.rng import path_rng, stream
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
                         Workspace, build_grid, doubling_jump_spec, grid_for_step,
@@ -474,6 +475,42 @@ class TestWorkspace:
             with pytest.raises(ConfigurationError, match=r"cannot allocate a batch of "
                                r"n_paths = 1152921504606846976 x n_steps = 100: "):
                 simulate_batch(study_spec, grid_100, 1, 0, 2**60, workspace=workspace)
+
+
+class TestWorkspaceGenerator:
+    """A workspace holds the generator its batches re-point to each path's stream."""
+
+    def test_each_workspace_owns_one_generator(self, study_spec, grid_100):
+        first, second = Workspace(), Workspace()
+        assert isinstance(first.generator.bit_generator, np.random.Philox)
+        assert first.generator is first.generator
+        assert first.generator is not second.generator
+        assert first.generator.bit_generator is not second.generator.bit_generator
+        untouched = second.generator.bit_generator.state["state"]
+        simulate_batch(study_spec, grid_100, 5, 2, 3, path_offset=4, workspace=first)
+        # the batch re-pointed its own workspace's generator, last to row 3's stream
+        last = np.random.SeedSequence(5, spawn_key=(2, 6)).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(first.generator.bit_generator.state["state"]["key"],
+                                      last)
+        for word in ("key", "counter"):
+            np.testing.assert_array_equal(second.generator.bit_generator.state["state"][word],
+                                          untouched[word])
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
+    def test_batch_after_draws_mid_stream_equals_fresh_batch(self, spec):
+        grid, workspace = build_grid(1.0, 200), Workspace()
+        workspace.generator.standard_normal(7)
+        workspace.generator.integers(0, 10, dtype=np.uint32)  # leaves a buffered 32-bit half
+        got = simulate_batch(spec, grid, 41, 3, 6, path_offset=5, workspace=workspace)
+        want = simulate_batch(spec, grid, 41, 3, 6, path_offset=5)
+        for name in BATCH_ARRAYS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_grads_by_row_refuses_a_row_derivative(self, kind):
+        with pytest.raises(ConfigurationError, match=r"^dvalues of shape \(1, 11\) do not "
+                                                     r"match the values' shape \(4, 11\)$"):
+            grads_by_row(kind, np.zeros((4, 11)), np.zeros((1, 11)))
 
 
 def batch_digest(batch) -> str:

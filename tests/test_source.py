@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import jumprl
+from jumprl import cli
 
 MODULES = sorted(p for p in Path(jumprl.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+README = Path(__file__).parent.parent / "README.md"
 SKIPS = {"skip", "skipif", "xfail"}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
@@ -247,3 +249,36 @@ def test_record_without_core_count_is_found():
                       ('{"machine": {"nproc": true}}', "True"),
                       ('{"machine": {"nproc": 2.0}}', "2.0")):
         assert record_problems(text) == [f"machine.nproc must be a positive integer, got {got}"]
+
+
+def listed_key_problems(text: str, keys: dict) -> list[str]:
+    """Where the bullet list after "Each subcommand reads:" differs from keys,
+    {command: {key: ...}}: a listed name the command does not read, or a key
+    it reads that its bullet leaves out. The list ends at a blank line, and
+    every backquoted name after a bullet's colon counts as a key."""
+    start = text.index("\n- ", text.index("Each subcommand reads:"))
+    listed = {}
+    for item in text[start:text.index("\n\n", start)].split("\n- ")[1:]:
+        command, _, names = item.partition(":")
+        listed[command.strip("`")] = set(re.findall(r"`(\w+)`", names))
+    problems = []
+    for command in sorted(set(keys) | set(listed)):
+        named, read = listed.get(command, set()), set(keys.get(command, ()))
+        problems += [f"{command}: does not read {key}" for key in sorted(named - read)]
+        problems += [f"{command}: leaves out {key}" for key in sorted(read - named)]
+    return problems
+
+
+def test_readme_lists_exactly_the_keys_each_subcommand_reads():
+    assert listed_key_problems(README.read_text(), cli.KEYS) == []
+
+
+def test_listed_key_mismatch_is_found():
+    text = ("Each subcommand reads:\n\n- `a`: `x`, `y`;\n- `b`: `x`, and the\n"
+            "  `f` family's `w`.\n\nNot `listed`.\n")
+    keys = {"a": {"x": 0, "y": 0}, "b": {"x": 0, "w": 0}}
+    assert listed_key_problems(text, keys) == ["b: does not read f"]
+    assert listed_key_problems(text.replace(", `y`", ""), keys) == ["a: leaves out y",
+                                                                    "b: does not read f"]
+    assert listed_key_problems(text, keys | {"c": {"x": 0}}) == ["b: does not read f",
+                                                                 "c: leaves out x"]
