@@ -28,8 +28,8 @@ from .models import HORIZON, family_by_name
 from .portfolio import (THRESHOLD_MODES, BacktestConfig, day_index, read_price_csv,
                         rolling_backtest)
 from .sde import (STUDY_X0, JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                  Workspace, build_grid, doubling_jump_spec, grid_for_step, path_to_csv,
-                  simulate_batch)
+                  Workspace, build_grid, check_jump_law, doubling_jump_spec, grid_for_step,
+                  path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
 _TRAINING = {  # keys train and compare share
@@ -78,8 +78,9 @@ _NOUNS = {"int": "an integer", "float": "a number", "str": "a string",
 
 def load_config_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment; values are JSON scalars
-    when they parse, raw strings otherwise."""
-    out = {}
+    when they parse, raw strings otherwise. A key given twice is refused,
+    naming both lines."""
+    out, first_line = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -91,11 +92,15 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        value = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in first_line:
+            raise ConfigurationError(f"{path}:{lineno}: key {key!r} is given twice "
+                                     f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         try:
-            out[key.strip()] = json.loads(value)
+            out[key] = json.loads(value)
         except json.JSONDecodeError:
-            out[key.strip()] = value
+            out[key] = value
     return out
 
 
@@ -248,6 +253,7 @@ def cmd_simulate(v):
     params = {key: v[key] for key in ("x0", "drift", "sigma", "law", "poisson_rate")}
     spec = _build_spec(**params)
     grid = build_grid(v["horizon"], v["n_steps"])
+    check_jump_law(spec, grid)
     count = v["paths"]
     if count < 0:
         raise ConfigurationError(f"paths must be >= 0, got {count}")
@@ -310,6 +316,8 @@ def cmd_train(v):
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     spec, grid, train_config = _training(v, v["loss"])
+    if hasattr(model, "anchor"):  # a family singular near theta = 0 refuses theta0 here
+        model.anchor(train_config.theta0)
     directory = _out_dir(v["out"])
     try:
         result = train(model, spec, grid, train_config)

@@ -6,7 +6,9 @@ Three routes that never touch the SGD estimators:
   * exact closed forms for the exponential family, as short sums of the moments
     I_p(c) = int_0^1 (1 - u)^p e^{c u} du with p <= 3,
   * Monte-Carlo estimation of the limit functionals on simulated paths, with a
-    coarse theta scan refined by golden section.
+    coarse theta scan refined by golden section. One evaluator,
+    mc_objective_samples, gives per-path values at one theta or many on one
+    path ensemble; every estimate is a mean over all of its paths.
 
 The limit functional estimated from paths is the Riemann sum of
 |dJ/dx(t_i, X_i) sigma|^2 dt over left endpoints, with X_i taken as
@@ -31,6 +33,7 @@ from .sde import JumpDiffusionSpec, TimeGrid, Workspace, simulate_batch
 
 FAMILIES = ("linear", "quadratic", "exponential")
 METHODS = ("mstde", "msbve", "oracle")
+CHUNK_PATHS = 2048  # paths a Monte-Carlo pass simulates into one workspace at a time
 _local = threading.local()  # each thread's workspace, see _thread_workspace
 
 
@@ -178,57 +181,40 @@ def _thread_workspace() -> Workspace:
         return _local.workspace
 
 
-def _chunk_pass(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid, n_paths: int,
-                seed: int, state: str, include_jump_term: bool, chunk: int,
-                reduce: Callable[[np.ndarray], np.ndarray]) -> list:
-    """reduce(per-theta, per-path values) of each chunk of paths, in path order.
+def mc_objective_samples(model, theta, spec: JumpDiffusionSpec, grid: TimeGrid,
+                         n_paths: int, seed: int, *, state: str = "pre_jump",
+                         include_jump_term: bool = False) -> np.ndarray:
+    """Per-path values of the limit functional at theta, a scalar or a 1-D
+    sequence, all on one path ensemble; shape np.shape(theta) + (n_paths,).
 
-    Path i always uses stream (seed, 0, i); chunks run on up to thread_cap()
-    workers.
+    The estimate at each theta is the mean over the last axis. Each chunk of
+    CHUNK_PATHS paths is simulated once, on up to thread_cap() workers, and
+    every theta is evaluated on it. Path i always uses stream (seed, 0, i), so
+    the values, and every mean over all of them, are independent of chunking
+    and of the JUMPRL_THREADS worker count.
     """
-    if n_paths < 1 or chunk < 1:
-        raise ConfigurationError(f"need n_paths >= 1 and chunk >= 1, got "
-                                 f"n_paths={n_paths}, chunk={chunk}")
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
+    thetas = [theta] if np.ndim(theta) == 0 else list(theta)
 
     def run(lo: int) -> np.ndarray:
-        hi = min(lo + chunk, n_paths)
+        hi = min(lo + CHUNK_PATHS, n_paths)
         workspace = _thread_workspace()
         batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo,
                                workspace=workspace)
         # the normals are dead once the batch is built
         scratch = workspace.take("normals", (hi - lo, grid.n_steps))
-        return reduce(_evaluate_samples(model, thetas, batch, state, include_jump_term,
-                                        float(spec.diffusion), scratch))
+        return _evaluate_samples(model, thetas, batch, state, include_jump_term,
+                                 float(spec.diffusion), scratch)
 
-    starts = range(0, n_paths, chunk)
+    starts = range(0, n_paths, CHUNK_PATHS)
     workers = thread_cap()
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, starts))
-    return [run(lo) for lo in starts]
-
-
-def mc_objective_samples(model, theta: float, spec: JumpDiffusionSpec, grid: TimeGrid,
-                         n_paths: int, seed: int, *, state: str = "pre_jump",
-                         include_jump_term: bool = False,
-                         chunk: int = 2048) -> np.ndarray:
-    """Per-path values of the limit functional; mean of these is the estimate.
-
-    Path i always uses stream (seed, 0, i), so the result is independent of
-    chunking and of the JUMPRL_THREADS worker count.
-    """
-    parts = _chunk_pass(model, [theta], spec, grid, n_paths, seed, state,
-                        include_jump_term, chunk, lambda values: values[0])
-    return np.concatenate(parts)
-
-
-def mc_objective_grid(model, thetas, spec: JumpDiffusionSpec, grid: TimeGrid,
-                      n_paths: int, seed: int, *, state: str = "pre_jump",
-                      include_jump_term: bool = False, chunk: int = 2048) -> np.ndarray:
-    """Objective estimates over a theta grid, sharing one path ensemble."""
-    parts = _chunk_pass(model, list(thetas), spec, grid, n_paths, seed, state,
-                        include_jump_term, chunk, lambda values: np.sum(values, axis=1))
-    return np.sum(parts, axis=0) / n_paths
+            parts = list(pool.map(run, starts))
+    else:
+        parts = [run(lo) for lo in starts]
+    return np.concatenate(parts, axis=1).reshape(np.shape(theta) + (n_paths,))
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
@@ -265,21 +251,18 @@ def mc_argmin(model, method: str, spec: JumpDiffusionSpec, grid: TimeGrid,
               n_coarse: int = 41, tol: float = 1e-3) -> float:
     """Scan-based argmin of the Monte-Carlo objective for a method flavor.
 
-    A coarse grid pass (one shared path ensemble) brackets the minimum, then
-    golden section refines inside the bracket. Deterministic for a fixed seed:
-    every evaluation regenerates the same paths.
+    A coarse scan, one pass that evaluates every theta on the path ensemble,
+    brackets the minimum, then golden section refines inside the bracket.
+    Deterministic for a fixed seed: every evaluation regenerates the same paths.
     """
     state, jump_term = METHOD_FLAVORS[method]
+
+    def objective(theta):  # the estimate at each theta: the mean over all paths
+        return np.mean(mc_objective_samples(model, theta, spec, grid, n_paths, seed,
+                                            state=state, include_jump_term=jump_term), axis=-1)
+
     thetas = np.linspace(lo, hi, n_coarse)
-    values = mc_objective_grid(model, thetas, spec, grid, n_paths, seed,
-                               state=state, include_jump_term=jump_term)
-    best = int(np.argmin(values))
+    best = int(np.argmin(objective(thetas)))
     a = thetas[max(best - 1, 0)]
     b = thetas[min(best + 1, n_coarse - 1)]
-
-    def f(theta: float) -> float:
-        samples = mc_objective_samples(model, theta, spec, grid, n_paths, seed,
-                                       state=state, include_jump_term=jump_term)
-        return float(np.mean(samples))
-
-    return golden_section_min(f, a, b, tol=tol)
+    return golden_section_min(lambda theta: float(objective(theta)), a, b, tol=tol)

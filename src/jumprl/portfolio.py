@@ -302,6 +302,7 @@ class BacktestConfig:
             raise ConfigurationError("steps_per_day must be >= 1")
         if self.target_wealth == self.initial_wealth:
             raise ConfigurationError("target z must differ from initial wealth x0")
+        target_anchor(self.learning.theta0, self.target_wealth, self.initial_wealth)
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigurationError(
                 f"threshold_mode must be one of {THRESHOLD_MODES}, got {self.threshold_mode!r}")

@@ -137,6 +137,15 @@ def sample_single_jump_time(rng: np.random.Generator) -> float:
     return u
 
 
+def check_jump_law(spec: JumpDiffusionSpec, grid: TimeGrid) -> None:
+    """ConfigurationError unless spec's jump law fits grid: a PoissonRate law
+    draws at most one jump per cell, so it needs rate*dt < 0.1."""
+    p = spec.jump_law.rate * grid.dt if isinstance(spec.jump_law, PoissonRate) else 0.0
+    if p >= 0.1:
+        raise ConfigurationError(
+            f"PoissonRate requires rate*dt < 0.1 (one jump per cell); got {p:.4g}")
+
+
 def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
     """Function that draws one path's jump times from its generator, appends
     them to `times` in ascending order and returns how many it drew.
@@ -155,10 +164,8 @@ def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
             return 1
         return single
     if isinstance(law, PoissonRate):
+        check_jump_law(spec, grid)
         p = law.rate * grid.dt
-        if p >= 0.1:
-            raise ConfigurationError(
-                f"PoissonRate requires rate*dt < 0.1 (one jump per cell); got {p:.4g}")
         cells, n, extend = grid.times[1:], grid.n_steps, times.extend
 
         def poisson(rng):

@@ -6,6 +6,8 @@ counts each workload derives from its parameters. A refactor that renames a
 traced function or changes how often a layer runs fails here.
 """
 
+import ast
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -26,6 +28,61 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def listed_points(source: str) -> list:
+    """(owner, attribute) of every trace point that trace_points() in source
+    lists, read from its AST: trace_points() itself returns only the points
+    the library defines. An owner is a jumprl module, or module.Class for a
+    point listed as getattr(module, name) in a loop over class names."""
+    fn = next(node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == "trace_points")
+    loops = {node.target.id: [e.value for e in node.iter.elts]
+             for node in ast.walk(fn) if isinstance(node, ast.For)}
+
+    def names(node):
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        if isinstance(node, ast.Name):
+            return loops.get(node.id, [node.id])
+        module, attr = node.args  # getattr(module, name)
+        return [f"{module.id}.{name}" for name in names(attr)]
+
+    return [(owner, attr) for node in ast.walk(fn)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 4
+            for owner in names(node.elts[0]) for attr in names(node.elts[1])]
+
+
+def missing_points(source: str) -> set:
+    """owner.attribute of each listed trace point that the library lacks."""
+    def lacks(owner, attr):
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"jumprl.{module}")
+        return not hasattr(getattr(target, cls) if cls else target, attr)
+    return {f"{owner}.{attr}" for owner, attr in listed_points(source) if lacks(owner, attr)}
+
+
+def test_skipped_trace_points_are_known():
+    # a skipped point records nothing; a renamed timing-only point, such as
+    # portfolio.threshold_series, would read 0 with no count check failing
+    source = (ROOT / "bench" / "tracer.py").read_text()
+    assert len(listed_points(source)) == 31
+    assert missing_points(source) == {"portfolio.losses_by_row",
+                                      "models.MeanVarianceValue.dvalue_dx",
+                                      "oracles.mc_objective_grid"}
+
+
+def test_missing_trace_point_is_found():
+    source = (
+        "def trace_points():\n"
+        "    points = [(oracles, 'mc_argmin', 'oracles.mc_argmin', None),\n"
+        "              (serialize, 'dump_jsn', 'serialize.dump_json', None)]\n"
+        "    for family in ('LinearValue', 'MeanVarianceValue'):\n"
+        "        for method in ('value', 'dvalue_dx'):\n"
+        "            points.append((getattr(models, family), method, 'm', None))\n")
+    assert len(listed_points(source)) == 6
+    assert missing_points(source) == {"serialize.dump_jsn",
+                                      "models.MeanVarianceValue.dvalue_dx"}
 
 
 @pytest.mark.parametrize("mode", ["raw", "thresholded"])

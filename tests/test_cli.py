@@ -31,6 +31,13 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def with_line(base: dict, line: str) -> str:
+    """Config text of base's `key = value` lines and then line, which takes the
+    place of base's line for its key: a config file gives each key once."""
+    key = line.partition("=")[0].strip()
+    return "".join(f"{k} = {v}\n" for k, v in base.items() if k != key) + line + "\n"
+
+
 class TestSimulate:
     def test_paper_preset_writes_paths_and_manifest(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--preset", "paper-sim", "--paths", "3",
@@ -251,7 +258,7 @@ class TestTrain:
         ("episods = 5", "unknown config key 'episods'")])
     def test_malformed_config_number_exits_2(self, runner, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"episodes = 1\ndt = 0.1\nout = {tmp_path}\n{line}\n")
+        cfg.write_text(with_line({"episodes": 1, "dt": 0.1, "out": tmp_path}, line))
         result = runner.invoke(main, ["train", "--config", str(cfg), "--seed", "1"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -590,7 +597,7 @@ class TestBacktest:
     def test_malformed_config_number_exits_2(self, runner, tmp_path, fixture_csv, line,
                                              message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {fixture_csv}\nbars_per_day = 10\n{line}\n")
+        cfg.write_text(with_line({"data": fixture_csv, "bars_per_day": 10}, line))
         result = runner.invoke(main, ["backtest", "--config", str(cfg),
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
@@ -857,13 +864,20 @@ INVALID = {
 }
 
 
+# values that only the mean-variance family refuses: theta0 below its
+# singularity floor, for train's base family and for the backtest
+SINGULAR = [("train", "theta0", "0"), ("backtest", "theta0", "0"),
+            ("backtest", "theta0", "1e-7")]
+
+
 # a bool flag has no spelling of an invalid value
-@pytest.mark.parametrize("command, key", [pair for pair in command_pairs()
-                                          if cli.KEYS[pair[0]][pair[1]][0] != "bool"])
-def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command, key):
+@pytest.mark.parametrize("command, key, value", [
+    *(pytest.param(command, key, INVALID[key], id=f"{command}-{key}")
+      for command, key in command_pairs() if cli.KEYS[command][key][0] != "bool"),
+    *(pytest.param(*case, id="-".join(case)) for case in SINGULAR)])
+def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command, key, value):
     (tmp_path / "file").write_text("")
-    value = INVALID[key].format(bad_dir=tmp_path / "file" / "out",
-                                missing=tmp_path / "missing.csv")
+    value = value.format(bad_dir=tmp_path / "file" / "out", missing=tmp_path / "missing.csv")
     base = base_config(command, tmp_path / "out", fixture_csv)
     cfg_flag, cfg_line = tmp_path / "flag.cfg", tmp_path / "line.cfg"
     cfg_flag.write_text(config_text(base))
@@ -875,6 +889,47 @@ def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command,
     assert by_flag.stderr == by_config.stderr
     assert "error: " in by_flag.stderr
     assert not (tmp_path / "out").exists()  # a refused command writes nothing
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--seed", "1", "--paths", "2", "--n-steps", "10", "--law", "poisson",
+      "--poisson-rate", "1"], "PoissonRate requires rate*dt < 0.1 (one jump per cell); got 0.1"),
+    (["backtest", "--data", "{data}", "--bars-per-day", "10", "--train-days", "8",
+      "--theta0", "0"], "|theta| = 0 below singularity floor 1e-06"),
+    (["backtest", "--data", "{data}", "--bars-per-day", "10", "--train-days", "8",
+      "--theta0", "1e-7"], "|theta| = 1e-07 below singularity floor 1e-06"),
+    (["train", "--seed", "1", "--episodes", "3", "--paths", "2", "--family", "mean_variance",
+      "--theta0", "0"], "|theta| = 0 below singularity floor 1e-06")],
+    ids=["simulate-poisson", "backtest-theta0-0", "backtest-theta0-1e-7", "train-theta0-0"])
+def test_refused_run_creates_no_out(runner, tmp_path, args, message):
+    # refusals that the library raises once a run is under way are checked
+    # before --out is created
+    data = tmp_path / "p.csv"
+    write_price_csv(synthetic_gbm_jump_series(30, bars_per_day=10, seed=3), data)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*(arg.format(data=data) for arg in args), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+# a key of each command's base config, and the value its second line gives
+TWICE = {"simulate": ("paths", 2), "train": ("episodes", 2), "compare": ("episodes", 3),
+         "backtest": ("train_days", 9)}
+
+
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_key_given_twice_exits_2(runner, tmp_path, fixture_csv, command):
+    key, value = TWICE[command]
+    base = base_config(command, tmp_path / "out", fixture_csv)
+    first = list(base).index(key) + 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(base) + f"# again\n{key} = {value}\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (f"error: {cfg}:{len(base) + 2}: key {key!r} is given twice "
+                             f"(first on line {first})\n")
+    assert not (tmp_path / "out").exists()
 
 
 # boundary values of each kind, as a flag or config line writes them. Keys that

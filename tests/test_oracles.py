@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from jumprl import oracles
 from jumprl.errors import ConfigurationError, NonConvexError
 from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticValue
 from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace,
                             argmin_quadratic, closed_form_objective, golden_section_min,
-                            mc_argmin, mc_objective_grid, mc_objective_samples,
-                            reference_minimizers)
+                            mc_argmin, mc_objective_samples, reference_minimizers)
 from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
                         simulate_batch)
 from conftest import BATCH_ARRAYS, batch_buffers, exponential_quadratic_by_gauss_legendre
@@ -178,33 +178,77 @@ class TestMcObjectives:
                                          seed=6, state="continuous"))
         assert a == pytest.approx(b, rel=1e-12)
 
-    @pytest.mark.parametrize("n_paths, chunk", [(0, 2048), (-1, 2048), (10, 0)])
-    def test_rejects_empty_ensemble_or_chunk(self, study_spec, grid_100, n_paths, chunk):
-        with pytest.raises(ConfigurationError, match="n_paths >= 1 and chunk >= 1"):
-            mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, n_paths,
-                                 seed=9, chunk=chunk)
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_rejects_empty_ensemble(self, study_spec, grid_100, n_paths):
+        with pytest.raises(ConfigurationError, match=f"n_paths must be >= 1, got {n_paths}"):
+            mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, n_paths, seed=9)
 
-    def test_chunk_independence(self, study_spec, grid_100):
-        small = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100,
-                                     100, seed=9, chunk=17)
-        big = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100,
-                                   100, seed=9, chunk=100)
+    def test_chunk_independence(self, monkeypatch, study_spec, grid_100):
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 17)
+        small = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, 100, seed=9)
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 100)
+        big = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, 100, seed=9)
         np.testing.assert_array_equal(small, big)
+
+
+# the model each method flavor's pass runs on: linear, the oracle's continuous
+# states, and quadratic with the jump term
+PASSES = {"msbve": LinearValue(), "oracle": QuadraticValue(), "mstde": QuadraticValue()}
+
+
+class TestManyThetas:
+    """One pass evaluates several thetas on one ensemble, as one call per theta would."""
+
+    THETAS = [-1.5, -0.3, 0.0, 0.5]
+
+    @pytest.mark.parametrize("method", sorted(PASSES))
+    def test_rows_equal_single_theta_calls(self, monkeypatch, study_spec, grid_100, method):
+        model, (state, jump_term) = PASSES[method], oracles.METHOD_FLAVORS[method]
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 16)  # three chunks, the last short
+        many = mc_objective_samples(model, self.THETAS, study_spec, grid_100, 40, seed=8,
+                                    state=state, include_jump_term=jump_term)
+        for row, theta in zip(many, self.THETAS):
+            one = mc_objective_samples(model, theta, study_spec, grid_100, 40, seed=8,
+                                       state=state, include_jump_term=jump_term)
+            np.testing.assert_array_equal(row, one)
+
+    @pytest.mark.parametrize("theta, shape", [(-1.0, (12,)), (np.float64(0.5), (12,)),
+                                              ([0.5], (1, 12)), ([-1.0, 0.0, 0.5], (3, 12)),
+                                              (np.linspace(-1, 1, 5), (5, 12))])
+    def test_shape_is_theta_shape_then_paths(self, study_spec, grid_100, theta, shape):
+        got = mc_objective_samples(LinearValue(), theta, study_spec, grid_100, 12, seed=2)
+        assert got.shape == shape
+
+    @pytest.mark.parametrize("method", sorted(PASSES))
+    def test_means_do_not_depend_on_chunk_size(self, monkeypatch, study_spec, grid_100,
+                                               method):
+        # every mean is taken over all paths at once, so the chunk size, 7
+        # against one chunk for the whole ensemble, changes no bit
+        model, (state, jump_term) = PASSES[method], oracles.METHOD_FLAVORS[method]
+        thetas = np.linspace(-3.0, 1.0, 41)
+        means, argmins = [], []
+        for chunk in (7, 2048):
+            monkeypatch.setattr(oracles, "CHUNK_PATHS", chunk)
+            means.append(np.mean(mc_objective_samples(
+                model, thetas, study_spec, grid_100, 100, seed=20, state=state,
+                include_jump_term=jump_term), axis=1))
+            argmins.append(mc_argmin(model, method, study_spec, grid_100, 100, seed=20))
+        np.testing.assert_array_equal(means[0], means[1])
+        assert argmins[0].hex() == argmins[1].hex()
 
 
 class TestWorkspaceReuse:
     """The chunk pass simulates into this thread's workspace; results stay fresh."""
 
-    def test_results_share_no_memory(self, study_spec, grid_100):
+    def test_results_share_no_memory(self, monkeypatch, study_spec, grid_100):
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 16)
         results = [
             mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40, seed=3,
-                                 include_jump_term=True, chunk=16),
+                                 include_jump_term=True),
             mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40, seed=3,
-                                 include_jump_term=True, chunk=16),
-            mc_objective_grid(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3,
-                              chunk=16),
-            mc_objective_grid(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3,
-                              chunk=16),
+                                 include_jump_term=True),
+            mc_objective_samples(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3),
+            mc_objective_samples(LinearValue(), [-1.0, 0.5], study_spec, grid_100, 40, seed=3),
         ]
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[2], results[3])
@@ -214,13 +258,14 @@ class TestWorkspaceReuse:
             assert not any(np.shares_memory(result, array) for array in held)
 
     @pytest.mark.parametrize("state", ["pre_jump", "continuous"])
-    def test_model_returning_its_input(self, study_spec, grid_100, state):
+    def test_model_returning_its_input(self, monkeypatch, study_spec, grid_100, state):
         # dvalue_dx returns the states array itself; the pass must form the
         # squared terms elsewhere, leave the batch as simulated and give
         # sum((dJ/dx sigma)^2) dt over left endpoints
         identity = CustomValue(value_fn=lambda theta, t, x: x, dx_fn=lambda theta, t, x: x)
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 5)
         got = mc_objective_samples(identity, 0.0, study_spec, grid_100, 12, seed=21,
-                                   state=state, chunk=5)
+                                   state=state)
         batches = [simulate_batch(study_spec, grid_100, 21, 0, hi - lo, path_offset=lo)
                    for lo, hi in ((0, 5), (5, 10), (10, 12))]
         left = np.vstack([getattr(b, state) for b in batches])[:, :-1]
@@ -234,9 +279,11 @@ class TestThreadDeterminism:
     """Results do not depend on JUMPRL_THREADS when chunks run in parallel."""
 
     def test_samples_same_with_two_threads(self, monkeypatch, study_spec, grid_100):
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 7)
+
         def run():
             return mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 40,
-                                        seed=13, include_jump_term=True, chunk=7)
+                                        seed=13, include_jump_term=True)
 
         monkeypatch.delenv("JUMPRL_THREADS", raising=False)
         sequential = run()
@@ -244,9 +291,12 @@ class TestThreadDeterminism:
         np.testing.assert_array_equal(run(), sequential)
 
     def test_grid_same_with_two_threads(self, monkeypatch, study_spec, grid_100):
+        # a theta grid on one ensemble, each chunk on a worker
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 9)
+
         def run():
-            return mc_objective_grid(LinearValue(), [-1.5, 0.0, 0.5], study_spec, grid_100,
-                                     40, seed=13, state="continuous", chunk=9)
+            return mc_objective_samples(LinearValue(), [-1.5, 0.0, 0.5], study_spec,
+                                        grid_100, 40, seed=13, state="continuous")
 
         monkeypatch.delenv("JUMPRL_THREADS", raising=False)
         sequential = run()
@@ -257,9 +307,11 @@ class TestThreadDeterminism:
     def test_workers_keep_their_own_workspaces(self, monkeypatch, study_spec, grid_100):
         # more workers than cores, switching often: a workspace shared between
         # threads would let one chunk's batch overwrite another's
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 8)
+
         def run():
             return mc_objective_samples(QuadraticValue(), -0.3, study_spec, grid_100, 480,
-                                        seed=17, include_jump_term=True, chunk=8)
+                                        seed=17, include_jump_term=True)
 
         monkeypatch.delenv("JUMPRL_THREADS", raising=False)
         sequential = run()
