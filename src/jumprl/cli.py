@@ -23,7 +23,7 @@ import numpy as np
 from . import oracles
 from .errors import (ConfigurationError, DivergenceError, SimulationOverflowError,
                      SingularParameterError)
-from .estimators import LOSS_KINDS, TrainConfig, trace_rows, train
+from .estimators import LOSS_KINDS, TrainConfig, train
 from .models import HORIZON, family_by_name
 from .portfolio import (THRESHOLD_MODES, BacktestConfig, day_index, read_price_csv,
                         rolling_backtest)
@@ -77,14 +77,17 @@ _NOUNS = {"int": "an integer", "float": "a number", "str": "a string",
 
 
 def load_config_file(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; values are JSON scalars
-    when they parse, raw strings otherwise. A key given twice is refused,
-    naming both lines."""
+    """Parse the `key = value` lines of a UTF-8 file; '#' starts a comment;
+    values are JSON scalars when they parse, raw strings otherwise. A key
+    given twice is refused, naming both lines, and so is a value that opens
+    a JSON string and does not parse, such as one that a '#' cut short."""
     out, first_line = {}, {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,7 +102,11 @@ def load_config_file(path) -> dict:
         first_line[key] = lineno
         try:
             out[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
+            if value.startswith('"'):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: value {value} is not a JSON string; "
+                    f"'#' starts a comment, also between quotes") from exc
             out[key] = value
     return out
 
@@ -326,7 +333,7 @@ def cmd_train(v):
             "error": str(exc),
             "episode": exc.episode,
             "last_theta": exc.last_theta,
-            "trace": trace_rows(exc.theta_trace, exc.loss_trace),
+            "trace": exc.trace,
         }
         write_json(partial, directory / "train_result.json")
         click.echo(f"divergence: {exc}", err=True)

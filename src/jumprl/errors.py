@@ -45,10 +45,8 @@ class SimulationOverflowError(JumprlError):
 class DivergenceError(JumprlError):
     """Training left the finite domain; carries the partial trace."""
 
-    def __init__(self, message: str, episode: int, last_theta: float,
-                 theta_trace=None, loss_trace=None):
+    def __init__(self, message: str, episode: int, last_theta: float, trace=None):
         super().__init__(message)
         self.episode = episode
         self.last_theta = last_theta
-        self.theta_trace = list(theta_trace or [])
-        self.loss_trace = list(loss_trace or [])
+        self.trace = list(trace or [])  # TrainResult.trace's rows so far

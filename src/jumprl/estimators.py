@@ -25,6 +25,7 @@ from .models import HORIZON, LinearValue
 from .rng import stream
 from .sde import (STUDY_X0, JumpDiffusionSpec, TimeGrid, Workspace, grid_for_step,
                   simulate_batch)
+from .serialize import dump_csv
 
 # the fewest fitted values per path each loss is defined on
 _MIN_POINTS = {"mstde": 2, "msbve": 3}
@@ -154,36 +155,19 @@ class TrainConfig:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def trace_rows(theta_trace: list, loss_trace: list) -> list:
-    """[episode, theta, batch-mean loss] per recorded theta, with None where
-    no loss was recorded (episode 0, and an early stop off the record)."""
-    losses = dict(loss_trace)
-    return [[e, th, losses.get(e)] for e, th in theta_trace]
-
-
 @dataclass
 class TrainResult:
     theta_final: float
-    theta_trace: list  # [(episode, theta)], first entry (0, theta0)
-    loss_trace: list   # [(episode, batch-mean loss)]
-    config: TrainConfig
+    trace: list  # [episode, theta, batch-mean loss] rows; loss None where not recorded
     clip_events: int
     episodes_run: int
+    config: TrainConfig
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta_final": self.theta_final,
-            "trace": trace_rows(self.theta_trace, self.loss_trace),
-            "clip_events": self.clip_events,
-            "episodes_run": self.episodes_run,
-            "config": asdict(self.config),
-        }
+        return asdict(self)  # the fields are declared in the report's order
 
     def trace_csv(self) -> str:
-        lines = ["episode,theta,loss"]
-        for e, th, loss in trace_rows(self.theta_trace, self.loss_trace):
-            lines.append(f"{e},{th:.17g},{'' if loss is None else format(loss, '.17g')}")
-        return "\n".join(lines) + "\n"
+        return dump_csv(("episode", "theta", "loss"), self.trace)
 
 
 def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -> TrainResult:
@@ -196,8 +180,7 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     state that overflows, raises DivergenceError with the trace so far.
     """
     theta = float(config.theta0)
-    theta_trace = [(0, theta)]
-    loss_trace: list = []
+    trace = [[0, theta, None]]
     times = grid.times[None, :]
     clip_events = 0
     plateau_buf = [theta] if config.plateau_tol is not None else None
@@ -211,8 +194,7 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
         except SimulationOverflowError as exc:
             raise DivergenceError(
                 f"simulated state overflowed at episode {e} (last finite theta {theta:.6g}): "
-                f"{exc}", episode=e, last_theta=theta,
-                theta_trace=theta_trace, loss_trace=loss_trace) from exc
+                f"{exc}", episode=e, last_theta=theta, trace=trace) from exc
         shape = batch.observed.shape
         J = model.value(theta, times, batch.observed, out=workspace.take("J", shape))
         dJ = model.dvalue_dtheta(theta, times, batch.observed, out=workspace.take("dJ", shape))
@@ -228,13 +210,11 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
         if not (math.isfinite(grad) and math.isfinite(new_theta)):
             raise DivergenceError(
                 f"non-finite update at episode {e} (last finite theta {theta:.6g})",
-                episode=e, last_theta=theta,
-                theta_trace=theta_trace, loss_trace=loss_trace)
+                episode=e, last_theta=theta, trace=trace)
         theta = new_theta
         episodes_run = e
         if e % config.record_every == 0 or e == config.episodes:
-            theta_trace.append((e, theta))
-            loss_trace.append((e, loss))
+            trace.append([e, theta, loss])
         if plateau_buf is not None:
             plateau_buf.append(theta)
             if len(plateau_buf) > config.plateau_window:
@@ -242,10 +222,10 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
                 if abs(theta - oldest) < config.plateau_tol:
                     break
 
-    if theta_trace[-1][0] != episodes_run:
-        theta_trace.append((episodes_run, theta))
-    return TrainResult(theta_final=theta, theta_trace=theta_trace, loss_trace=loss_trace,
-                       config=config, clip_events=clip_events, episodes_run=episodes_run)
+    if trace[-1][0] != episodes_run:
+        trace.append([episodes_run, theta, None])
+    return TrainResult(theta_final=theta, trace=trace, clip_events=clip_events,
+                       episodes_run=episodes_run, config=config)
 
 
 def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -> float:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from typing import Optional
 
@@ -29,6 +29,7 @@ from .errors import (ConfigurationError, DegenerateSeriesError, DivergenceError,
 from .estimators import LOSS_KINDS, TrainConfig, Workspace, grads_by_row
 from .models import HORIZON, MeanVarianceValue, target_anchor
 from .rng import stream
+from .serialize import dump_csv
 
 THRESHOLD_MODES = ("raw", "thresholded")
 ANNUALIZATION = 252.0  # trading days per year, for the Sharpe ratio
@@ -39,6 +40,7 @@ _GBM_S0 = 100.0      # its first price
 _GBM_START = np.datetime64("2020-01-01", "s")  # and its first day
 # the accepted timestamps, in epoch seconds: 0001-01-01 up to 10000-01-01 UTC
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,12 @@ class PriceSeries:
             raise IngestionError(f"row {row}: timestamp {self.timestamps[row]} is outside "
                                  f"the years 1 to 9999 UTC")
         # neighbours compared, not differenced, so that no difference can wrap
-        if not (seconds[1:] > seconds[:-1]).all():
-            raise IngestionError("timestamps must be strictly ascending without duplicates")
+        ascending = seconds[1:] > seconds[:-1]
+        if not ascending.all():
+            row = int(np.argmin(ascending)) + 1
+            raise IngestionError(f"row {row}: timestamp {self.timestamps[row]} does not follow "
+                                 f"{self.timestamps[row - 1]}; timestamps must be strictly "
+                                 f"ascending without duplicates")
         if not (np.isfinite(self.prices).all() and (self.prices > 0).all()):
             raise IngestionError("prices must be positive and finite")
         if self.bars_per_day < 1:
@@ -84,11 +90,12 @@ class PriceSeries:
 
 
 def _parse_timestamp(text: str) -> int:
-    """Seconds since epoch from ISO-8601 (tz-aware or naive) or epoch seconds,
-    in the years 1 to 9999 UTC; ValueError with the reason otherwise."""
+    """Whole seconds since epoch from ISO-8601 (tz-aware or naive) or epoch
+    seconds, in the years 1 to 9999 UTC; ValueError with the reason otherwise."""
     s = text.strip()
     try:
-        seconds = int(round(float(s)))
+        number = float(s)
+        seconds = int(number)
     except (ValueError, OverflowError):  # not a number, NaN or infinite
         try:
             parsed = datetime.fromisoformat(s.replace("Z", "+00:00"))
@@ -96,7 +103,11 @@ def _parse_timestamp(text: str) -> int:
             raise ValueError(f"unparseable timestamp {text!r}") from exc
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=timezone.utc)
-        seconds = int(parsed.timestamp())
+        seconds, fraction = divmod(parsed - _EPOCH, timedelta(seconds=1))
+    else:
+        fraction = number - seconds
+    if fraction:  # a datetime64[s] series would drop it
+        raise ValueError(f"timestamp {text!r} is not a whole second")
     if not _FIRST_SECOND <= seconds < _END_SECOND:
         raise ValueError(f"timestamp {text!r} is outside the years 1 to 9999 UTC")
     return seconds
@@ -172,12 +183,9 @@ def read_price_csv(path, bars_per_day: int) -> PriceSeries:
 
 
 def write_price_csv(series: PriceSeries, path) -> None:
-    lines = ["timestamp,price"]
-    epoch = series.timestamps.astype("int64")
-    for ts, p in zip(epoch, series.prices):
-        lines.append(f"{ts},{p:.17g}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dump_csv(("timestamp", "price"),
+                          zip(series.timestamps.astype("int64"), series.prices)))
 
 
 def bipower_sigma2(increments) -> float:
@@ -312,33 +320,22 @@ class BacktestConfig:
 
 @dataclass
 class BacktestResult:
+    loss_kind: str
+    threshold_mode: str
+    sharpe_annualized: Optional[float]
+    degenerate: bool
     test_days: list
     terminal_wealth: list
     daily_return: list
     theta_per_day: list
-    sharpe_annualized: Optional[float]
-    degenerate: bool
-    loss_kind: str
-    threshold_mode: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "threshold_mode": self.threshold_mode,
-            "sharpe_annualized": self.sharpe_annualized,
-            "degenerate": self.degenerate,
-            "test_days": list(self.test_days),
-            "terminal_wealth": list(self.terminal_wealth),
-            "daily_return": list(self.daily_return),
-            "theta_per_day": list(self.theta_per_day),
-        }
+        return asdict(self)  # the fields are declared in the report's order
 
     def per_day_csv(self) -> str:
-        lines = ["date,theta,terminal_wealth,daily_return"]
-        for day, th, tw, dr in zip(self.test_days, self.theta_per_day,
-                                   self.terminal_wealth, self.daily_return):
-            lines.append(f"{day},{th:.17g},{tw:.17g},{dr:.17g}")
-        return "\n".join(lines) + "\n"
+        return dump_csv(("date", "theta", "terminal_wealth", "daily_return"),
+                        zip(self.test_days, self.theta_per_day, self.terminal_wealth,
+                            self.daily_return))
 
 
 def _daily_bipower(increments: np.ndarray) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationOverflowError
 from .rng import path_rng, philox_keys
+from .serialize import dump_csv
 
 
 @dataclass(frozen=True)
@@ -330,15 +331,12 @@ def doubling_jump_spec(x0: float = STUDY_X0) -> JumpDiffusionSpec:
 
 
 def path_to_csv(batch: PathBatch, row: int, destination) -> None:
-    """Write one row of a batch as `t,observed,continuous,jump_flag` lines at
-    17 significant digits; jump_flag is 1 where at least one jump landed."""
+    """Write one row of a batch as a `t,observed,continuous,jump_flag` report
+    CSV; jump_flag is 1 where at least one jump landed."""
     flags = np.zeros(batch.grid.n_steps + 1, dtype=int)
     flags[batch.jump_step[batch.jump_path == row]] = 1
-    lines = ["t,observed,continuous,jump_flag"]
-    for t, x, xc, f in zip(batch.grid.times, batch.observed[row], batch.continuous[row],
-                           flags):
-        lines.append(f"{t:.17g},{x:.17g},{xc:.17g},{f:d}")
-    text = "\n".join(lines) + "\n"
+    text = dump_csv(("t", "observed", "continuous", "jump_flag"),
+                    zip(batch.grid.times, batch.observed[row], batch.continuous[row], flags))
     if hasattr(destination, "write"):
         destination.write(text)
     else:

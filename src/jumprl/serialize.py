@@ -1,8 +1,10 @@
-"""Deterministic JSON rendering for report files.
+"""Deterministic rendering of the report files, JSON and CSV.
 
-Dicts keep insertion order, floats are written with 17 significant digits so
-re-running a command with the same config yields byte-identical output.
-Non-finite floats serialize as null.
+Floats are written with 17 significant digits, enough for `float(text)` to
+give back the same bits, so re-running a command with the same config yields
+byte-identical output. JSON dicts keep insertion order and non-finite floats
+serialize as null. A CSV is a header line and one line per row, with None as
+an empty cell, and ends with a newline.
 """
 
 from __future__ import annotations
@@ -47,3 +49,20 @@ def dump_json(obj) -> str:
 def write_json(obj, path) -> None:
     with open(path, "w") as fh:
         fh.write(dump_json(obj))
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if hasattr(value, "item"):  # numpy scalar
+        value = value.item()
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def dump_csv(header, rows) -> str:
+    """CSV text of the column names in header and then one line per row; a
+    float cell at 17 significant digits (`nan` and `inf` as Python writes
+    them), None as an empty cell, and anything else as str() writes it."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -296,7 +296,7 @@ def test_criterion_8_property_suites():
         grid = build_grid(1.0, 20)
         r1 = train(LinearValue(), STUDY_SPEC, grid, cfg)
         r2 = train(LinearValue(), STUDY_SPEC, grid, cfg)
-        assert r1.theta_trace == r2.theta_trace
+        assert r1.trace == r2.trace
     # determinism: backtest
     series = synthetic_gbm_jump_series(10, bars_per_day=8, seed=77)
     for i in range(1000):

@@ -932,6 +932,32 @@ def test_key_given_twice_exits_2(runner, tmp_path, fixture_csv, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_non_utf8_config_exits_2(runner, tmp_path, fixture_csv, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(config_text(base_config(command, tmp_path / "out", fixture_csv)).encode()
+                    + b"# \xff\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: config file {cfg} is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.KEYS))
+def test_quoted_value_cut_by_comment_exits_2(runner, tmp_path, fixture_csv, command):
+    # the comment rule leaves `"res` of `"res#1"`, which is no path to write to
+    values = base_config(command, "out", fixture_csv)
+    del values["out"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(values) + 'out = "res#1"\n')
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {cfg}:{len(values) + 1}: value \"res is not a JSON "
+                                 f"string; '#' starts a comment, also between quotes\n")
+        assert list(Path(cwd).iterdir()) == []
+
+
 # boundary values of each kind, as a flag or config line writes them. Keys that
 # set a loop count draw only small or malformed values; the huge sizes go only
 # to keys whose allocation numpy or build_grid refuses before allocating

@@ -143,9 +143,8 @@ class TestDerivativeBroadcast:
                            np.broadcast_to(1.0 - t, np.shape(x)).copy())
         config = TrainConfig(kind, 0.01, 3, 4, 0.5, master_seed=11, record_every=1)
         got, want = (train(model, study_spec, grid_100, config) for model in (row, full))
-        assert got.theta_trace == want.theta_trace
-        assert got.loss_trace == want.loss_trace
-        assert len(got.theta_trace) == 4 and got.theta_final != 0.5
+        assert got.trace == want.trace
+        assert len(got.trace) == 4 and got.theta_final != 0.5
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_shape_that_cannot_broadcast_names_both(self, kind):
@@ -327,14 +326,13 @@ class TestTrain:
         cfg = TrainConfig("mstde", 1e-12, 1, 4, 0.5, master_seed=0)
         result = train(LinearValue(), study_spec, grid_100, cfg)
         assert result.theta_final == pytest.approx(0.5, abs=1e-9)
-        assert result.theta_trace[0] == (0, 0.5)
+        assert result.trace[0] == [0, 0.5, None]
 
     def test_deterministic_trace(self, study_spec, grid_100):
         cfg = TrainConfig("msbve", 5e-4, 200, 8, 0.5, master_seed=12, record_every=50)
         a = train(LinearValue(), study_spec, grid_100, cfg)
         b = train(LinearValue(), study_spec, grid_100, cfg)
-        assert a.theta_trace == b.theta_trace
-        assert a.loss_trace == b.loss_trace
+        assert a.trace == b.trace
 
     def test_divergence_raises_with_context(self, study_spec, grid_100):
         cfg = TrainConfig("mstde", 1e30, 50, 4, 0.5, master_seed=0)
@@ -350,7 +348,7 @@ class TestTrain:
             train(LinearValue(), doubling_jump_spec(1e308), grid_100, cfg)
         assert isinstance(err.value.__cause__, SimulationOverflowError)
         assert (err.value.episode, err.value.last_theta) == (1, 0.5)
-        assert (err.value.theta_trace, err.value.loss_trace) == ([(0, 0.5)], [])
+        assert err.value.trace == [[0, 0.5, None]]
 
     def test_plateau_stop(self, study_spec, grid_100):
         cfg = TrainConfig("mstde", 1e-10, 5000, 4, 0.5, master_seed=0,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -535,6 +536,16 @@ class TestIngestion:
         with pytest.raises(IngestionError):
             PriceSeries(stamps, np.array([1.0, 2.0]), 1)
 
+    @pytest.mark.parametrize("minutes, row", [([0, 5, 5], 2), ([0, 5, 3, 9], 2), ([5, 0], 1)],
+                             ids=["duplicate", "back-step", "first-pair"])
+    def test_names_the_first_row_out_of_order(self, minutes, row):
+        stamps = (np.datetime64("2021-01-01T10:00", "s")
+                  + np.array(minutes) * np.timedelta64(60, "s"))
+        with pytest.raises(IngestionError, match=re.escape(
+                f"row {row}: timestamp {stamps[row]} does not follow {stamps[row - 1]}; "
+                f"timestamps must be strictly ascending without duplicates")):
+            PriceSeries(stamps, np.ones(len(minutes)), 1)
+
     @pytest.mark.parametrize("seconds", [[-2**63 + 1, 0, 2**63 - 1],
                                          [-(2**62) - 7, 2**62 + 2**61],
                                          [0, 253402300800],
@@ -602,6 +613,18 @@ class TestIngestion:
                         "1609753200,101.0\n")  # epoch for 09:40 UTC
         loaded = read_price_csv(path, 2)
         assert loaded.prices.size == 3
+
+    # a datetime64[s] series has no place for a fraction: dropping it would
+    # collide the two ISO bars, and rounding it would move the epoch bar
+    @pytest.mark.parametrize("stamps, line", [
+        (["2021-01-04T09:30:00.25", "2021-01-04T09:30:00.75"], 2),
+        (["1609752600", "1609752601.5"], 3)], ids=["iso", "epoch"])
+    def test_csv_refuses_fractional_seconds(self, tmp_path, stamps, line):
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,price\n" + "".join(f"{s},100.0\n" for s in stamps))
+        with pytest.raises(IngestionError, match=re.escape(
+                f"line {line}: timestamp '{stamps[line - 2]}' is not a whole second")):
+            read_price_csv(path, 2)
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "prices.csv"

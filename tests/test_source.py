@@ -282,3 +282,20 @@ def test_listed_key_mismatch_is_found():
                                                                     "b: does not read f"]
     assert listed_key_problems(text, keys | {"c": {"x": 0}}) == ["b: does not read f",
                                                                  "c: leaves out x"]
+
+
+def report_formatters(sources: dict[str, str]) -> list[str]:
+    """Modules whose source formats a float at 17 significant digits, the
+    report format's precision."""
+    return sorted(module for module, source in sources.items() if ".17g" in source)
+
+
+def test_only_serialize_formats_reports():
+    # one owner for the report format: every CSV and JSON writer calls serialize
+    assert report_formatters({p.stem: p.read_text() for p in MODULES}) == ["serialize"]
+
+
+def test_report_formatter_is_found():
+    sources = {"serialize": 'format(x, ".17g")\n', "a": 'f"{x:.17g},{y}"\n',
+               "b": "x = 17\ny = '.6g'\n"}
+    assert report_formatters(sources) == ["a", "serialize"]
