@@ -3,12 +3,12 @@
 Subcommands: simulate, train, compare, backtest. `KEYS` lists the keys each
 one reads, with their kind and default, and is the only declaration of the
 CLI's inputs: every key is a flag. A key comes from its flag, else a
-`key = value` config file (see README), else the named preset, else the
-default, and is checked on the same path whichever way it came. A value that
-does not fit its kind, or a config key that no subcommand reads, is a
-configuration error; names are checked where they are read. Exit codes: 0
-success, 2 configuration, ingestion or singular-parameter error, or an output file
-that cannot be written, 3 numerical divergence.
+`key = value` config file (see README), else the named preset (train's),
+else the default, and is checked on the same path whichever way it came. A
+value that does not fit its kind, or a config key that no subcommand reads,
+is a configuration error; names are checked where they are read. Exit codes:
+0 success, 2 configuration, ingestion or singular-parameter error, or an
+output file that cannot be written, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ _TRAINING = {  # keys train and compare share
 # Each key is also a flag, --<key> with '-' for '_'
 KEYS = {
     "simulate": {
-        "seed": ("seed", None), "out": ("str", "out"), "preset": ("str", None),
-        "paths": ("int", 1), "x0": ("float", STUDY_X0), "horizon": ("float", 1.0),
-        "n_steps": ("int", 1000), "drift": ("float", 0.0), "sigma": ("float", 1.0),
-        "law": ("str", "single_uniform"), "poisson_rate": ("float", 1.0),
+        "seed": ("seed", None), "out": ("str", "out"), "paths": ("int", 1),
+        "x0": ("float", STUDY_X0), "horizon": ("float", 1.0), "n_steps": ("int", 1000),
+        "drift": ("float", 0.0), "sigma": ("float", 1.0), "law": ("str", "single_uniform"),
+        "poisson_rate": ("float", 1.0),
     },
     "train": {
         **_TRAINING, "preset": ("str", None), "family": ("str", "linear"),
@@ -65,12 +65,10 @@ KEYS = {
     },
 }
 
-SIM_PRESETS = {"paper-sim": {}}  # the simulate defaults are the paper's process
-
 _PAPER_TRAINING = dict(dt=0.001, alpha=0.0005, episodes=100000, paths=32, theta0=0.5)
 TRAIN_PRESETS = {f"paper-{family}": dict(_PAPER_TRAINING, family=family)
                  for family in ("linear", "quadratic", "exponential")}
-_PRESETS = {"simulate": SIM_PRESETS, "train": TRAIN_PRESETS}
+_PRESETS = {"train": TRAIN_PRESETS}  # simulate's defaults are the paper's process
 
 _NOUNS = {"int": "an integer", "float": "a number", "str": "a string",
           "seed": "a non-negative integer", "bool": "true or false"}

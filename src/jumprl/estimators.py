@@ -131,8 +131,6 @@ class TrainConfig:
     master_seed: int
     record_every: int = 100
     grad_clip: Optional[float] = None
-    plateau_tol: Optional[float] = None
-    plateau_window: int = 1000
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -158,20 +156,20 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     theta_final: float
-    trace: list  # [episode, theta, batch-mean loss] rows; loss None where not recorded
+    trace: list  # [episode, theta, batch-mean loss] rows; loss None at episode 0
     clip_events: int
-    episodes_run: int
     config: TrainConfig
 
     def to_json_dict(self) -> dict:
-        return asdict(self)  # the fields are declared in the report's order
+        # the fields in declaration order, config as a dict; the trace not copied
+        return {**vars(self), "config": asdict(self.config)}
 
     def trace_csv(self) -> str:
         return dump_csv(("episode", "theta", "loss"), self.trace)
 
 
 def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -> TrainResult:
-    """Run the SGD loop; deterministic given the config.
+    """Run config.episodes SGD steps; deterministic given the config.
 
     Episode e simulates paths with streams (master_seed, e, path index),
     averages the per-path gradient over the batch, and takes one step. Every
@@ -183,8 +181,6 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
     trace = [[0, theta, None]]
     times = grid.times[None, :]
     clip_events = 0
-    plateau_buf = [theta] if config.plateau_tol is not None else None
-    episodes_run = 0
     workspace = Workspace()
 
     for e in range(1, config.episodes + 1):
@@ -212,20 +208,10 @@ def train(model, spec: JumpDiffusionSpec, grid: TimeGrid, config: TrainConfig) -
                 f"non-finite update at episode {e} (last finite theta {theta:.6g})",
                 episode=e, last_theta=theta, trace=trace)
         theta = new_theta
-        episodes_run = e
         if e % config.record_every == 0 or e == config.episodes:
             trace.append([e, theta, loss])
-        if plateau_buf is not None:
-            plateau_buf.append(theta)
-            if len(plateau_buf) > config.plateau_window:
-                oldest = plateau_buf.pop(0)
-                if abs(theta - oldest) < config.plateau_tol:
-                    break
 
-    if trace[-1][0] != episodes_run:
-        trace.append([episodes_run, theta, None])
-    return TrainResult(theta_final=theta, trace=trace, clip_events=clip_events,
-                       episodes_run=episodes_run, config=config)
+    return TrainResult(theta_final=theta, trace=trace, clip_events=clip_events, config=config)
 
 
 def jump_robustness_ratio(dt: float, n_seeds: int = 200, master_seed: int = 0) -> float:

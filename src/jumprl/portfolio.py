@@ -16,9 +16,11 @@ Daily excess returns are summarized by the annualized Sharpe ratio.
 from __future__ import annotations
 
 import math
+import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 from functools import cached_property
 from typing import Optional
 
@@ -41,6 +43,8 @@ _GBM_START = np.datetime64("2020-01-01", "s")  # and its first day
 # the accepted timestamps, in epoch seconds: 0001-01-01 up to 10000-01-01 UTC
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# a nonzero digit past the microsecond in an ISO fraction, which fromisoformat drops
+_SUB_MICROSECOND = re.compile(r"[.,][0-9]{6}[0-9]*[1-9]")
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,15 @@ def _parse_timestamp(text: str) -> int:
     seconds, in the years 1 to 9999 UTC; ValueError with the reason otherwise."""
     s = text.strip()
     try:
-        number = float(s)
+        finite = math.isfinite(float(s))
+    except ValueError:
+        finite = False
+    if finite:
+        # Decimal compares exactly, where a float loses a fraction below its resolution
+        number = Decimal(s)
         seconds = int(number)
-    except (ValueError, OverflowError):  # not a number, NaN or infinite
+        fraction = number != seconds
+    else:
         try:
             parsed = datetime.fromisoformat(s.replace("Z", "+00:00"))
         except ValueError as exc:
@@ -104,8 +114,7 @@ def _parse_timestamp(text: str) -> int:
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=timezone.utc)
         seconds, fraction = divmod(parsed - _EPOCH, timedelta(seconds=1))
-    else:
-        fraction = number - seconds
+        fraction = fraction or _SUB_MICROSECOND.search(s)
     if fraction:  # a datetime64[s] series would drop it
         raise ValueError(f"timestamp {text!r} is not a whole second")
     if not _FIRST_SECOND <= seconds < _END_SECOND:
@@ -153,9 +162,11 @@ def build_price_series(timestamps: np.ndarray, prices: np.ndarray,
 
 
 def read_price_csv(path, bars_per_day: int) -> PriceSeries:
-    """Load `timestamp,price` CSV (ISO-8601 or epoch-second timestamps)."""
+    """Load `timestamp,price` CSV (ISO-8601 or epoch-second timestamps); a
+    bar that does not follow its predecessor is refused with its line."""
     stamps = []
     values = []
+    last = None  # (line, timestamp text) of the previous bar
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -178,6 +189,11 @@ def read_price_csv(path, bars_per_day: int) -> PriceSeries:
             values.append(_parse_price(parts[1]))
         except ValueError as exc:
             raise IngestionError(f"line {lineno}: {exc}") from exc
+        if len(stamps) > 1 and stamps[-1] <= stamps[-2]:
+            raise IngestionError(
+                f"line {lineno}: timestamp {parts[0].strip()!r} does not follow {last[1]!r} "
+                f"on line {last[0]}; timestamps must be strictly ascending without duplicates")
+        last = lineno, parts[0].strip()
     timestamps = np.asarray(stamps, dtype="int64").astype("datetime64[s]")
     return build_price_series(timestamps, np.asarray(values), bars_per_day)
 
@@ -330,7 +346,7 @@ class BacktestResult:
     theta_per_day: list
 
     def to_json_dict(self) -> dict:
-        return asdict(self)  # the fields are declared in the report's order
+        return dict(vars(self))  # the fields in declaration order; lists not copied
 
     def per_day_csv(self) -> str:
         return dump_csv(("date", "theta", "terminal_wealth", "daily_return"),

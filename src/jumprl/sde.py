@@ -225,10 +225,6 @@ class PathBatch:
                       self.jump_step, self.jump_time, self.jump_pre):
             array.setflags(write=False)
 
-    @property
-    def n_paths(self) -> int:
-        return self.observed.shape[0]
-
 
 def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
                    episode: int, n_paths: int, path_offset: int = 0, *,

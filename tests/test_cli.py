@@ -40,7 +40,8 @@ def with_line(base: dict, line: str) -> str:
 
 class TestSimulate:
     def test_paper_preset_writes_paths_and_manifest(self, runner, tmp_path):
-        result = runner.invoke(main, ["simulate", "--preset", "paper-sim", "--paths", "3",
+        # simulate's defaults are the paper's process, so it needs no preset
+        result = runner.invoke(main, ["simulate", "--paths", "3",
                                       "--seed", "7", "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         manifest = read_json(tmp_path / "manifest.json")
@@ -67,11 +68,12 @@ class TestSimulate:
         assert "paths must be >= 0, got -1" in result.output
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_invalid_preset_exits_2_and_lists(self, runner, tmp_path):
-        result = runner.invoke(main, ["simulate", "--preset", "nope", "--seed", "1",
+    def test_takes_no_preset(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--preset", "paper-sim", "--seed", "1",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert "paper-sim" in result.output
+        assert "No such option '--preset'" in result.output
+        assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_missing_seed_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--paths", "1", "--out", str(tmp_path)])
@@ -296,10 +298,6 @@ class TestTrain:
 
 # command: (preset table, a cheap preset, flag, config key, reader of the report)
 PRESET_CASES = {
-    "simulate": ("SIM_PRESETS",
-                 dict(x0=0.3, horizon=2.0, n_steps=50, drift=0.5, sigma=0.8, law="none"),
-                 "--n-steps", "n_steps",
-                 lambda out: read_json(out / "manifest.json")["grid"]["n_steps"]),
     "train": ("TRAIN_PRESETS",
               dict(family="linear", dt=0.1, alpha=0.001, episodes=3, paths=2, theta0=0.25),
               "--episodes", "episodes",
@@ -310,7 +308,7 @@ PRESET_CASES = {
 @pytest.mark.parametrize("winner", ["flag", "config", "preset"])
 @pytest.mark.parametrize("command", sorted(PRESET_CASES))
 def test_preset_precedence(runner, tmp_path, monkeypatch, command, winner):
-    """Flag beats config file beats preset beats default (1000 steps, 20000 episodes)."""
+    """Flag beats config file beats preset beats default (20000 episodes)."""
     table, preset, flag, key, read = PRESET_CASES[command]
     monkeypatch.setitem(getattr(cli, table), "tiny", preset)
     out = tmp_path / "out"
@@ -834,7 +832,7 @@ def test_base_config_exits_0(runner, tmp_path, fixture_csv, command):
 
 # a value of each kind that every key of the kind takes, as a flag or config line writes it
 VALID = {"int": "3", "float": "0.25", "str": "runs", "seed": "5", "bool": "true"}
-VALID_KEY = {"preset": {"simulate": "paper-sim", "train": "paper-linear"}}
+VALID_KEY = {"preset": {"train": "paper-linear"}}
 
 
 @pytest.mark.parametrize("command, key", command_pairs())
@@ -1083,7 +1081,7 @@ class TestReportBytes:
     }
     DIGESTS = {
         "simulate": "6d9e8fb6c2b25d4f80d440b6bad498d98910888a18e78fb9e5341289dedbb6a1",
-        "train": "0a1278da8a00ce1b35d56e9b8f2ee76ea292b8d3b1a3954f22fa4d0dbc826cc7",
+        "train": "d98909933c6590f86f70336bbfc2a787e45ba8fe034c0aac26a12022170495bb",
         "compare": "69e03df91b063672e88f74f9114d9c5f7cd1d62de38e6aaae1fde3feb59428e4",
         "backtest": "c62ff3f2c188f690551f0d037599453bb66c750ddd09a1163c3dd9bdd2a51d34",
     }

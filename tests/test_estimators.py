@@ -350,12 +350,6 @@ class TestTrain:
         assert (err.value.episode, err.value.last_theta) == (1, 0.5)
         assert err.value.trace == [[0, 0.5, None]]
 
-    def test_plateau_stop(self, study_spec, grid_100):
-        cfg = TrainConfig("mstde", 1e-10, 5000, 4, 0.5, master_seed=0,
-                          plateau_tol=1e-6, plateau_window=50)
-        result = train(LinearValue(), study_spec, grid_100, cfg)
-        assert result.episodes_run < 5000
-
     def test_clip_counts_events(self, study_spec, grid_100):
         cfg = TrainConfig("mstde", 1e-6, 50, 4, 0.5, master_seed=0, grad_clip=1e-9)
         result = train(LinearValue(), study_spec, grid_100, cfg)
@@ -369,6 +363,21 @@ class TestTrain:
         assert doc["trace"][-1][0] == 20
         csv = result.trace_csv()
         assert csv.splitlines()[0] == "episode,theta,loss"
+
+    @pytest.mark.parametrize("record_every", [1, 7, 20, 25])
+    def test_trace_rows_at_record_points(self, study_spec, grid_100, record_every):
+        # rows at episode 0, each multiple of record_every and the last
+        # episode, each as the every-episode trace has it
+        def run(every):
+            cfg = TrainConfig("msbve", 5e-4, 20, 4, 0.5, master_seed=3, record_every=every)
+            return train(LinearValue(), study_spec, grid_100, cfg)
+
+        result, full = run(record_every), run(1)
+        episodes = [row[0] for row in result.trace]
+        assert episodes == sorted({0, *range(record_every, 21, record_every), 20})
+        assert result.trace == [full.trace[e] for e in episodes]
+        assert [row[2] is None for row in result.trace] == [True] + [False] * (len(episodes) - 1)
+        assert result.trace[-1] == [20, result.theta_final, full.trace[20][2]]
 
 
 class TestJumpRobustnessRatio:

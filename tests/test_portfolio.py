@@ -610,20 +610,42 @@ class TestIngestion:
         path.write_text("timestamp,price\n"
                         "2021-01-04T09:30:00+00:00,100.0\n"
                         "2021-01-04T09:35:00Z,100.5\n"
-                        "1609753200,101.0\n")  # epoch for 09:40 UTC
-        loaded = read_price_csv(path, 2)
-        assert loaded.prices.size == 3
+                        "1609753200,101.0\n"  # epoch for 09:40 UTC
+                        "1.6097535e9,101.5\n"  # 09:45, a whole second written with a fraction
+                        "2021-01-04T09:50:00.000000,102.0\n")
+        loaded = read_price_csv(path, 4)
+        assert loaded.prices.size == 5
+        assert np.diff(loaded.timestamps.astype("int64")).tolist() == [300] * 4
 
     # a datetime64[s] series has no place for a fraction: dropping it would
-    # collide the two ISO bars, and rounding it would move the epoch bar
+    # collide the two ISO bars, and rounding it would move the epoch bar. The
+    # fine cases are below what fromisoformat keeps and what a float holds
     @pytest.mark.parametrize("stamps, line", [
         (["2021-01-04T09:30:00.25", "2021-01-04T09:30:00.75"], 2),
-        (["1609752600", "1609752601.5"], 3)], ids=["iso", "epoch"])
+        (["1609752600", "1609752601.5"], 3),
+        (["2021-01-04T09:30:00", "2021-01-04T09:35:00.0000001"], 3),
+        (["1609752600.0000001", "1609752900"], 2)],
+        ids=["iso", "epoch", "iso-fine", "epoch-fine"])
     def test_csv_refuses_fractional_seconds(self, tmp_path, stamps, line):
         path = tmp_path / "prices.csv"
         path.write_text("timestamp,price\n" + "".join(f"{s},100.0\n" for s in stamps))
         with pytest.raises(IngestionError, match=re.escape(
                 f"line {line}: timestamp '{stamps[line - 2]}' is not a whole second")):
+            read_price_csv(path, 2)
+
+    # the file's line, blank lines counted, where PriceSeries would name the row
+    @pytest.mark.parametrize("rows, line, previous", [
+        (["09:30:00", "09:35:00", "09:35:00"], 4, 3),
+        (["09:30:00", "", "09:35:00", "09:32:00", "09:40:00"], 5, 4),
+        (["09:35:00", "09:30:00"], 3, 2)], ids=["duplicate", "back-step", "first-pair"])
+    def test_csv_names_the_line_out_of_order(self, tmp_path, rows, line, previous):
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,price\n" + "".join(
+            f"2021-01-04T{r},100.0\n" if r else "\n" for r in rows))
+        with pytest.raises(IngestionError, match=re.escape(
+                f"line {line}: timestamp '2021-01-04T{rows[line - 2]}' does not follow "
+                f"'2021-01-04T{rows[previous - 2]}' on line {previous}; timestamps must be "
+                f"strictly ascending without duplicates")):
             read_price_csv(path, 2)
 
     def test_csv_rejects_bad_header(self, tmp_path):

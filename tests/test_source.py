@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from jumprl import cli
 
 MODULES = sorted(p for p in Path(jumprl.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+BENCH_MODULES = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 README = Path(__file__).parent.parent / "README.md"
 SKIPS = {"skip", "skipif", "xfail"}
@@ -299,3 +301,45 @@ def test_report_formatter_is_found():
     sources = {"serialize": 'format(x, ".17g")\n', "a": 'f"{x:.17g},{y}"\n',
                "b": "x = 17\ny = '.6g'\n"}
     assert report_formatters(sources) == ["a", "serialize"]
+
+
+def unpassed_fields(cls: str, fields: list[str], sources: dict[str, str]) -> list[str]:
+    """The fields that no `cls(...)` or `<module>.cls(...)` call in sources
+    passes, by name or by position."""
+    passed = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and cls in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+                passed.update(fields[:len(node.args)])
+                passed.update(kw.arg for kw in node.keywords)
+    return [field for field in fields if field not in passed]
+
+
+def test_every_train_config_field_has_a_caller():
+    # an option that only tests set is code that no run can reach
+    fields = [field.name for field in dataclasses.fields(jumprl.TrainConfig)]
+    sources = {p.as_posix(): p.read_text() for p in MODULES + BENCH_MODULES}
+    assert unpassed_fields("TrainConfig", fields, sources) == []
+
+
+def test_unpassed_field_is_found():
+    sources = {"a": "C(1, 2)\nm.C(c=3)\nD(d=4)\n", "b": "def f(C):\n    return C\n"}
+    assert unpassed_fields("C", ["a", "b", "c", "d", "e"], sources) == ["d", "e"]
+    assert unpassed_fields("C", ["a", "b"], {"b": sources["b"]}) == ["a", "b"]
+
+
+def empty_presets(tables: dict[str, dict]) -> list[str]:
+    """`command: name` of every preset, in {command: {name: {key: value}}},
+    that sets no key."""
+    return [f"{command}: {name}" for command, table in sorted(tables.items())
+            for name, keys in sorted(table.items()) if not keys]
+
+
+def test_every_preset_sets_a_key():
+    assert empty_presets(cli._PRESETS) == []
+
+
+def test_empty_preset_is_found():
+    tables = {"b": {"y": {}, "x": {"k": 1}}, "a": {"z": {}}}
+    assert empty_presets(tables) == ["a: z", "b: y"]
