@@ -18,8 +18,8 @@ from .portfolio import (BacktestConfig, BacktestResult, PriceSeries, bipower_sig
                         build_price_series, jump_threshold, read_price_csv,
                         rolling_backtest, sharpe, synthetic_gbm_jump_series,
                         threshold_series, write_price_csv)
-from .sde import (JumpDiffusionSpec, NoJumps, PathBatch, PoissonRate,
-                  SingleUniformJump, TimeGrid, build_grid, doubling_jump_spec,
-                  path_to_csv, sample_single_jump_time, simulate_batch)
+from .sde import (JumpDiffusionSpec, NoJumps, PathBatch, SingleUniformJump, TimeGrid,
+                  build_grid, doubling_jump_spec, path_to_csv, sample_single_jump_time,
+                  simulate_batch)
 
 __version__ = "0.1.0"

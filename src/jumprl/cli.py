@@ -27,9 +27,8 @@ from .estimators import LOSS_KINDS, TrainConfig, train
 from .models import HORIZON, family_by_name
 from .portfolio import (THRESHOLD_MODES, BacktestConfig, day_index, read_price_csv,
                         rolling_backtest)
-from .sde import (STUDY_X0, JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                  Workspace, build_grid, check_jump_law, doubling_jump_spec, grid_for_step,
-                  path_to_csv, simulate_batch)
+from .sde import (STUDY_X0, JumpDiffusionSpec, NoJumps, SingleUniformJump, Workspace,
+                  build_grid, doubling_jump_spec, grid_for_step, path_to_csv, simulate_batch)
 from .serialize import dump_json, write_json
 
 _TRAINING = {  # keys train and compare share
@@ -45,7 +44,6 @@ KEYS = {
         "seed": ("seed", None), "out": ("str", "out"), "paths": ("int", 1),
         "x0": ("float", STUDY_X0), "horizon": ("float", 1.0), "n_steps": ("int", 1000),
         "drift": ("float", 0.0), "sigma": ("float", 1.0), "law": ("str", "single_uniform"),
-        "poisson_rate": ("float", 1.0),
     },
     "train": {
         **_TRAINING, "preset": ("str", None), "family": ("str", "linear"),
@@ -174,23 +172,11 @@ def _out_dir(out) -> Path:
     return directory
 
 
-def _build_spec(x0, drift, sigma, law, poisson_rate) -> JumpDiffusionSpec:
-    laws = {
-        "none": NoJumps,
-        "single_uniform": SingleUniformJump,
-        "poisson": lambda: PoissonRate(rate=poisson_rate),
-    }
+def _build_spec(x0, drift, sigma, law) -> JumpDiffusionSpec:
+    laws = {"none": NoJumps, "single_uniform": SingleUniformJump}
     if law not in laws:
         raise ConfigurationError(f"unknown jump law {law!r}; expected {sorted(laws)}")
     return JumpDiffusionSpec(drift=drift, diffusion=sigma, jump_law=laws[law](), x0=x0)
-
-
-def _spec_echo(x0, drift, sigma, law, poisson_rate) -> dict:
-    echo = {"x0": x0, "drift": drift, "sigma": sigma, "jump_law": law,
-            "jump_size": "pre_jump_state"}
-    if law == "poisson":
-        echo["poisson_rate"] = poisson_rate
-    return echo
 
 
 @click.group()
@@ -255,10 +241,8 @@ def _command(name: str):
 @_command("simulate")
 def cmd_simulate(v):
     """Export simulated paths as CSV plus a manifest."""
-    params = {key: v[key] for key in ("x0", "drift", "sigma", "law", "poisson_rate")}
-    spec = _build_spec(**params)
+    spec = _build_spec(v["x0"], v["drift"], v["sigma"], v["law"])
     grid = build_grid(v["horizon"], v["n_steps"])
-    check_jump_law(spec, grid)
     count = v["paths"]
     if count < 0:
         raise ConfigurationError(f"paths must be >= 0, got {count}")
@@ -275,7 +259,8 @@ def cmd_simulate(v):
         "command": "simulate",
         "seed": master,
         "paths": count,
-        "spec": _spec_echo(**params),
+        "spec": {"x0": v["x0"], "drift": v["drift"], "sigma": v["sigma"],
+                 "jump_law": v["law"], "jump_size": "pre_jump_state"},
         "grid": {"horizon": grid.horizon, "n_steps": grid.n_steps, "dt": grid.dt},
         "files": files,
     }

@@ -4,8 +4,8 @@ Paths are generated by the Euler recursion
 
     X(i+1) = X(i) + b dt + sigma sqrt(dt) Z_i
 
-with an optional jump component, dX = b dt + sigma dW + X- dN: every jump adds
-the pre-jump state, so the state doubles. A path's jump time is snapped to the
+with at most one jump per path, dX = b dt + sigma dW + X- dN: the jump adds the
+pre-jump state, so the state doubles. A path's jump time is snapped to the
 first grid point at or after it, and the jump is applied after that step's
 diffusion increment. Alongside the observed path we retain the jump-free
 accumulation of the same realized increments (the latent continuous component),
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -93,18 +93,7 @@ class SingleUniformJump:
     """Exactly one jump per path, at a time uniform over the horizon."""
 
 
-@dataclass(frozen=True)
-class PoissonRate:
-    """Jumps arrive as Bernoulli(rate * dt) per step; requires rate * dt < 0.1."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0 <= self.rate < math.inf:
-            raise ConfigurationError(f"Poisson rate must be >= 0 and finite, got {self.rate}")
-
-
-JumpLaw = Union[NoJumps, SingleUniformJump, PoissonRate]
+JumpLaw = Union[NoJumps, SingleUniformJump]
 
 
 @dataclass(frozen=True)
@@ -118,6 +107,9 @@ class JumpDiffusionSpec:
     x0: float
 
     def __post_init__(self):
+        if not isinstance(self.jump_law, get_args(JumpLaw)):
+            raise ConfigurationError(f"unknown jump law {self.jump_law!r}; expected one of "
+                                     f"{[law.__name__ for law in get_args(JumpLaw)]}")
         if not math.isfinite(self.x0):
             raise ConfigurationError(f"x0 must be finite, got {self.x0}")
         for name in ("drift", "diffusion"):
@@ -136,45 +128,6 @@ def sample_single_jump_time(rng: np.random.Generator) -> float:
     while u == 0.0:
         u = float(rng.random())
     return u
-
-
-def check_jump_law(spec: JumpDiffusionSpec, grid: TimeGrid) -> None:
-    """ConfigurationError unless spec's jump law fits grid: a PoissonRate law
-    draws at most one jump per cell, so it needs rate*dt < 0.1."""
-    p = spec.jump_law.rate * grid.dt if isinstance(spec.jump_law, PoissonRate) else 0.0
-    if p >= 0.1:
-        raise ConfigurationError(
-            f"PoissonRate requires rate*dt < 0.1 (one jump per cell); got {p:.4g}")
-
-
-def _jump_sampler(spec: JumpDiffusionSpec, grid: TimeGrid, times: list):
-    """Function that draws one path's jump times from its generator, appends
-    them to `times` in ascending order and returns how many it drew.
-
-    It is called after the path's normal increments, so the Brownian part of
-    a path is identical across jump laws for the same stream.
-    """
-    law = spec.jump_law
-    if isinstance(law, NoJumps):
-        return lambda rng: 0
-    if isinstance(law, SingleUniformJump):
-        horizon, append = grid.horizon, times.append
-
-        def single(rng):
-            append(sample_single_jump_time(rng) * horizon)
-            return 1
-        return single
-    if isinstance(law, PoissonRate):
-        check_jump_law(spec, grid)
-        p = law.rate * grid.dt
-        cells, n, extend = grid.times[1:], grid.n_steps, times.extend
-
-        def poisson(rng):
-            hits = cells[rng.random(n) < p]
-            extend(hits.tolist())
-            return hits.size
-        return poisson
-    raise ConfigurationError(f"unknown jump law {law!r}")
 
 
 class Workspace:
@@ -206,9 +159,9 @@ class Workspace:
 class PathBatch:
     """Dense arrays for a batch of paths sharing one spec and grid.
 
-    pre_jump holds the left limits: the observed states with the jump landing
-    at each grid point backed out. Jump records are flattened across paths.
-    Every array is read-only.
+    pre_jump holds the left limits: the observed states with each path's
+    jump backed out where it lands. The jump records hold one event per row
+    that has a jump, in row order. Every array is read-only.
     """
 
     grid: TimeGrid
@@ -255,26 +208,21 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     keys = philox_keys(master_seed, episode, path_offset, n_paths).tolist()
     rng = ws.generator
     draw_normals = rng.standard_normal
-    times, counts = [], []
-    draw_jumps = _jump_sampler(spec, grid, times)
-    count = counts.append
+    jumps = isinstance(spec.jump_law, SingleUniformJump)
+    times = []
     for path, key, row in zip(range(path_offset, path_offset + n_paths), keys, z):
         # path_rng is read from this module's globals, where tracing rebinds it
         path_rng(master_seed, episode, path, reuse=rng, key=key)
         draw_normals(out=row)
-        count(draw_jumps(rng))
-    # rounds 0 .. every_row - 1 have a jump in every row
-    every_row, n_rounds = min(counts, default=0), max(counts, default=0)
-    # the ledger, row by row: each row's jumps in time order
-    counts = np.array(counts, dtype=int)
-    jump_path = np.repeat(np.arange(n_paths), counts)
+        if jumps:  # after the normals, so a row's Brownian part is the same under both laws
+            times.append(sample_single_jump_time(rng) * grid.horizon)
+    # the ledger: one jump in every row, or none
     jump_time = np.array(times, dtype=float)
+    jump_path = np.arange(jump_time.size)
     jump_step = grid.times.searchsorted(jump_time)  # first grid point >= each time
     # each jump's element in the raveled states; the state arrays are
     # leading rows of C-contiguous arrays, so reshape(-1) is a view
     landing = jump_path * (n + 1) + jump_step
-    jump_pre = np.empty(jump_time.size)
-    starts = np.cumsum(counts) - counts
 
     # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
     z *= float(spec.diffusion) * math.sqrt(grid.dt)
@@ -285,21 +233,12 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     np.add.accumulate(z, axis=1, out=cont[:, 1:])  # np.cumsum's sum, less call overhead
     cont += spec.x0
     observed[...] = cont
-    # round r applies the r-th jump of every row that has one, adding to
-    # the row's columns from its jump step on and writing no other element,
-    # so each element gets the additions of a per-jump loop in its order
-    cols = np.arange(n + 1)
-    for r in range(n_rounds):
-        rows = None if r < every_row else np.flatnonzero(counts > r)
-        sel = starts + r if rows is None else starts[rows] + r
-        # a jump adds the state it lands on
-        pre = jump_pre[sel] = observed.reshape(-1)[landing[sel]]
-        if rows is None:
-            first, size = jump_step[sel], pre
-        else:  # rows without an r-th jump get none
-            first, size = np.full(n_paths, n + 1), np.zeros(n_paths)
-            first[rows], size[rows] = jump_step[sel], pre
-        np.add(observed, size[:, None], out=observed, where=cols >= first[:, None])
+    # a jump adds the state it lands on to its row's columns from its step on,
+    # and writes no other element
+    jump_pre = observed.reshape(-1)[landing]
+    jumped = observed[:jump_path.size]  # every row, or none
+    np.add(jumped, jump_pre[:, None], out=jumped,
+           where=np.arange(n + 1) >= jump_step[:, None])
     if not np.isfinite(observed).all():
         bad = np.argwhere(~np.isfinite(observed))[0]
         raise SimulationOverflowError(
@@ -307,8 +246,7 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
             step_index=int(bad[1]))
 
     pre_jump[...] = observed
-    # back out sizes at landing points only; earlier jumps stay folded in
-    np.subtract.at(pre_jump.reshape(-1), landing, jump_pre)
+    pre_jump.reshape(-1)[landing] -= jump_pre  # at most one landing per row
     return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
                      jump_path=jump_path, jump_step=jump_step, jump_time=jump_time,
                      jump_pre=jump_pre)
@@ -328,7 +266,7 @@ def doubling_jump_spec(x0: float = STUDY_X0) -> JumpDiffusionSpec:
 
 def path_to_csv(batch: PathBatch, row: int, destination) -> None:
     """Write one row of a batch as a `t,observed,continuous,jump_flag` report
-    CSV; jump_flag is 1 where at least one jump landed."""
+    CSV; jump_flag is 1 where the row's jump landed."""
     flags = np.zeros(batch.grid.n_steps + 1, dtype=int)
     flags[batch.jump_step[batch.jump_path == row]] = 1
     text = dump_csv(("t", "observed", "continuous", "jump_flag"),

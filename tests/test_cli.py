@@ -75,6 +75,21 @@ class TestSimulate:
         assert "No such option '--preset'" in result.output
         assert not tmp_path.joinpath("manifest.json").exists()
 
+    @pytest.mark.parametrize("args, cfg_line, message", [
+        (["--poisson-rate", "1"], "", "No such option '--poisson-rate'"),
+        ([], "poisson_rate = 1", "error: unknown config key 'poisson_rate'; simulate reads ")],
+        ids=["flag", "config-line"])
+    def test_takes_no_poisson_rate(self, runner, tmp_path, args, cfg_line, message):
+        # a path has at most one jump, so no law reads a rate
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{cfg_line}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", *args, "--config", str(cfg), "--seed", "1",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert not out.exists()
+
     def test_missing_seed_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--paths", "1", "--out", str(tmp_path)])
         assert result.exit_code == 2
@@ -755,8 +770,7 @@ NON_FINITE = [
     (["backtest", "--alpha", "inf"], "", "learning_rate must be positive and finite, got inf"),
     (["simulate", "--sigma", "nan"], "", "constant diffusion must be finite, got nan"),
     (["simulate", "--drift", "inf"], "", "constant drift must be finite, got inf"),
-    (["simulate", "--law", "poisson", "--poisson-rate", "nan"], "",
-     "Poisson rate must be >= 0 and finite, got nan"),
+    (["simulate"], "x0 = NaN", "x0 must be finite, got nan"),
     (["train", "--family", "mean_variance"], "z = NaN", "z must be finite, got nan"),
     (["simulate"], "n_steps = 10.5", "n_steps must be an integer, got 10.5"),
 ]
@@ -798,9 +812,9 @@ def command_pairs():
 
 def base_config(command, out, data):
     """A cheap run of command that reads every key: the mean-variance family
-    reads z and wealth_x0, the Poisson law poisson_rate, the scan its sizes."""
+    reads z and wealth_x0, the scan its sizes."""
     return {
-        "simulate": {"seed": 1, "paths": 1, "n_steps": 20, "law": "poisson"},
+        "simulate": {"seed": 1, "paths": 1, "n_steps": 20},
         "train": {"seed": 1, "family": "mean_variance", "episodes": 1, "paths": 2, "dt": 0.1},
         "compare": {"seed": 1, "families": "linear", "episodes": 1, "paths": 2, "dt": 0.1,
                     "oracle_scan": True, "scan_paths": 4, "scan_steps": 10},
@@ -854,7 +868,7 @@ def test_flag_and_config_line_resolve_alike(tmp_path, command, key):
 INVALID = {
     "seed": "-1", "out": "{bad_dir}", "preset": "nope", "paths": "-1", "x0": "inf",
     "horizon": "0", "n_steps": "1", "drift": "inf", "sigma": "nan", "law": "foo",
-    "poisson_rate": "nan", "family": "foo", "loss": "foo", "episodes": "0", "alpha": "0",
+    "family": "foo", "loss": "foo", "episodes": "0", "alpha": "0",
     "theta0": "inf", "dt": "0", "record_every": "0", "z": "nan", "wealth_x0": "nan",
     "families": "foo", "scan_paths": "0", "scan_steps": "1", "data": "{missing}",
     "mode": "foo", "train_days": "1", "bars_per_day": "0", "rf": "inf",
@@ -890,8 +904,8 @@ def test_flag_and_config_line_fail_alike(runner, tmp_path, fixture_csv, command,
 
 
 @pytest.mark.parametrize("args, message", [
-    (["simulate", "--seed", "1", "--paths", "2", "--n-steps", "10", "--law", "poisson",
-      "--poisson-rate", "1"], "PoissonRate requires rate*dt < 0.1 (one jump per cell); got 0.1"),
+    (["simulate", "--seed", "1", "--paths", "2", "--n-steps", "10", "--law", "poisson"],
+     "unknown jump law 'poisson'; expected ['none', 'single_uniform']"),
     (["backtest", "--data", "{data}", "--bars-per-day", "10", "--train-days", "8",
       "--theta0", "0"], "|theta| = 0 below singularity floor 1e-06"),
     (["backtest", "--data", "{data}", "--bars-per-day", "10", "--train-days", "8",
@@ -1069,8 +1083,7 @@ class TestReportBytes:
     """
 
     RUNS = {
-        "simulate": ["simulate", "--paths", "3", "--n-steps", "400", "--law", "poisson",
-                     "--poisson-rate", "20", "--seed", "21"],
+        "simulate": ["simulate", "--paths", "3", "--n-steps", "400", "--seed", "21"],
         "train": ["train", "--family", "quadratic", "--loss", "mstde", "--episodes", "30",
                   "--paths", "8", "--alpha", "0.001", "--dt", "0.02", "--seed", str(2**40)],
         "compare": ["compare", "--families", "linear", "--episodes", "5", "--paths", "2",
@@ -1080,7 +1093,7 @@ class TestReportBytes:
                      "--mode", "both", "--loss", "both", "--steps-per-update", "3"],
     }
     DIGESTS = {
-        "simulate": "6d9e8fb6c2b25d4f80d440b6bad498d98910888a18e78fb9e5341289dedbb6a1",
+        "simulate": "9c1eaff678e88c80cdc37980bdabbc91ddee6af0455ff51b4d3baf9b29c433ea",
         "train": "d98909933c6590f86f70336bbfc2a787e45ba8fe034c0aac26a12022170495bb",
         "compare": "69e03df91b063672e88f74f9114d9c5f7cd1d62de38e6aaae1fde3feb59428e4",
         "backtest": "c62ff3f2c188f690551f0d037599453bb66c750ddd09a1163c3dd9bdd2a51d34",

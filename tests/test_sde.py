@@ -9,9 +9,9 @@ from jumprl import sde
 from jumprl.errors import ConfigurationError, SimulationOverflowError
 from jumprl.estimators import LOSS_KINDS, grads_by_row
 from jumprl.rng import path_rng, stream
-from jumprl.sde import (JumpDiffusionSpec, NoJumps, PoissonRate, SingleUniformJump,
-                        Workspace, build_grid, doubling_jump_spec, grid_for_step,
-                        path_to_csv, sample_single_jump_time, simulate_batch)
+from jumprl.sde import (JumpDiffusionSpec, NoJumps, SingleUniformJump, Workspace,
+                        build_grid, doubling_jump_spec, grid_for_step, path_to_csv,
+                        sample_single_jump_time, simulate_batch)
 from conftest import BATCH_ARRAYS, batch_buffers, jump_ledger
 
 
@@ -101,12 +101,10 @@ class TestSimulatePath:
         np.testing.assert_array_equal(path.observed[0, :k], path.continuous[0, :k])
         np.testing.assert_array_equal(path.observed[0, k:], path.continuous[0, k:] + pre_state)
         assert path.observed[0, k] == 2 * pre_state
-        # under every law, each landing holds twice its pre-jump state and its
+        # under both laws, each landing holds twice its pre-jump state and its
         # left limit is that state, both exactly; elsewhere the left limits
-        # are the observed states. The Poisson rows have 0 to 3+ jumps.
-        for law, n_paths, fewest, most in ((SingleUniformJump(), 16, 1, 1),
-                                           (PoissonRate(rate=2.0), 12, 0, 3),
-                                           (NoJumps(), 4, 0, 0)):
+        # are the observed states
+        for law, n_paths, jumps in ((SingleUniformJump(), 16, 1), (NoJumps(), 4, 0)):
             spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9, jump_law=law, x0=0.3)
             batch = simulate_batch(spec, build_grid(1.0, 100), 97, 2, n_paths)
             rows, steps = batch.jump_path, batch.jump_step
@@ -115,8 +113,7 @@ class TestSimulatePath:
             off = np.ones(batch.observed.shape, dtype=bool)
             off[rows, steps] = False
             np.testing.assert_array_equal(batch.pre_jump[off], batch.observed[off])
-            counts = np.bincount(rows, minlength=n_paths)
-            assert (counts.min(), min(counts.max(), 3)) == (fewest, most)
+            assert (np.bincount(rows, minlength=n_paths) == jumps).all()
 
     def test_degenerate_constant_path(self, grid_100):
         spec = JumpDiffusionSpec(drift=0.0, diffusion=0.0, jump_law=NoJumps(), x0=0.1)
@@ -197,23 +194,6 @@ class TestPathInvariants:
         assert path.observed[0, 0] == path.continuous[0, 0]
 
 
-class TestPoissonRate:
-    def test_rejects_coarse_grid(self, grid_100):
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=PoissonRate(rate=50.0),
-                                 x0=0.0)
-        with pytest.raises(ConfigurationError):
-            simulate_batch(spec, grid_100, 0, 0, 1)
-
-    def test_mean_jump_count(self):
-        rate = 2.0
-        spec = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=PoissonRate(rate=rate),
-                                 x0=0.0)
-        grid = build_grid(1.0, 500)
-        batch = simulate_batch(spec, grid, 87, 0, 2000)
-        mean_count = batch.jump_step.size / 2000
-        assert abs(mean_count - rate) < 0.1
-
-
 class TestSpecCheck:
     @pytest.mark.parametrize("field", ["drift", "diffusion"])
     @pytest.mark.parametrize("value", [lambda t, x: 0.5, True, "0.5", None],
@@ -223,6 +203,16 @@ class TestSpecCheck:
         fields[field] = value
         with pytest.raises(ConfigurationError, match=f"^{field} must be a real number, got "):
             JumpDiffusionSpec(**fields)
+
+    @pytest.mark.parametrize("law", [object(), None, SingleUniformJump],
+                             ids=["object", "None", "law-class"])
+    def test_unknown_jump_law_names_it_and_the_known_laws(self, law):
+        # refused when the spec is built, before any batch could simulate it
+        # as a law without jumps
+        with pytest.raises(ConfigurationError) as info:
+            JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=law, x0=0.0)
+        assert str(info.value) == (f"unknown jump law {law!r}; expected one of "
+                                   f"['NoJumps', 'SingleUniformJump']")
 
     def test_numpy_and_integer_coefficients_give_the_float_bits(self, grid_100):
         def batch(drift, diffusion):
@@ -237,37 +227,12 @@ class TestSpecCheck:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-# one jump per row, and several jumps per row
+# one jump per row, and none
 BATCH_SPECS = [
     JumpDiffusionSpec(drift=0.3, diffusion=0.7, jump_law=SingleUniformJump(), x0=0.2),
-    JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0), x0=1.0),
+    JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=NoJumps(), x0=1.0),
 ]
-
-
-def assert_matches_sequential_reference(spec, grid, seed, episode, offset, n_paths):
-    """Check a constant-coefficient Poisson batch against its rows built one
-    at a time, and return each row's jump count.
-
-    Reference: each row's normals, then its Bernoulli jump flags, from
-    stream(seed, e, p); jumps applied one at a time as observed[k:] += observed[k].
-    """
-    batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
-    ledger = []
-    for i in range(n_paths):
-        rng = stream(seed, episode, offset + i)
-        z = rng.standard_normal(grid.n_steps)
-        flags = rng.random(grid.n_steps) < spec.jump_law.rate * grid.dt
-        increments = spec.drift * grid.dt + spec.diffusion * math.sqrt(grid.dt) * z
-        continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
-        observed = continuous.copy()
-        for k in np.flatnonzero(flags) + 1:
-            pre = observed[k]
-            observed[k:] += pre
-            ledger.append((i, k, grid.times[k], pre))
-        np.testing.assert_array_equal(batch.continuous[i], continuous)
-        np.testing.assert_array_equal(batch.observed[i], observed)
-    assert jump_ledger(batch) == ledger
-    return np.bincount(batch.jump_path, minlength=n_paths)
+BATCH_IDS = ["constant", "no-jumps"]
 
 
 class TestBatch:
@@ -285,7 +250,7 @@ class TestBatch:
         np.testing.assert_array_equal(whole.observed,
                                       np.vstack([left.observed, right.observed]))
 
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
     def test_rows_match_seeded_paths_at_offset(self, spec):
         grid = build_grid(1.0, 200)
         offset = 2**33 + 5
@@ -299,24 +264,34 @@ class TestBatch:
                 event[1:] for event in jump_ledger(single)]
         # each ledger step is its drawn time snapped to the grid
         np.testing.assert_array_equal(batch.jump_step, grid.times.searchsorted(batch.jump_time))
-        assert batch.jump_step.size > 0
+        assert batch.jump_step.size == (6 if isinstance(spec.jump_law, SingleUniformJump) else 0)
 
-    def test_poisson_rows_match_sequential_reference(self):
-        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0),
-                                 x0=1.0)
-        counts = assert_matches_sequential_reference(spec, build_grid(1.0, 200), seed=83,
-                                                     episode=4, offset=2**32 - 3, n_paths=6)
-        assert (counts >= 2).sum() >= 2
-
-    def test_constant_poisson_rows_with_zero_to_many_jumps_match_sequential_reference(self):
-        # a round applies the r-th jump of every row with more than r jumps;
-        # rows without any and rows with three or more must both come out as
-        # the one-jump-at-a-time reference
-        spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9, jump_law=PoissonRate(rate=2.0),
-                                 x0=0.3)
-        counts = assert_matches_sequential_reference(spec, build_grid(1.0, 100), seed=97,
-                                                     episode=2, offset=0, n_paths=12)
-        assert counts.min() == 0 and counts.max() >= 3
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
+    def test_rows_match_sequential_reference(self, spec):
+        # reference, row by row from stream(seed, e, p): the normals, then under
+        # the single-jump law a uniform draw on (0, 1) with 0 redrawn, scaled
+        # to the horizon; the jump applied as observed[k:] += observed[k]
+        grid, seed, episode, offset, n_paths = build_grid(1.0, 200), 83, 4, 2**32 - 3, 6
+        batch = simulate_batch(spec, grid, seed, episode, n_paths, path_offset=offset)
+        ledger = []
+        for i in range(n_paths):
+            rng = stream(seed, episode, offset + i)
+            z = rng.standard_normal(grid.n_steps)
+            increments = spec.drift * grid.dt + spec.diffusion * math.sqrt(grid.dt) * z
+            continuous = np.concatenate([[spec.x0], spec.x0 + np.cumsum(increments)])
+            observed = continuous.copy()
+            if isinstance(spec.jump_law, SingleUniformJump):
+                u = rng.random()
+                while u == 0.0:
+                    u = rng.random()
+                time = u * grid.horizon
+                k = int(np.searchsorted(grid.times, time))
+                pre = observed[k]
+                observed[k:] += pre
+                ledger.append((i, k, time, pre))
+            np.testing.assert_array_equal(batch.continuous[i], continuous)
+            np.testing.assert_array_equal(batch.observed[i], observed)
+        assert jump_ledger(batch) == ledger
 
     def test_negative_zero_start_keeps_its_sign(self):
         # a jump writes only the columns from its step on, so x0 = -0.0 stays
@@ -341,7 +316,7 @@ class TestBatch:
 
 
 class TestTraceContract:
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
     def test_path_rng_called_through_module_once_per_row(self, spec, monkeypatch):
         # the benchmark's tracer rebinds sde.path_rng and counts one stream per
         # call, so each row must call it through that global: a binding taken
@@ -425,7 +400,7 @@ class TestWorkspaceTake:
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
     def test_batch_equals_fresh_batch_and_is_read_only(self, spec):
         grid, workspace = build_grid(1.0, 200), Workspace()
         # a larger batch first, so the second uses the leading rows of dirty arrays
@@ -496,7 +471,7 @@ class TestWorkspaceGenerator:
             np.testing.assert_array_equal(second.generator.bit_generator.state["state"][word],
                                           untouched[word])
 
-    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["constant", "poisson"])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
     def test_batch_after_draws_mid_stream_equals_fresh_batch(self, spec):
         grid, workspace = build_grid(1.0, 200), Workspace()
         workspace.generator.standard_normal(7)
@@ -528,9 +503,7 @@ PINNED_BATCHES = {
     "doubling-32x100": (doubling_jump_spec(), 100, 20240101, 7, 32, 0),
     "doubling-128x1000-offset128": (doubling_jump_spec(), 1000, 31415, 3, 128, 128),
     "doubling-straddling-2^32": (doubling_jump_spec(), 100, 5, 1, 16, 2**32 - 8),
-    "poisson-0-to-many": (JumpDiffusionSpec(drift=-0.2, diffusion=0.9,
-                                            jump_law=PoissonRate(rate=2.0), x0=0.3),
-                          100, 97, 2, 12, 0),
+    "doubling-0-paths": (doubling_jump_spec(), 100, 3, 0, 0, 0),
     "no-jumps": (JumpDiffusionSpec(drift=0.3, diffusion=0.7,
                                    jump_law=NoJumps(), x0=0.2), 100, 13, 0, 8, 0),
     "negative-zero-x0": (JumpDiffusionSpec(drift=0.0, diffusion=1.0,
@@ -546,12 +519,12 @@ class TestPinnedBits:
     DIGESTS = {
         "doubling-128x1000-offset128":
             "891baf951322d6e77e12c6737291a6e803c16bb4e565d702cf1507a7458dd70c",
+        "doubling-0-paths": "d13d1dddca0277ba76962d831c94d51a3fab112b90f1b83c60abd8673f2e1513",
         "doubling-32x100": "a924c7e44570f56d3b144030851b51ba017df868ccfe52f2ee841be1b6eb06ba",
         "doubling-straddling-2^32":
             "a425d24a9acfbd10ef27d7a2eb512baec4fa5001d85939e8c9b820eece42de4b",
         "negative-zero-x0": "99e07a145a0605c4cb14550e7ada7f8f2bc3d927dfff3c35ab770e77e45a6c2e",
         "no-jumps": "62e320ba86629959c719510d77f1789c506022f5f4a2828d2104902b20901410",
-        "poisson-0-to-many": "a125513b86e8152ec3def9df7a7b0b0ae510fd5d72d81cc4406dcb45ef75576b",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
@@ -582,12 +555,9 @@ class TestCsvExport:
         np.testing.assert_array_equal(data[:, 2], path.continuous[0])
         assert data[:, 3].sum() == path.jump_step.size
 
-    def test_jump_flag_matches_ledger_steps(self):
-        spec = JumpDiffusionSpec(drift=0.1, diffusion=1.3, jump_law=PoissonRate(rate=8.0),
-                                 x0=1.0)
-        batch = simulate_batch(spec, build_grid(1.0, 200), 79, 2, 6)
-        counts = np.bincount(batch.jump_path, minlength=6)
-        assert counts.max() >= 2
+    def test_jump_flag_matches_ledger_steps(self, study_spec):
+        batch = simulate_batch(study_spec, build_grid(1.0, 200), 79, 2, 6)
+        assert (np.bincount(batch.jump_path, minlength=6) == 1).all()
         for row in range(6):
             buf = io.StringIO()
             path_to_csv(batch, row, buf)

@@ -4,12 +4,13 @@ import ast
 import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 import jumprl
-from jumprl import cli
+from jumprl import cli, sde
 
 MODULES = sorted(p for p in Path(jumprl.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -327,6 +328,34 @@ def test_unpassed_field_is_found():
     sources = {"a": "C(1, 2)\nm.C(c=3)\nD(d=4)\n", "b": "def f(C):\n    return C\n"}
     assert unpassed_fields("C", ["a", "b", "c", "d", "e"], sources) == ["d", "e"]
     assert unpassed_fields("C", ["a", "b"], {"b": sources["b"]}) == ["a", "b"]
+
+
+def unreachable_laws(laws: list[str], source: str) -> list[str]:
+    """The laws that no value of a dict literal in source's `_build_spec`
+    names, the table `simulate --law` picks a law from."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_build_spec":
+            for table in ast.walk(node):
+                if isinstance(table, ast.Dict):
+                    named.update(name.id for value in table.values
+                                 for name in ast.walk(value) if isinstance(name, ast.Name))
+    return [law for law in laws if law not in named]
+
+
+def test_every_jump_law_is_reachable_from_the_cli():
+    # a law that only tests construct is code that no run can reach
+    laws = [law.__name__ for law in typing.get_args(sde.JumpLaw)]
+    assert unreachable_laws(laws, Path(cli.__file__).read_text()) == []
+
+
+def test_unreachable_law_is_found():
+    source = ("def _build_spec(law, rate):\n"
+              "    laws = {'a': A, 'b': lambda: B(rate=rate)}\n"
+              "    return laws[law]() if isinstance(law, str) else D()\n\n"
+              "def other():\n    return {'c': C}\n")
+    assert unreachable_laws(["A", "B", "C", "D"], source) == ["C", "D"]
+    assert unreachable_laws(["A"], source.replace("_build_spec", "build")) == ["A"]
 
 
 def empty_presets(tables: dict[str, dict]) -> list[str]:
