@@ -14,6 +14,7 @@ each episode and applies one step with the batch-mean gradient.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from typing import Optional
 
 import math
@@ -151,6 +152,9 @@ class TrainConfig:
                 f"paths_per_episode must be >= 1, got {self.paths_per_episode}")
         if self.record_every < 1:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ConfigurationError(f"master_seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass

@@ -11,10 +11,12 @@ Three routes that never touch the SGD estimators:
     path ensemble; every estimate is a mean over all of its paths.
 
 The limit functional estimated from paths is the Riemann sum of
-|dJ/dx(t_i, X_i) sigma|^2 dt over left endpoints, with X_i taken as
-the pre-jump (left limit) state, optionally plus the summed squared value jumps
-(J(t_k, X_post) - J(t_k, X_pre))^2 over the path's jump ledger. Evaluating the
-same sum at the latent continuous states instead gives the oracle objective.
+|dJ/dx(t_i, X_i) sigma|^2 dt over left endpoints, with X_i taken as the left
+limit X(t_i-): the observed state, less the path's jump at the grid point it
+lands on. It is optionally plus the squared value jump
+(J(t_k, X_post) - J(t_k, X_pre))^2 at the path's landing step k, where X_pre is
+the continuous state there and X_post = 2 X_pre. Evaluating the same sum at the
+latent continuous states instead gives the oracle objective.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .sde import JumpDiffusionSpec, TimeGrid, Workspace, simulate_batch
 
 FAMILIES = ("linear", "quadratic", "exponential")
 METHODS = ("mstde", "msbve", "oracle")
+STATES = ("pre_jump", "continuous")  # the states mc_objective_samples can evaluate at
 CHUNK_PATHS = 2048  # paths a Monte-Carlo pass simulates into one workspace at a time
 _local = threading.local()  # each thread's workspace, see _thread_workspace
 
@@ -146,28 +149,36 @@ def reference_minimizers() -> MinimizerTable:
 
 
 def _evaluate_samples(model, thetas, batch, state: str, include_jump_term: bool,
-                      sigma: float, scratch: np.ndarray) -> np.ndarray:
+                      sigma: float, workspace: Workspace) -> np.ndarray:
     """Per-path objective values for each theta; shape (len(thetas), paths).
 
-    scratch is a writable (paths, n) float array that dvalue_dx writes into
-    and the squared gradient terms are formed in.
+    dvalue_dx writes into the workspace's "normals", which are dead once the
+    batch is built, and the squared gradient terms are formed there; the
+    pre_jump flavor forms the left limits in its "left".
     """
-    grid = batch.grid
-    states = batch.pre_jump if state == "pre_jump" else batch.continuous
-    left = states[:, :-1]
+    grid, steps = batch.grid, batch.jump_step
+    rows = np.arange(steps.size)  # every row, or none
+    landed = batch.continuous[rows, steps]  # each row's pre-jump state, also its jump's size
+    scratch = workspace.take("normals", (batch.observed.shape[0], grid.n_steps))
+    if state == "pre_jump":  # the observed states, less each jump where it lands
+        left = workspace.take("left", scratch.shape)
+        left[...] = batch.observed[:, :-1]
+        inner = steps < grid.n_steps  # a jump on the last grid point is at no left endpoint
+        left[rows[inner], steps[inner]] -= landed[inner]
+    else:
+        left = batch.continuous[:, :-1]
     t_left = grid.times[:-1][None, :]
-    t_jump = grid.times[batch.jump_step] if batch.jump_step.size else None
-    out = np.empty((len(thetas), states.shape[0]))
+    t_jump = grid.times[steps]
+    out = np.empty((len(thetas), left.shape[0]))
     for j, theta in enumerate(thetas):
         model.dvalue_dx(theta, t_left, left, out=scratch)
         scratch *= sigma
         scratch *= scratch
         vals = np.sum(scratch, axis=1) * grid.dt
-        if include_jump_term and batch.jump_step.size:
-            post = np.asarray(model.value(theta, t_jump, batch.jump_pre + batch.jump_pre),
-                              dtype=float)
-            pre = np.asarray(model.value(theta, t_jump, batch.jump_pre), dtype=float)
-            np.add.at(vals, batch.jump_path, (post - pre) ** 2)
+        if include_jump_term and steps.size:
+            post = np.asarray(model.value(theta, t_jump, landed + landed), dtype=float)
+            pre = np.asarray(model.value(theta, t_jump, landed), dtype=float)
+            vals += (post - pre) ** 2  # one term per row
         out[j] = vals
     return out
 
@@ -193,6 +204,8 @@ def mc_objective_samples(model, theta, spec: JumpDiffusionSpec, grid: TimeGrid,
     the values, and every mean over all of them, are independent of chunking
     and of the JUMPRL_THREADS worker count.
     """
+    if state not in STATES:
+        raise ConfigurationError(f"state must be one of {STATES}, got {state!r}")
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     thetas = [theta] if np.ndim(theta) == 0 else list(theta)
@@ -202,10 +215,8 @@ def mc_objective_samples(model, theta, spec: JumpDiffusionSpec, grid: TimeGrid,
         workspace = _thread_workspace()
         batch = simulate_batch(spec, grid, seed, 0, hi - lo, path_offset=lo,
                                workspace=workspace)
-        # the normals are dead once the batch is built
-        scratch = workspace.take("normals", (hi - lo, grid.n_steps))
         return _evaluate_samples(model, thetas, batch, state, include_jump_term,
-                                 float(spec.diffusion), scratch)
+                                 float(spec.diffusion), workspace)
 
     starts = range(0, n_paths, CHUNK_PATHS)
     workers = thread_cap()
@@ -255,6 +266,8 @@ def mc_argmin(model, method: str, spec: JumpDiffusionSpec, grid: TimeGrid,
     brackets the minimum, then golden section refines inside the bracket.
     Deterministic for a fixed seed: every evaluation regenerates the same paths.
     """
+    if method not in METHODS:
+        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
     state, jump_term = METHOD_FLAVORS[method]
 
     def objective(theta):  # the estimate at each theta: the mean over all paths

@@ -9,7 +9,9 @@ pre-jump state, so the state doubles. A path's jump time is snapped to the
 first grid point at or after it, and the jump is applied after that step's
 diffusion increment. Alongside the observed path we retain the jump-free
 accumulation of the same realized increments (the latent continuous component),
-which downstream oracle computations evaluate in place of the observed states.
+which downstream oracle computations evaluate in place of the observed states,
+and each path's landing grid index, from which its jump's size and its left
+limits follow.
 
 Drift and diffusion are constants, so every path's increments come from one
 vectorized pass.
@@ -110,14 +112,13 @@ class JumpDiffusionSpec:
         if not isinstance(self.jump_law, get_args(JumpLaw)):
             raise ConfigurationError(f"unknown jump law {self.jump_law!r}; expected one of "
                                      f"{[law.__name__ for law in get_args(JumpLaw)]}")
-        if not math.isfinite(self.x0):
-            raise ConfigurationError(f"x0 must be finite, got {self.x0}")
-        for name in ("drift", "diffusion"):
+        for name in ("x0", "drift", "diffusion"):
             value = getattr(self, name)
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
-                raise ConfigurationError(f"constant {name} must be finite, got {value}")
+                what = name if name == "x0" else f"constant {name}"
+                raise ConfigurationError(f"{what} must be finite, got {value}")
         if self.diffusion < 0:
             raise ConfigurationError(f"constant diffusion must be >= 0, got {self.diffusion}")
 
@@ -159,23 +160,19 @@ class Workspace:
 class PathBatch:
     """Dense arrays for a batch of paths sharing one spec and grid.
 
-    pre_jump holds the left limits: the observed states with each path's
-    jump backed out where it lands. The jump records hold one event per row
-    that has a jump, in row order. Every array is read-only.
+    A row's jump lands at grid index jump_step[row]; every row has one, or
+    none does. Its pre-jump state, which is also its size, is
+    continuous[row, step], and its left limit there is observed less that
+    state. Every array is read-only.
     """
 
     grid: TimeGrid
     observed: np.ndarray    # (paths, n+1)
     continuous: np.ndarray  # (paths, n+1)
-    pre_jump: np.ndarray    # (paths, n+1)
-    jump_path: np.ndarray   # (events,) path row of each jump
-    jump_step: np.ndarray   # (events,) grid index of each jump
-    jump_time: np.ndarray   # (events,) drawn jump time, before snapping to the grid
-    jump_pre: np.ndarray    # (events,) pre-jump state, which is also the jump's size
+    jump_step: np.ndarray   # (paths,) landing grid index of each row's jump, or (0,)
 
     def __post_init__(self):
-        for array in (self.observed, self.continuous, self.pre_jump, self.jump_path,
-                      self.jump_step, self.jump_time, self.jump_pre):
+        for array in (self.observed, self.continuous, self.jump_step):
             array.setflags(write=False)
 
 
@@ -188,23 +185,23 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     batch or chunk boundaries. All rows' keys are derived at once, and the
     workspace's generator is re-pointed to each row's stream in turn. The
     batch's state arrays are read-only views of the workspace's
-    "continuous", "observed" and "pre_jump" arrays, valid until their names
-    are next taken, and its normals are left in "normals"; without a
-    workspace the batch gets a fresh one, so it owns its arrays. The values
-    are the same either way. Raises ConfigurationError, before any path is
-    drawn, if the batch cannot be allocated.
+    "continuous" and "observed" arrays, valid until their names are next
+    taken, and its normals are left in "normals"; without a workspace the
+    batch gets a fresh one, so it owns its arrays. The values are the same
+    either way. Raises ConfigurationError, before any path is drawn, if the
+    batch cannot be allocated.
     """
     n = grid.n_steps
     ws = Workspace() if workspace is None else workspace
     state = (n_paths, n + 1)
     try:
         held = (ws.take("normals", (n_paths, n)), ws.take("continuous", state),
-                ws.take("observed", state), ws.take("pre_jump", state))
+                ws.take("observed", state))
     except (MemoryError, ValueError) as exc:
         raise ConfigurationError(f"cannot allocate a batch of n_paths = {n_paths} x "
                                  f"n_steps = {n}: {exc}") from exc
     # views, so that PathBatch marks them read-only and the held arrays stay writable
-    z, cont, observed, pre_jump = (array[:n_paths] for array in held)
+    z, cont, observed = (array[:n_paths] for array in held)
     keys = philox_keys(master_seed, episode, path_offset, n_paths).tolist()
     rng = ws.generator
     draw_normals = rng.standard_normal
@@ -216,13 +213,8 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
         draw_normals(out=row)
         if jumps:  # after the normals, so a row's Brownian part is the same under both laws
             times.append(sample_single_jump_time(rng) * grid.horizon)
-    # the ledger: one jump in every row, or none
-    jump_time = np.array(times, dtype=float)
-    jump_path = np.arange(jump_time.size)
-    jump_step = grid.times.searchsorted(jump_time)  # first grid point >= each time
-    # each jump's element in the raveled states; the state arrays are
-    # leading rows of C-contiguous arrays, so reshape(-1) is a view
-    landing = jump_path * (n + 1) + jump_step
+    # one jump in every row, or none; each lands on the first grid point >= its time
+    jump_step = grid.times.searchsorted(np.array(times, dtype=float))
 
     # increments in place; bitwise equal to b*dt + (s*sqrt(dt))*z
     z *= float(spec.diffusion) * math.sqrt(grid.dt)
@@ -235,21 +227,15 @@ def simulate_batch(spec: JumpDiffusionSpec, grid: TimeGrid, master_seed: int,
     observed[...] = cont
     # a jump adds the state it lands on to its row's columns from its step on,
     # and writes no other element
-    jump_pre = observed.reshape(-1)[landing]
-    jumped = observed[:jump_path.size]  # every row, or none
-    np.add(jumped, jump_pre[:, None], out=jumped,
-           where=np.arange(n + 1) >= jump_step[:, None])
+    jumped = observed[:jump_step.size]  # every row, or none
+    pre = cont[np.arange(jump_step.size), jump_step]  # the states the jumps land on
+    np.add(jumped, pre[:, None], out=jumped, where=np.arange(n + 1) >= jump_step[:, None])
     if not np.isfinite(observed).all():
         bad = np.argwhere(~np.isfinite(observed))[0]
         raise SimulationOverflowError(
             f"path {path_offset + bad[0]} became non-finite at step {bad[1]}",
             step_index=int(bad[1]))
-
-    pre_jump[...] = observed
-    pre_jump.reshape(-1)[landing] -= jump_pre  # at most one landing per row
-    return PathBatch(grid=grid, observed=observed, continuous=cont, pre_jump=pre_jump,
-                     jump_path=jump_path, jump_step=jump_step, jump_time=jump_time,
-                     jump_pre=jump_pre)
+    return PathBatch(grid=grid, observed=observed, continuous=cont, jump_step=jump_step)
 
 
 STUDY_X0 = 0.1  # the study process's start, which every closed form assumes
@@ -268,7 +254,8 @@ def path_to_csv(batch: PathBatch, row: int, destination) -> None:
     """Write one row of a batch as a `t,observed,continuous,jump_flag` report
     CSV; jump_flag is 1 where the row's jump landed."""
     flags = np.zeros(batch.grid.n_steps + 1, dtype=int)
-    flags[batch.jump_step[batch.jump_path == row]] = 1
+    if batch.jump_step.size:
+        flags[batch.jump_step[row]] = 1
     text = dump_csv(("t", "observed", "continuous", "jump_flag"),
                     zip(batch.grid.times, batch.observed[row], batch.continuous[row], flags))
     if hasattr(destination, "write"):

@@ -41,14 +41,23 @@ def batch_buffers(workspace, n_paths: int, n_steps: int) -> list:
     n_paths paths on n_steps steps, taken at the shape they were made with."""
     return [workspace.take("normals", (n_paths, n_steps))] + [
         workspace.take(name, (n_paths, n_steps + 1))
-        for name in ("continuous", "observed", "pre_jump")]
+        for name in ("continuous", "observed")]
 
 
 def jump_ledger(batch) -> list:
-    """The batch's jumps as (row, step, time, pre-jump state) tuples; each
-    jump's size is its pre-jump state."""
-    return list(zip(batch.jump_path.tolist(), batch.jump_step.tolist(),
-                    batch.jump_time.tolist(), batch.jump_pre.tolist()))
+    """The batch's jumps as (row, landing grid step) pairs, in row order."""
+    return list(enumerate(batch.jump_step.tolist()))
+
+
+def left_limits(batch) -> np.ndarray:
+    """The left limits X(t_i-) at the left endpoints, built row by row: the
+    observed states, less each jump's size, its row's continuous state there,
+    where it lands. A jump on the last grid point lands on no left endpoint."""
+    left = np.array(batch.observed[:, :-1])
+    for row, step in jump_ledger(batch):
+        if step < batch.grid.n_steps:
+            left[row, step] -= batch.continuous[row, step]
+    return left
 
 
 def exponential_quadratic_by_gauss_legendre(method, nodes=200):

@@ -320,6 +320,14 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             TrainConfig(**{**fields, field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None],
+                             ids=["negative", "float", "bool", "str", "None"])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        # refused when the config is built, not by the stream derivation at episode 1
+        with pytest.raises(ConfigurationError) as info:
+            TrainConfig("mstde", 0.1, 10, 4, 0.5, master_seed=seed)
+        assert str(info.value) == f"master_seed must be a non-negative integer, got {seed!r}"
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_theta(self, study_spec, grid_100):

@@ -12,9 +12,10 @@ from jumprl.models import CustomValue, ExponentialValue, LinearValue, QuadraticV
 from jumprl.oracles import (QuadraticObjective, _decay_moment, _thread_workspace,
                             argmin_quadratic, closed_form_objective, golden_section_min,
                             mc_argmin, mc_objective_samples, reference_minimizers)
-from jumprl.sde import (JumpDiffusionSpec, NoJumps, build_grid, doubling_jump_spec,
-                        simulate_batch)
-from conftest import BATCH_ARRAYS, batch_buffers, exponential_quadratic_by_gauss_legendre
+from jumprl.sde import (JumpDiffusionSpec, NoJumps, SingleUniformJump, build_grid,
+                        doubling_jump_spec, simulate_batch)
+from conftest import (BATCH_ARRAYS, assert_same_bits, batch_buffers,
+                      exponential_quadratic_by_gauss_legendre, left_limits)
 
 
 class TestArgminQuadratic:
@@ -183,6 +184,20 @@ class TestMcObjectives:
         with pytest.raises(ConfigurationError, match=f"n_paths must be >= 1, got {n_paths}"):
             mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, n_paths, seed=9)
 
+    def test_unknown_state_names_both_states(self, study_spec, grid_100):
+        # a misspelled state used to give the continuous flavor's values
+        with pytest.raises(ConfigurationError) as info:
+            mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, 4, seed=9,
+                                 state="pre_jmp")
+        assert str(info.value) == ("state must be one of ('pre_jump', 'continuous'), "
+                                   "got 'pre_jmp'")
+
+    def test_unknown_method_names_the_methods(self, study_spec, grid_100):
+        with pytest.raises(ConfigurationError) as info:
+            mc_argmin(LinearValue(), "mstd", study_spec, grid_100, 4, seed=9)
+        assert str(info.value) == ("method must be one of ('mstde', 'msbve', 'oracle'), "
+                                   "got 'mstd'")
+
     def test_chunk_independence(self, monkeypatch, study_spec, grid_100):
         monkeypatch.setattr(oracles, "CHUNK_PATHS", 17)
         small = mc_objective_samples(LinearValue(), -1.0, study_spec, grid_100, 100, seed=9)
@@ -268,11 +283,42 @@ class TestWorkspaceReuse:
                                    state=state)
         batches = [simulate_batch(study_spec, grid_100, 21, 0, hi - lo, path_offset=lo)
                    for lo, hi in ((0, 5), (5, 10), (10, 12))]
-        left = np.vstack([getattr(b, state) for b in batches])[:, :-1]
+        left = np.vstack([left_limits(b) if state == "pre_jump" else b.continuous[:, :-1]
+                          for b in batches])
         prod = left * 1.0  # sigma = 1
         np.testing.assert_array_equal(got, np.sum(prod * prod, axis=1) * grid_100.dt)
-        last = _thread_workspace().take(state, (2, grid_100.n_steps + 1))
-        np.testing.assert_array_equal(last, getattr(batches[-1], state))
+        for name in ("observed", "continuous"):
+            last = _thread_workspace().take(name, (2, grid_100.n_steps + 1))
+            np.testing.assert_array_equal(last, getattr(batches[-1], name))
+
+
+class TestLeftLimits:
+    """The pre_jump flavor evaluates dJ/dx at the left limits X(t_i-)."""
+
+    @pytest.mark.parametrize("spec, n_steps", [
+        (doubling_jump_spec(), 2), (doubling_jump_spec(), 100),
+        (JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=SingleUniformJump(), x0=-0.0), 50),
+        (JumpDiffusionSpec(drift=-0.0, diffusion=0.0, jump_law=SingleUniformJump(), x0=-0.0), 3),
+    ], ids=["study-2-steps", "study-100-steps", "negative-zero-x0", "signed-zeros"])
+    def test_pre_jump_flavor_reads_the_left_limits(self, monkeypatch, spec, n_steps):
+        # the states handed to dvalue_dx are the left limits built by hand from
+        # observed, continuous and jump_step, bit for bit and signed zeros
+        # included, on every chunk
+        seen = []
+        spy = CustomValue(value_fn=lambda theta, t, x: x,
+                          dx_fn=lambda theta, t, x: seen.append(np.array(x)) or x)
+        monkeypatch.setattr(oracles, "CHUNK_PATHS", 5)
+        grid = build_grid(1.0, n_steps)
+        got = mc_objective_samples(spy, 0.0, spec, grid, 12, seed=21)
+        batches = [simulate_batch(spec, grid, 21, 0, hi - lo, path_offset=lo)
+                   for lo, hi in ((0, 5), (5, 10), (10, 12))]
+        want = np.vstack([left_limits(b) for b in batches])
+        assert_same_bits(np.vstack(seen), want)
+        prod = want * spec.diffusion
+        np.testing.assert_array_equal(got, np.sum(prod * prod, axis=1) * grid.dt)
+        if n_steps == 2:
+            steps = np.concatenate([b.jump_step for b in batches])
+            assert (steps == 2).any() and (steps < 2).any()
 
 
 class TestThreadDeterminism:

@@ -94,26 +94,21 @@ class TestSingleJumpTime:
 class TestSimulatePath:
     def test_doubles_at_jump(self, study_spec, grid_1000):
         path = simulate_batch(study_spec, grid_1000, 7, 0, 1)
-        assert path.jump_step.size == 1
-        pre_state = path.jump_pre[0]
-        k = int(np.searchsorted(grid_1000.times, path.jump_time[0]))
-        assert path.jump_step[0] == k
+        assert path.jump_step.shape == (1,)
+        k = int(path.jump_step[0])
+        pre_state = path.continuous[0, k]
         np.testing.assert_array_equal(path.observed[0, :k], path.continuous[0, :k])
         np.testing.assert_array_equal(path.observed[0, k:], path.continuous[0, k:] + pre_state)
         assert path.observed[0, k] == 2 * pre_state
-        # under both laws, each landing holds twice its pre-jump state and its
-        # left limit is that state, both exactly; elsewhere the left limits
-        # are the observed states
+        # under both laws, each landing holds exactly twice its pre-jump
+        # state, and every row has one jump step or none has
         for law, n_paths, jumps in ((SingleUniformJump(), 16, 1), (NoJumps(), 4, 0)):
             spec = JumpDiffusionSpec(drift=-0.2, diffusion=0.9, jump_law=law, x0=0.3)
             batch = simulate_batch(spec, build_grid(1.0, 100), 97, 2, n_paths)
-            rows, steps = batch.jump_path, batch.jump_step
-            np.testing.assert_array_equal(batch.observed[rows, steps], 2 * batch.jump_pre)
-            np.testing.assert_array_equal(batch.pre_jump[rows, steps], batch.jump_pre)
-            off = np.ones(batch.observed.shape, dtype=bool)
-            off[rows, steps] = False
-            np.testing.assert_array_equal(batch.pre_jump[off], batch.observed[off])
-            assert (np.bincount(rows, minlength=n_paths) == jumps).all()
+            rows, steps = np.arange(batch.jump_step.size), batch.jump_step
+            np.testing.assert_array_equal(batch.observed[rows, steps],
+                                          2 * batch.continuous[rows, steps])
+            assert batch.jump_step.shape == (n_paths * jumps,)
 
     def test_degenerate_constant_path(self, grid_100):
         spec = JumpDiffusionSpec(drift=0.0, diffusion=0.0, jump_law=NoJumps(), x0=0.1)
@@ -158,7 +153,7 @@ class TestSimulatePath:
             k = int(np.searchsorted(grid.times, jump_time))
             path = simulate_batch(spec, grid, 19, episode, 1, path_offset=p)
             np.testing.assert_array_equal(path.continuous[0], continuous)
-            assert jump_ledger(path) == [(0, k, jump_time, continuous[k])]
+            assert jump_ledger(path) == [(0, k)]
             assert jump_time != grid.times[k]
             observed = continuous.copy()
             observed[k:] += continuous[k]
@@ -178,16 +173,15 @@ class TestPathInvariants:
     def test_jump_ledger_reconstructs_observed(self, study_spec, grid_1000):
         path = simulate_batch(study_spec, grid_1000, 31, 0, 1)
         rebuilt = path.continuous[0].copy()
-        for time, size in zip(path.jump_time, path.jump_pre):
-            k = int(np.searchsorted(grid_1000.times, time))
-            rebuilt[k:] += size
+        for row, k in jump_ledger(path):
+            rebuilt[k:] += path.continuous[row, k]
         np.testing.assert_allclose(rebuilt, path.observed[0], rtol=1e-12, atol=1e-15)
 
     def test_single_jump_law_always_one_event(self, study_spec, grid_100):
         for path_idx in range(50):
             path = simulate_batch(study_spec, grid_100, 41, 0, 1, path_offset=path_idx)
-            assert path.jump_step.size == 1
-            assert 0.0 < path.jump_time[0] <= 1.0
+            assert path.jump_step.shape == (1,)
+            assert 0 < path.jump_step[0] <= grid_100.n_steps  # a time in (0, 1]
 
     def test_no_jump_at_time_zero(self, study_spec, grid_100):
         path = simulate_batch(study_spec, grid_100, 43, 0, 1)
@@ -195,7 +189,7 @@ class TestPathInvariants:
 
 
 class TestSpecCheck:
-    @pytest.mark.parametrize("field", ["drift", "diffusion"])
+    @pytest.mark.parametrize("field", ["drift", "diffusion", "x0"])
     @pytest.mark.parametrize("value", [lambda t, x: 0.5, True, "0.5", None],
                              ids=["callable", "bool", "str", "None"])
     def test_coefficient_that_is_not_a_number_names_the_field(self, field, value):
@@ -262,8 +256,6 @@ class TestBatch:
             np.testing.assert_array_equal(batch.continuous[p], single.continuous[0])
             assert [event[1:] for event in events if event[0] == p] == [
                 event[1:] for event in jump_ledger(single)]
-        # each ledger step is its drawn time snapped to the grid
-        np.testing.assert_array_equal(batch.jump_step, grid.times.searchsorted(batch.jump_time))
         assert batch.jump_step.size == (6 if isinstance(spec.jump_law, SingleUniformJump) else 0)
 
     @pytest.mark.parametrize("spec", BATCH_SPECS, ids=BATCH_IDS)
@@ -288,7 +280,7 @@ class TestBatch:
                 k = int(np.searchsorted(grid.times, time))
                 pre = observed[k]
                 observed[k:] += pre
-                ledger.append((i, k, time, pre))
+                ledger.append((i, k))
             np.testing.assert_array_equal(batch.continuous[i], continuous)
             np.testing.assert_array_equal(batch.observed[i], observed)
         assert jump_ledger(batch) == ledger
@@ -300,7 +292,7 @@ class TestBatch:
                                  x0=-0.0)
         batch = simulate_batch(spec, build_grid(1.0, 50), 89, 0, 8)
         assert batch.jump_step.size == 8
-        for array in (batch.observed, batch.continuous, batch.pre_jump):
+        for array in (batch.observed, batch.continuous):
             assert np.signbit(array[:, 0]).all()
 
     def test_arrays_are_read_only(self, study_spec, grid_100):
@@ -308,11 +300,6 @@ class TestBatch:
         for name in BATCH_ARRAYS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(batch, name)[0] = 0
-
-    def test_pre_jump_backs_out_landing(self, study_spec, grid_100):
-        batch = simulate_batch(study_spec, grid_100, 67, 0, 5)
-        for path, step, pre in zip(batch.jump_path, batch.jump_step, batch.jump_pre):
-            assert batch.pre_jump[path, step] == pytest.approx(pre, rel=1e-12)
 
 
 class TestTraceContract:
@@ -390,7 +377,7 @@ class TestWorkspaceTake:
         taken["J"] = workspace.take("J", (3, shape[1]))     # leading rows
         taken["dJ"] = workspace.take("dJ", (6, 7))          # reallocated
         taken["term"] = workspace.take("term", (8, shape[1]))
-        taken.update(zip(("normals", "continuous", "observed", "pre_jump"),
+        taken.update(zip(("normals", "continuous", "observed"),
                          batch_buffers(workspace, 6, grid_100.n_steps)))
         names = list(taken)
         for i, a in enumerate(names):
@@ -414,7 +401,7 @@ class TestWorkspace:
         held = batch_buffers(workspace, 9, 200)
         for array in held:
             assert array.flags.writeable
-        for name, array in zip(("continuous", "observed", "pre_jump"), held[1:]):
+        for name, array in zip(("continuous", "observed"), held[1:]):
             assert np.shares_memory(getattr(got, name), array)
 
     def test_fresh_batches_share_no_memory(self, study_spec, grid_100):
@@ -429,7 +416,7 @@ class TestWorkspace:
 
         simulate_batch(study_spec, build_grid(1.0, 100), 1, 0, 8, workspace=workspace)
         held = batch_buffers(workspace, 8, 100)
-        assert [b.shape for b in held] == [(8, 100)] + [(8, 101)] * 3
+        assert [b.shape for b in held] == [(8, 100)] + [(8, 101)] * 2
         batch = simulate_batch(study_spec, build_grid(1.0, 100), 2, 0, 8, workspace=workspace)
         assert all(now is before for now, before in zip(batch_buffers(workspace, 8, 100), held))
         assert np.shares_memory(batch.observed, held[2])
@@ -518,13 +505,13 @@ class TestPinnedBits:
 
     DIGESTS = {
         "doubling-128x1000-offset128":
-            "891baf951322d6e77e12c6737291a6e803c16bb4e565d702cf1507a7458dd70c",
-        "doubling-0-paths": "d13d1dddca0277ba76962d831c94d51a3fab112b90f1b83c60abd8673f2e1513",
-        "doubling-32x100": "a924c7e44570f56d3b144030851b51ba017df868ccfe52f2ee841be1b6eb06ba",
+            "cdc6ee9d9169532e258cad17d4d0a1ecfb6e1b6d6cc0b3413048c4b8caf06286",
+        "doubling-0-paths": "070cc2cdc35c182be538d09352458436c74c7a0613f36239e85f463923c014e2",
+        "doubling-32x100": "ee0f76d559591363ebfa79ea6880cb164c8d52827d30b59035a350c6532abfbb",
         "doubling-straddling-2^32":
-            "a425d24a9acfbd10ef27d7a2eb512baec4fa5001d85939e8c9b820eece42de4b",
-        "negative-zero-x0": "99e07a145a0605c4cb14550e7ada7f8f2bc3d927dfff3c35ab770e77e45a6c2e",
-        "no-jumps": "62e320ba86629959c719510d77f1789c506022f5f4a2828d2104902b20901410",
+            "60f6ec7892a8af7ae9bb67c924666e3d0fbec0874f912180c4cef9caf0b1aa60",
+        "negative-zero-x0": "556f6aa1cfba06fe1fd78ab0a45867cab90cac7ddc6ce602355be7ef5e132229",
+        "no-jumps": "fb3c85748ca185543f77cd7192df59dcc66a037418a827b97aaeaed5f9cfff7f",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_BATCHES))
@@ -556,12 +543,14 @@ class TestCsvExport:
         assert data[:, 3].sum() == path.jump_step.size
 
     def test_jump_flag_matches_ledger_steps(self, study_spec):
-        batch = simulate_batch(study_spec, build_grid(1.0, 200), 79, 2, 6)
-        assert (np.bincount(batch.jump_path, minlength=6) == 1).all()
-        for row in range(6):
-            buf = io.StringIO()
-            path_to_csv(batch, row, buf)
-            flags = [int(line.rsplit(",", 1)[1])
-                     for line in buf.getvalue().splitlines()[1:]]
-            np.testing.assert_array_equal(np.flatnonzero(flags),
-                                          batch.jump_step[batch.jump_path == row])
+        # one flag per row at its jump step, and none without jumps
+        no_jumps = JumpDiffusionSpec(drift=0.0, diffusion=1.0, jump_law=NoJumps(), x0=0.1)
+        for spec in (study_spec, no_jumps):
+            batch = simulate_batch(spec, build_grid(1.0, 200), 79, 2, 6)
+            for row in range(6):
+                buf = io.StringIO()
+                path_to_csv(batch, row, buf)
+                flags = [int(line.rsplit(",", 1)[1])
+                         for line in buf.getvalue().splitlines()[1:]]
+                np.testing.assert_array_equal(np.flatnonzero(flags),
+                                              batch.jump_step[row:row + 1])

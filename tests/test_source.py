@@ -330,6 +330,34 @@ def test_unpassed_field_is_found():
     assert unpassed_fields("C", ["a", "b"], {"b": sources["b"]}) == ["a", "b"]
 
 
+def unread_fields(cls: str, fields: list[str], sources: dict[str, str]) -> list[str]:
+    """The fields that no attribute load in sources reads, counting none
+    inside the body of the class named cls, whose own checks read them all."""
+    read = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        inside = {id(node) for top in ast.walk(tree)
+                  if isinstance(top, ast.ClassDef) and top.name == cls for node in ast.walk(top)}
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load) and id(node) not in inside)
+    return [field for field in fields if field not in read]
+
+
+def test_every_path_batch_field_has_a_reader():
+    # an array that only tests read is work every batch does for nothing
+    fields = [field.name for field in dataclasses.fields(sde.PathBatch)]
+    sources = {p.as_posix(): p.read_text() for p in MODULES}
+    assert unread_fields("PathBatch", fields, sources) == []
+
+
+def test_unread_field_is_found():
+    sources = {"a": ("class C:\n    def check(self):\n        return self.a, self.b\n\n"
+                     "def f(c):\n    c.b = 1\n    return C(a=1, b=2, d=3).c\n"),
+               "b": "def g(obj):\n    return obj.d\n"}
+    assert unread_fields("C", ["a", "b", "c", "d"], sources) == ["a", "b"]
+    assert unread_fields("C", ["a", "b", "c", "d"], {"a": sources["a"]}) == ["a", "b", "d"]
+
+
 def unreachable_laws(laws: list[str], source: str) -> list[str]:
     """The laws that no value of a dict literal in source's `_build_spec`
     names, the table `simulate --law` picks a law from."""
